@@ -18,6 +18,8 @@ from dataclasses import asdict, dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
 
+import numpy as np
+
 from . import __version__
 from .corpus import (
     Corpus,
@@ -29,12 +31,18 @@ from .corpus import (
     write_corpus_jsonl,
     yearly_sizes,
 )
-from .counts import BRANCHES, branch_stats, corpus_triples, wilcoxon_signed_rank
+from .counts import (
+    BRANCHES,
+    branch_matrix,
+    branch_stats_from_triples,
+    corpus_triples,
+    wilcoxon_signed_rank,
+)
 from .dynamics import branch_share_series, detect_entries, rank_trajectories, top_pairs
 from .infotheory import efficiency, yearly_mi
 from .mesh import MeshFormatError, Vocabulary, load_mesh_ascii, load_mesh_tsv, write_mesh_tsv
 from .nullmodel import TARGETS, ShuffleConfig, null_band
-from .scaling import descriptor_counts, heaps_fit, rank_table, zipf_fit
+from .scaling import heaps_fit, rank_table, zipf_fit
 from .synth import MODES, SynthConfig, synth_corpus
 
 
@@ -107,6 +115,28 @@ def _detect_and_ingest(
     return ingest_medline_text(path, vocabulary, year_range, label)
 
 
+class UsageError(Exception):
+    """A flag or environment value the command cannot run with (exit 1)."""
+
+
+def _make_config(factory, **fields):
+    """Build a config object, reporting a rejected value as a usage error."""
+    try:
+        return factory(**fields)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
+
+
+def _positive_int_arg(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
+    return value
+
+
 def _year_range_arg(text: str) -> tuple[int, int]:
     lo, sep, hi = text.partition(":")
     try:
@@ -153,7 +183,10 @@ def _resolve_threads(value: int | None) -> int:
         return value
     env = os.environ.get("HELIX_THREADS")
     if env:
-        return int(env)
+        try:
+            return int(env)
+        except ValueError:
+            raise UsageError(f"HELIX_THREADS must be an integer, got {env!r}") from None
     return os.cpu_count() or 1
 
 
@@ -180,22 +213,21 @@ def _cmd_ingest(args, out_dir: Path, manifest: RunManifest) -> int:
 
 def _cmd_stats(args, out_dir: Path, manifest: RunManifest) -> int:
     _, corpus, _ = _load_inputs(args, manifest)
-    stats = branch_stats(corpus, args.counting)
+    triples = corpus_triples(corpus, args.counting)
+    stats = branch_stats_from_triples(triples)
     sizes = yearly_sizes(corpus)
     total_assignments = sum(r.total_descriptors for r in sizes)
-    distinct: set[str] = set()
-    for p in corpus.publications:
-        distinct.update(p.mesh_ids)
+    year_counts = corpus.year_counts
+    distinct = int(np.count_nonzero(year_counts.any(axis=0)))
 
     header = ["query", "A_q", "V_q", "mean_mesh"]
-    row: list = [corpus.query_label, len(corpus), len(distinct),
+    row: list = [corpus.query_label, len(corpus), distinct,
                  total_assignments / len(corpus) if len(corpus) else 0.0]
     for alpha in BRANCHES:
         header += [f"mean_{alpha}", f"sd_{alpha}", f"med_{alpha}"]
         row += [stats.mean[alpha], stats.std[alpha], stats.median[alpha]]
     _write_csv(out_dir / "stats.csv", header, [row])
 
-    triples = corpus_triples(corpus, args.counting)
     wilcoxon_rows = []
     for i, a in enumerate(BRANCHES):
         for j, b in enumerate(BRANCHES):
@@ -208,17 +240,14 @@ def _cmd_stats(args, out_dir: Path, manifest: RunManifest) -> int:
         wilcoxon_rows,
     )
 
+    # usage diversity always counts by membership, whatever --counting says
+    member = branch_matrix(corpus.vocabulary, "membership").astype(bool)
     yearly_rows = []
-    for r in sizes:
+    for r, counts in zip(sizes, year_counts):
         eff = {}
-        year_counts = descriptor_counts(corpus, r.year)
-        for alpha in BRANCHES:
-            usage = [
-                c
-                for uid, c in year_counts.items()
-                if alpha in corpus.vocabulary.descriptors[uid].branches
-            ]
-            eff[alpha] = efficiency(usage) if usage else None
+        for i, alpha in enumerate(BRANCHES):
+            usage = counts[member[:, i] & (counts > 0)]
+            eff[alpha] = efficiency(usage) if usage.size else None
         yearly_rows.append(
             [r.year, r.publications, r.total_descriptors, r.distinct_descriptors,
              r.mean_per_publication, eff["C"], eff["D"], eff["E"]]
@@ -250,8 +279,8 @@ def _cmd_mi(args, out_dir: Path, manifest: RunManifest) -> int:
 
 
 def _cmd_null(args, out_dir: Path, manifest: RunManifest) -> int:
-    _, corpus, _ = _load_inputs(args, manifest)
-    config = ShuffleConfig(
+    config = _make_config(
+        ShuffleConfig,
         replicates=args.replicates,
         ci_level=args.ci,
         seed=args.seed,
@@ -259,6 +288,7 @@ def _cmd_null(args, out_dir: Path, manifest: RunManifest) -> int:
         counting=args.counting,
         threads=_resolve_threads(args.threads),
     )
+    _, corpus, _ = _load_inputs(args, manifest)
     band = null_band(corpus, config, args.target)
     rows = [
         [r.year, band.target, band.map_kind, r.observed, r.mean_rand, r.lo, r.hi, r.flag]
@@ -308,9 +338,10 @@ def _cmd_dynamics(args, out_dir: Path, manifest: RunManifest) -> int:
     _, corpus, _ = _load_inputs(args, manifest)
     matrix = rank_trajectories(corpus, k=args.topk)
     header = ["descriptor", "primary_branch"] + [str(y) for y in matrix.years]
+    vocabulary = corpus.vocabulary
     rows = []
     for i, uid in enumerate(matrix.descriptor_ids):
-        branch = corpus.vocabulary.descriptors[uid].primary_branch
+        branch = vocabulary.primary_branches[vocabulary.column_of[uid]]
         rows.append([uid, branch] + [int(c) for c in matrix.cells[i]])
     _write_csv(out_dir / "trajectories.csv", header, rows)
 
@@ -364,7 +395,8 @@ def _cmd_synth(args, out_dir: Path, manifest: RunManifest) -> int:
         start_year, n_years = args.years[0], args.years[1] - args.years[0] + 1
     else:
         start_year, n_years = args.start_year, args.years
-    config = SynthConfig(
+    config = _make_config(
+        SynthConfig,
         mode=args.mode,
         pubs_per_year=args.pubs,
         years=n_years,
@@ -436,16 +468,16 @@ def build_parser() -> _Parser:
 
     sub = commands.add_parser("dynamics", help="rank trajectories, entries, pairs, shares")
     _add_io_options(sub)
-    sub.add_argument("--topk", type=int, default=200)
+    sub.add_argument("--topk", type=_positive_int_arg, default=200)
     sub.add_argument("--pair-branches", type=_branch_pair_arg, default=("D", "E"))
     sub.add_argument("--window", type=_year_range_arg, default=None, help="pair window LO:HI")
-    sub.add_argument("--limit", type=int, default=10)
+    sub.add_argument("--limit", type=_positive_int_arg, default=10)
 
     sub = commands.add_parser("pairs", help="most frequent cross-branch descriptor pairs")
     _add_io_options(sub)
     sub.add_argument("--branches", type=_branch_pair_arg, default=("D", "E"))
     sub.add_argument("--window", type=_year_range_arg, default=None, help="pair window LO:HI")
-    sub.add_argument("--limit", type=int, default=10)
+    sub.add_argument("--limit", type=_positive_int_arg, default=10)
 
     sub = commands.add_parser("synth", help="generate a synthetic corpus")
     sub.add_argument("--mode", choices=list(MODES), required=True)
@@ -493,6 +525,9 @@ def main(argv: list[str] | None = None) -> int:
     }
     try:
         code = _COMMANDS[args.command](args, out_dir, manifest)
+    except UsageError as exc:
+        print(f"helixmi {args.command}: error: {exc}", file=sys.stderr)
+        return 1
     except (MeshFormatError, CorpusFormatError, FileNotFoundError, ValueError, OSError) as exc:
         print(f"helixmi {args.command}: error: {exc}", file=sys.stderr)
         return 2

@@ -16,6 +16,11 @@ import json
 import re
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import cached_property
+from itertools import chain
+
+import numpy as np
+from scipy import sparse
 
 from .mesh import Vocabulary
 
@@ -59,6 +64,11 @@ class Corpus:
     ``by_year`` maps each year to indices into ``publications``;
     publications are stored in canonical (year, id) order so that
     serialization and all downstream derivations are deterministic.
+
+    Count-based analyses read the columnar view instead of the
+    publications: ``incidence`` marks which descriptors each publication
+    carries and ``year_counts`` sums it per year.  Both are built on
+    first use and cached.
     """
 
     query_label: str
@@ -89,6 +99,41 @@ class Corpus:
 
     def publications_in(self, year: int) -> list[Publication]:
         return [self.publications[i] for i in self.by_year.get(year, ())]
+
+    @cached_property
+    def incidence(self) -> sparse.csr_matrix:
+        """(publications x descriptors) 0/1 matrix in corpus order, with
+        columns in ``vocabulary.column_ids`` order.
+
+        Raises ``KeyError`` for an id missing from the vocabulary:
+        ingestion is expected to have cleaned those.
+        """
+        column_of = self.vocabulary.column_of
+        lengths = np.fromiter(
+            (len(p.mesh_ids) for p in self.publications), dtype=np.int64, count=len(self)
+        )
+        indptr = np.concatenate([[0], np.cumsum(lengths)])
+        indices = np.fromiter(
+            (column_of[uid] for p in self.publications for uid in p.mesh_ids),
+            dtype=np.int32,
+            count=int(indptr[-1]),
+        )
+        data = np.ones(len(indices), dtype=np.int8)
+        return sparse.csr_matrix((data, indices, indptr), shape=(len(self), len(column_of)))
+
+    @cached_property
+    def year_counts(self) -> np.ndarray:
+        """(years x descriptors) publication counts, rows in ``years()`` order."""
+        members = [self.by_year[y] for y in self.years()]
+        indptr = np.concatenate([[0], np.cumsum([len(m) for m in members], dtype=np.int64)])
+        indices = np.fromiter(
+            chain.from_iterable(members), dtype=np.int32, count=int(indptr[-1])
+        )
+        select = sparse.csr_matrix(
+            (np.ones(len(indices), dtype=np.int32), indices, indptr),
+            shape=(len(members), len(self)),
+        )
+        return (select @ self.incidence).toarray()
 
 
 def _resolve_terms(
@@ -260,19 +305,16 @@ class YearlySizes:
 def yearly_sizes(corpus: Corpus) -> list[YearlySizes]:
     """Per-year publication and descriptor volume/vocabulary table."""
     rows = []
-    for year in corpus.years():
-        pubs = corpus.publications_in(year)
-        total = sum(len(p.mesh_ids) for p in pubs)
-        distinct: set[str] = set()
-        for p in pubs:
-            distinct.update(p.mesh_ids)
+    for year, counts in zip(corpus.years(), corpus.year_counts):
+        pubs = len(corpus.by_year[year])
+        total = int(counts.sum())
         rows.append(
             YearlySizes(
                 year=year,
-                publications=len(pubs),
+                publications=pubs,
                 total_descriptors=total,
-                distinct_descriptors=len(distinct),
-                mean_per_publication=total / len(pubs),
+                distinct_descriptors=int(np.count_nonzero(counts)),
+                mean_per_publication=total / pubs,
             )
         )
     return rows

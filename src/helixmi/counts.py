@@ -74,23 +74,27 @@ def branch_triple(publication, vocabulary, counting: str = "membership") -> Bran
     return BranchTriple(n["C"], n["D"], n["E"])
 
 
-def corpus_triples(corpus: Corpus, counting: str = "membership") -> np.ndarray:
-    """(n_pubs, 3) int array of branch counts, aligned with corpus order."""
+def branch_matrix(vocabulary, counting: str = "membership") -> np.ndarray:
+    """(V, 3) 0/1 matrix: which of C, D, E each descriptor column counts toward.
+
+    Rows follow ``vocabulary.column_ids``.  Membership counting credits
+    every branch the descriptor sits in; primary counting credits its
+    primary branch only, which may lie outside C/D/E.
+    """
     if counting not in COUNTINGS:
         raise ValueError(f"unknown counting mode {counting!r}")
-    weights: dict[str, np.ndarray] = {}
-    for uid, d in corpus.vocabulary.descriptors.items():
-        if counting == "membership":
-            w = np.array([alpha in d.branches for alpha in BRANCHES], dtype=np.int64)
-        else:
-            w = np.array([alpha == d.primary_branch for alpha in BRANCHES], dtype=np.int64)
-        weights[uid] = w
-    out = np.zeros((len(corpus.publications), 3), dtype=np.int64)
-    for i, p in enumerate(corpus.publications):
-        row = out[i]
-        for mesh_id in p.mesh_ids:
-            row += weights[mesh_id]
-    return out
+    if counting == "membership":
+        owned = [vocabulary.descriptors[uid].branches for uid in vocabulary.column_ids]
+    else:
+        owned = [{alpha} for alpha in vocabulary.primary_branches]
+    rows = [[alpha in branches for alpha in BRANCHES] for branches in owned]
+    return np.array(rows, dtype=np.int64).reshape(-1, 3)
+
+
+def corpus_triples(corpus: Corpus, counting: str = "membership") -> np.ndarray:
+    """(n_pubs, 3) int array of branch counts, aligned with corpus order."""
+    weights = branch_matrix(corpus.vocabulary, counting)
+    return corpus.incidence @ weights
 
 
 def triples_by_year(corpus: Corpus, counting: str = "membership") -> dict[int, np.ndarray]:

@@ -9,14 +9,13 @@ occupancy shares.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
 
 from .corpus import Corpus
-from .counts import BRANCHES, corpus_triples
-from .scaling import descriptor_counts, rank_table
+from .counts import BRANCHES, branch_matrix
+from .scaling import ranked_columns
 
 ABSENT = -2
 OUT_OF_TOPK = -1
@@ -63,23 +62,26 @@ def rank_trajectories(corpus: Corpus, k: int = 200) -> RankTrajectoryMatrix:
     years = corpus.years()
     if len(years) < 2:
         raise ValueError("rank trajectories need a corpus spanning at least 2 years")
-    overall = rank_table(corpus, "all")
-    k = min(k, len(overall.entries))
-    top = [e.descriptor_id for e in overall.entries[:k]]
-    row_of = {uid: i for i, uid in enumerate(top)}
+    if k < 0:
+        raise ValueError(f"k must be non-negative, got {k}")
+    counts = corpus.year_counts
+    top = ranked_columns(counts.sum(axis=0))[:k]
+    k = len(top)
+    band_ends = np.cumsum(sextile_sizes(k))
 
     cells = np.full((k, len(years)), ABSENT, dtype=np.int64)
-    for j, year in enumerate(years):
-        yearly = rank_table(corpus, year)
-        for entry in yearly.entries:
-            i = row_of.get(entry.descriptor_id)
-            if i is None:
-                continue
-            if entry.rank > k:
-                cells[i, j] = OUT_OF_TOPK
-            else:
-                cells[i, j] = sextile_of(entry.rank, k)
-    return RankTrajectoryMatrix(descriptor_ids=top, years=years, cells=cells, k=k)
+    for j, year_counts in enumerate(counts):
+        ranks = np.zeros(len(year_counts), dtype=np.int64)
+        order = ranked_columns(year_counts)
+        ranks[order] = np.arange(1, len(order) + 1)
+        r = ranks[top]
+        # the first band whose end reaches the rank, as in sextile_of
+        sextile = np.searchsorted(band_ends, r) + 1
+        cells[:, j] = np.where(r == 0, ABSENT, np.where(r > k, OUT_OF_TOPK, sextile))
+    ids = corpus.vocabulary.column_ids
+    return RankTrajectoryMatrix(
+        descriptor_ids=[ids[j] for j in top.tolist()], years=years, cells=cells, k=k
+    )
 
 
 @dataclass(frozen=True)
@@ -102,40 +104,31 @@ def detect_entries(corpus: Corpus, k: int = 200) -> list[EntryRecord]:
     years = corpus.years()
     if not years:
         return []
-    first_year = years[0]
-    overall = rank_table(corpus, "all")
-    k = min(k, len(overall.entries))
-    top = {e.descriptor_id for e in overall.entries[:k]}
+    counts = corpus.year_counts
+    top = ranked_columns(counts.sum(axis=0))[:k]
+    top_counts = counts[:, top]
+    # every top-K descriptor is used in some year, so argmax finds its first
+    births = np.argmax(top_counts > 0, axis=0)
+    # appearances from each year through the end: per descriptor and for
+    # the whole top-K set, so each entrant's normalizer is a single lookup
+    own_from = np.cumsum(top_counts[::-1], axis=0)[::-1]
+    topk_mass_from = own_from.sum(axis=1).tolist()
+    own = own_from[births, np.arange(len(top))].tolist()
 
-    yearly_counts = {y: descriptor_counts(corpus, y) for y in years}
-    births: dict[str, int] = {}
-    for uid in top:
-        for y in years:
-            if yearly_counts[y].get(uid, 0) > 0:
-                births[uid] = y
-                break
-
-    # suffix sums of the top-K appearance mass, so each entrant's
-    # normalizer (birth year through the end) is a single lookup
-    topk_mass_from: dict[int, int] = {}
-    acc = 0
-    for y in reversed(years):
-        acc += sum(yearly_counts[y].get(uid, 0) for uid in top)
-        topk_mass_from[y] = acc
-
+    ids = corpus.vocabulary.column_ids
+    primary = corpus.vocabulary.primary_branches
     entries = []
-    for uid, birth in sorted(births.items()):
-        if birth == first_year:
+    for col, birth, own_count in zip(top.tolist(), births.tolist(), own):
+        if birth == 0:
             continue
-        own = sum(yearly_counts[y].get(uid, 0) for y in years if y >= birth)
         normalizer = topk_mass_from[birth]
-        impact = own / normalizer if normalizer else 0.0
+        impact = own_count / normalizer if normalizer else 0.0
         entries.append(
             EntryRecord(
-                descriptor_id=uid,
-                birth_year=birth,
+                descriptor_id=ids[col],
+                birth_year=years[birth],
                 impact=impact,
-                primary_branch=corpus.vocabulary.descriptors[uid].primary_branch,
+                primary_branch=primary[col],
             )
         )
     entries.sort(key=lambda e: (e.birth_year, -e.impact, e.descriptor_id))
@@ -172,29 +165,25 @@ def top_pairs(
             return []
         window = (years[0], years[-1])
     lo, hi = window
-    counter: Counter[tuple[str, str]] = Counter()
-    for year in years:
-        if not lo <= year <= hi:
-            continue
-        for p in corpus.publications_in(year):
-            side_a = [
-                uid
-                for uid in p.mesh_ids
-                if branch_a in corpus.vocabulary.descriptors[uid].branches
-            ]
-            side_b = [
-                uid
-                for uid in p.mesh_ids
-                if branch_b in corpus.vocabulary.descriptors[uid].branches
-            ]
-            for a in side_a:
-                for b in side_b:
-                    if a != b:
-                        counter[(a, b)] += 1
-    ordered = sorted(counter.items(), key=lambda kv: (-kv[1], kv[0]))
+    in_window = [
+        np.asarray(ix, dtype=np.intp) for y, ix in corpus.by_year.items() if lo <= y <= hi
+    ]
+    rows = np.concatenate([np.empty(0, dtype=np.intp), *in_window])
+    # int32 so that co-occurrence sums cannot wrap in the int8 incidence dtype
+    x = corpus.incidence[rows].astype(np.int32)
+    member = branch_matrix(corpus.vocabulary, "membership")
+    cols_a = np.flatnonzero(member[:, BRANCHES.index(branch_a)])
+    cols_b = np.flatnonzero(member[:, BRANCHES.index(branch_b)])
+    co = (x[:, cols_a].T @ x[:, cols_b]).tocoo()
+    a, b, c = cols_a[co.row], cols_b[co.col], co.data
+    distinct = a != b
+    a, b, c = a[distinct], b[distinct], c[distinct]
+    # columns follow sorted id, so this is the (-count, id_a, id_b) order
+    order = np.lexsort((b, a, -c))[:limit]
+    ids = corpus.vocabulary.column_ids
     return [
-        PairRecord(descriptor_a=a, descriptor_b=b, co_count=c, window=window)
-        for (a, b), c in ordered[:limit]
+        PairRecord(descriptor_a=ids[i], descriptor_b=ids[j], co_count=n, window=window)
+        for i, j, n in zip(a[order].tolist(), b[order].tolist(), c[order].tolist())
     ]
 
 
@@ -208,15 +197,13 @@ class BranchShare:
 
 def branch_share_series(corpus: Corpus, counting: str = "membership") -> list[BranchShare]:
     """Yearly fraction of C/D/E descriptor occurrences held by each branch."""
-    triples = corpus_triples(corpus, counting)
+    totals = corpus.year_counts @ branch_matrix(corpus.vocabulary, counting)
     rows = []
-    for year in corpus.years():
-        idx = np.asarray(corpus.by_year[year], dtype=np.intp)
-        totals = triples[idx].sum(axis=0)
-        denom = int(totals.sum())
+    for year, year_totals in zip(corpus.years(), totals.tolist()):
+        denom = sum(year_totals)
         if denom == 0:
             rows.append(BranchShare(year, None, None, None))
         else:
-            c, d, e = (float(t) / denom for t in totals)
+            c, d, e = (float(t) / denom for t in year_totals)
             rows.append(BranchShare(year, c, d, e))
     return rows

@@ -10,6 +10,7 @@ safe to share across workers.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 VALID_BRANCHES = frozenset("ABCDEFGHIJKLMNVZ")
 
@@ -94,6 +95,22 @@ class Vocabulary:
 
     def get(self, descriptor_id: str) -> MeshDescriptor | None:
         return self.descriptors.get(descriptor_id)
+
+    @cached_property
+    def column_ids(self) -> tuple[str, ...]:
+        """Descriptor ids in column order of every array view: sorted by id,
+        so ties broken by id are ties broken by column index."""
+        return tuple(sorted(self.descriptors))
+
+    @cached_property
+    def column_of(self) -> dict[str, int]:
+        """Column position of each descriptor id."""
+        return {uid: j for j, uid in enumerate(self.column_ids)}
+
+    @cached_property
+    def primary_branches(self) -> tuple[str, ...]:
+        """Primary-branch letter of each descriptor, in column order."""
+        return tuple(self.descriptors[uid].primary_branch for uid in self.column_ids)
 
     def resolve(self, token: str) -> str | None:
         """Map a descriptor id or display name to a descriptor id."""

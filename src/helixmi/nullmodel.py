@@ -56,7 +56,7 @@ class YearBand:
     mean_rand: float
     lo: float
     hi: float
-    flag: str  # inside | above | below
+    flag: str  # inside | above | below | undefined
 
 
 @dataclass
@@ -143,7 +143,7 @@ def null_band_from_triples(
     )
     years = observed.years()
     year_pos = {y: i for i, y in enumerate(years)}
-    # NaN-filled so a year missing from any replicate would surface loudly
+    # NaN-filled: a year missing from any replicate is flagged undefined
     values = np.full((config.replicates, len(years)), np.nan)
 
     def run(replicate: int) -> MiSeries:
@@ -170,15 +170,20 @@ def null_band_from_triples(
     )
     for record in observed.records:
         column = np.sort(values[:, year_pos[record.year]])
-        lo = float(percentile(column, p_lo))
-        hi = float(percentile(column, p_hi))
         obs = record.target(target)
-        if obs > hi:
-            flag = "above"
-        elif obs < lo:
-            flag = "below"
+        if np.isnan(column).any():
+            # some replicate left this year with no vector to evaluate
+            lo = hi = math.nan
+            flag = "undefined"
         else:
-            flag = "inside"
+            lo = float(percentile(column, p_lo))
+            hi = float(percentile(column, p_hi))
+            if obs > hi:
+                flag = "above"
+            elif obs < lo:
+                flag = "below"
+            else:
+                flag = "inside"
         band.rows.append(
             YearBand(
                 year=record.year,

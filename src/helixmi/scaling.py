@@ -47,25 +47,40 @@ class ScalingFit:
     n_points: int
 
 
+def _scope_counts(corpus: Corpus, scope: str | int) -> np.ndarray:
+    """Publications per descriptor column, over all years or one year."""
+    if scope == "all":
+        return corpus.year_counts.sum(axis=0)
+    year = int(scope)
+    if year not in corpus.by_year:
+        return np.zeros(len(corpus.vocabulary), dtype=np.int64)
+    return corpus.year_counts[corpus.years().index(year)]
+
+
+def ranked_columns(counts: np.ndarray) -> np.ndarray:
+    """Columns with a positive count, by count descending, ties by column.
+
+    Columns follow sorted descriptor id, so ties are broken by id.
+    """
+    used = np.flatnonzero(counts)
+    return used[np.lexsort((used, -counts[used]))]
+
+
 def descriptor_counts(corpus: Corpus, scope: str | int = "all") -> dict[str, int]:
     """Publications per descriptor, over all years or one year."""
-    counts: dict[str, int] = {}
-    if scope == "all":
-        pubs = corpus.publications
-    else:
-        pubs = tuple(corpus.publications_in(int(scope)))
-    for p in pubs:
-        for mesh_id in p.mesh_ids:
-            counts[mesh_id] = counts.get(mesh_id, 0) + 1
-    return counts
+    counts = _scope_counts(corpus, scope)
+    ids = corpus.vocabulary.column_ids
+    used = np.flatnonzero(counts)
+    return {ids[j]: c for j, c in zip(used.tolist(), counts[used].tolist())}
 
 
 def rank_table(corpus: Corpus, scope: str | int = "all") -> RankTable:
-    counts = descriptor_counts(corpus, scope)
-    ordered = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))
+    counts = _scope_counts(corpus, scope)
+    ids = corpus.vocabulary.column_ids
+    order = ranked_columns(counts)
     entries = [
-        RankEntry(rank=i, descriptor_id=uid, count=c)
-        for i, (uid, c) in enumerate(ordered, start=1)
+        RankEntry(rank=i, descriptor_id=ids[j], count=c)
+        for i, (j, c) in enumerate(zip(order.tolist(), counts[order].tolist()), start=1)
     ]
     return RankTable(scope=str(scope), entries=entries)
 

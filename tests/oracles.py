@@ -91,3 +91,94 @@ def pair_counts_brute(corpus, branch_a, branch_b, window):
                     continue
                 counts[(a, b)] = counts.get((a, b), 0) + 1
     return counts
+
+
+def descriptor_counts_brute(corpus, year=None):
+    """Publications per descriptor id, over all years or one year."""
+    counts = {}
+    for pub in corpus.publications:
+        if year is None or pub.year == year:
+            for uid in pub.mesh_ids:
+                counts[uid] = counts.get(uid, 0) + 1
+    return counts
+
+
+def rank_table_brute(corpus, year=None):
+    """(rank, id, count) rows by descending count, ties broken by id."""
+    ordered = sorted(
+        descriptor_counts_brute(corpus, year).items(), key=lambda kv: (-kv[1], kv[0])
+    )
+    return [(rank, uid, c) for rank, (uid, c) in enumerate(ordered, start=1)]
+
+
+def sextile_brute(rank, k):
+    """Band 1..6 of a rank in 1..k; the k % 6 leading bands hold one extra rank."""
+    q, rem = divmod(k, 6)
+    upper = 0
+    for band in range(6):
+        upper += q + (1 if band < rem else 0)
+        if rank <= upper:
+            return band + 1
+    raise ValueError(f"rank {rank} outside 1..{k}")
+
+
+def trajectory_cells_brute(corpus, k):
+    """The all-years top-k ids and a {(id, year): code} map: -2 absent
+    that year, -1 ranked beyond k, else the sextile of the yearly rank."""
+    years = sorted({pub.year for pub in corpus.publications})
+    top = [uid for _, uid, _ in rank_table_brute(corpus)[:k]]
+    cells = {}
+    for year in years:
+        ranks = {uid: rank for rank, uid, _ in rank_table_brute(corpus, year)}
+        for uid in top:
+            rank = ranks.get(uid)
+            if rank is None:
+                cells[(uid, year)] = -2
+            elif rank > len(top):
+                cells[(uid, year)] = -1
+            else:
+                cells[(uid, year)] = sextile_brute(rank, len(top))
+    return top, cells
+
+
+def entries_brute(corpus, k):
+    """(id, birth year, impact, primary branch) for every top-k descriptor
+    first used after the corpus's first year."""
+    years = sorted({pub.year for pub in corpus.publications})
+    top = [uid for _, uid, _ in rank_table_brute(corpus)[:k]]
+    yearly = {y: descriptor_counts_brute(corpus, y) for y in years}
+    out = []
+    for uid in top:
+        birth = min(y for y in years if yearly[y].get(uid, 0) > 0)
+        if birth == years[0]:
+            continue
+        own = sum(yearly[y].get(uid, 0) for y in years if y >= birth)
+        mass = sum(yearly[y].get(t, 0) for y in years if y >= birth for t in top)
+        primary = corpus.vocabulary.descriptors[uid].primary_branch
+        out.append((uid, birth, own / mass, primary))
+    return sorted(out, key=lambda e: (e[1], -e[2], e[0]))
+
+
+def branch_shares_brute(corpus, counting):
+    """(year, share C, share D, share E) of C/D/E descriptor occurrences;
+    shares are None in a year with no C/D/E occurrence."""
+    totals = {}
+    for pub in corpus.publications:
+        row = totals.setdefault(pub.year, [0, 0, 0])
+        for uid in pub.mesh_ids:
+            d = corpus.vocabulary.descriptors[uid]
+            if counting == "membership":
+                homes = {t.raw[0] for t in d.tree_numbers}
+            else:
+                homes = {d.primary_branch}
+            for i, alpha in enumerate("CDE"):
+                if alpha in homes:
+                    row[i] += 1
+    out = []
+    for year in sorted(totals):
+        denom = sum(totals[year])
+        if denom == 0:
+            out.append((year, None, None, None))
+        else:
+            out.append((year, *(n / denom for n in totals[year])))
+    return out

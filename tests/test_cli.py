@@ -49,12 +49,23 @@ def test_data_errors_exit_two(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
-def test_malformed_flag_values_exit_one(tmp_path, capsys):
+def test_malformed_flag_values_exit_one(tmp_path, capsys, monkeypatch):
     base = ["mi", "--corpus", "c.jsonl", "--mesh", "m.tsv", "--out", tmp_path]
     assert run(base + ["--years", "2000"]) == 1
     assert run(["synth", "--mode", "xor", "--pubs", "5", "--years", "two",
                 "--out", str(tmp_path)]) == 1
-    capsys.readouterr()
+    io = ["--corpus", "c.jsonl", "--mesh", "m.tsv", "--out", tmp_path]
+    assert run(["pairs", *io, "--limit", "-3"]) == 1
+    assert run(["pairs", *io, "--limit", "0"]) == 1
+    assert run(["dynamics", *io, "--topk", "-5"]) == 1
+    assert run(["dynamics", *io, "--limit", "0"]) == 1
+    assert run(["null", *io, "--ci", "1.5"]) == 1
+    assert run(["null", *io, "--replicates", "1"]) == 1
+    assert run(["synth", "--mode", "xor", "--pubs", "5", "--years", "2",
+                "--rho", "2", "--out", str(tmp_path)]) == 1
+    monkeypatch.setenv("HELIX_THREADS", "abc")
+    assert run(["null", *io]) == 1
+    assert "HELIX_THREADS" in capsys.readouterr().err
 
 
 def test_threads_resolution(monkeypatch):

@@ -153,6 +153,21 @@ class TestNullBand:
             results[reps] = values
         assert results[20][:10] == results[10]
 
+    def test_year_missing_from_a_replicate_is_undefined(self):
+        # under the median map some shuffles leave every vector of 2000
+        # empty, so include_empty=False drops the year from that replicate
+        per_year = {
+            2000: np.array([[2, 0, 0], [0, 2, 0]], dtype=np.int64),
+            2001: np.array([[1, 1, 1]] * 9, dtype=np.int64),
+        }
+        config = ShuffleConfig(
+            replicates=20, seed=1, map_kind="median", include_empty=False
+        )
+        (row,) = null_band_from_triples(per_year, config, "T_CD").rows
+        assert row.year == 2000
+        assert row.flag == "undefined"
+        assert math.isnan(row.mean_rand) and math.isnan(row.lo) and math.isnan(row.hi)
+
     def test_xor_coupling_flagged_below(self):
         corpus = synth_corpus(
             SynthConfig(mode="xor", pubs_per_year=400, years=4, seed=21, rho=1.0)
