@@ -149,8 +149,8 @@ def _year_range_arg(text: str) -> tuple[int, int]:
 
 def _branch_pair_arg(text: str) -> tuple[str, str]:
     parts = [p.strip().upper() for p in text.split(",")]
-    if len(parts) != 2 or not all(parts):
-        raise argparse.ArgumentTypeError(f"expected two branches like D,E, got {text!r}")
+    if len(parts) != 2 or len(set(parts) & set(BRANCHES)) != 2:
+        raise argparse.ArgumentTypeError(f"expected two of C, D, E like D,E, got {text!r}")
     return parts[0], parts[1]
 
 
@@ -184,9 +184,9 @@ def _resolve_threads(value: int | None) -> int:
     env = os.environ.get("HELIX_THREADS")
     if env:
         try:
-            return int(env)
-        except ValueError:
-            raise UsageError(f"HELIX_THREADS must be an integer, got {env!r}") from None
+            return _positive_int_arg(env)
+        except argparse.ArgumentTypeError as exc:
+            raise UsageError(f"HELIX_THREADS: {exc}") from None
     return os.cpu_count() or 1
 
 
@@ -459,7 +459,7 @@ def build_parser() -> _Parser:
     sub.add_argument("--replicates", type=int, default=100)
     sub.add_argument("--ci", type=float, default=0.90)
     sub.add_argument("--seed", type=int, default=0)
-    sub.add_argument("--threads", type=int, default=None,
+    sub.add_argument("--threads", type=_positive_int_arg, default=None,
                      help="worker threads (default: HELIX_THREADS or machine parallelism)")
 
     sub = commands.add_parser("scaling", help="rank-frequency and vocabulary-growth fits")

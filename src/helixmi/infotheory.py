@@ -23,7 +23,9 @@ error stays well inside the 1e-9 bit end-to-end budget.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from itertools import combinations
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -39,14 +41,61 @@ from .counts import (
 )
 
 PROB_TOLERANCE = 1e-12
-MI_CLAMP = 1e-12
 LOW_SUPPORT_THRESHOLD = 30
 
 
-def _entropy_of_probs(probs: np.ndarray) -> float:
-    p = np.sort(probs)[::-1]
-    # + 0.0 turns a possible -0.0 (single-cell table) into plain 0.0
-    return float(-(p * np.log2(p)).sum()) + 0.0
+def _axis_ranks(values: np.ndarray) -> tuple[np.ndarray, int]:
+    """Rank of each value among the distinct values of its axis, and their count."""
+    shifted = values - values.min()
+    if shifted.max() <= 4 * len(values) + 64:
+        seen = np.bincount(shifted) > 0
+        ranks = np.cumsum(seen) - 1
+        return ranks[shifted], int(ranks[-1]) + 1
+    # sparse values (a table keyed by large integers): no span-long array
+    ordered = np.sort(shifted)
+    distinct = ordered[np.r_[True, ordered[1:] != ordered[:-1]]]
+    return np.searchsorted(distinct, shifted), len(distinct)
+
+
+def joint_histogram(rows: np.ndarray, weights: np.ndarray | None = None) -> np.ndarray:
+    """Counts (or summed ``weights``) of (n, d) integer rows in a dense array
+    with one axis per column, each compacted to the values that occur."""
+    if len(rows) == 0:
+        raise ValueError("no observations")
+    code = np.zeros(len(rows), dtype=np.intp)
+    shape = []
+    for column in rows.T:
+        ranks, k = _axis_ranks(column)
+        code = code * k + ranks
+        shape.append(k)
+    return np.bincount(code, weights=weights, minlength=math.prod(shape)).reshape(shape)
+
+
+def _subsets(axes: Sequence[int]) -> list[tuple[int, ...]]:
+    """Non-empty subsets of ``axes``, by size, then in order."""
+    return [s for size in range(1, len(axes) + 1) for s in combinations(axes, size)]
+
+
+def subset_entropies(hist: np.ndarray) -> dict[tuple[int, ...], float]:
+    """Entropy, in bits, of the marginal on every non-empty axis subset."""
+    total = hist.sum()
+    axes = tuple(range(hist.ndim))
+    out = {}
+    for subset in _subsets(axes):
+        marginal = hist.sum(axis=tuple(a for a in axes if a not in subset))
+        p = np.sort(marginal[marginal > 0] / total)[::-1]
+        # + 0.0 turns a possible -0.0 (single-cell table) into plain 0.0
+        out[subset] = float(-(p * np.log2(p)).sum()) + 0.0
+    return out
+
+
+def _information(h: Mapping[tuple[int, ...], float], axes: Sequence[int]) -> float:
+    """T over ``axes`` by inclusion-exclusion: T_xy = H_x + H_y - H_xy, and
+    T_xyz = H_x + H_y + H_z - H_xy - H_xz - H_yz + H_xyz."""
+    t = 0.0
+    for subset in _subsets(axes):
+        t += h[subset] if len(subset) % 2 else -h[subset]
+    return t
 
 
 @dataclass
@@ -107,9 +156,15 @@ class JointTable:
         return JointTable(dims=tuple(dims), cells=cells, n_obs=self.n_obs)
 
 
+def _table_entropies(table: JointTable) -> dict[tuple[int, ...], float]:
+    rows = np.array(list(table.cells), dtype=np.int64)
+    probs = np.fromiter(table.cells.values(), dtype=float, count=len(table.cells))
+    return subset_entropies(joint_histogram(rows, probs))
+
+
 def entropy(table: JointTable) -> float:
     """Shannon entropy of the table, in bits."""
-    return _entropy_of_probs(np.fromiter(table.cells.values(), dtype=float))
+    return _table_entropies(table)[tuple(range(len(table.dims)))]
 
 
 def mutual_info_2(table: JointTable, clamp: bool = True) -> float:
@@ -121,31 +176,15 @@ def mutual_info_2(table: JointTable, clamp: bool = True) -> float:
     """
     if len(table.dims) != 2:
         raise ValueError("mutual_info_2 requires a 2-dimensional table")
-    t = (
-        entropy(table.marginal(table.dims[:1]))
-        + entropy(table.marginal(table.dims[1:]))
-        - entropy(table)
-    )
-    if clamp and t < 0.0:
-        t = 0.0
-    return t
+    t = _information(_table_entropies(table), (0, 1))
+    return max(t, 0.0) if clamp else t
 
 
 def mutual_info_3(table: JointTable) -> float:
     """Three-way mutual (interaction) information of a 3-d table, signed."""
     if len(table.dims) != 3:
         raise ValueError("mutual_info_3 requires a 3-dimensional table")
-    x, y, z = table.dims
-    h = {
-        "x": entropy(table.marginal((x,))),
-        "y": entropy(table.marginal((y,))),
-        "z": entropy(table.marginal((z,))),
-        "xy": entropy(table.marginal((x, y))),
-        "xz": entropy(table.marginal((x, z))),
-        "yz": entropy(table.marginal((y, z))),
-        "xyz": entropy(table),
-    }
-    return h["x"] + h["y"] + h["z"] - h["xy"] - h["xz"] - h["yz"] + h["xyz"]
+    return _information(_table_entropies(table), (0, 1, 2))
 
 
 @dataclass(frozen=True)
@@ -159,18 +198,9 @@ def decomposition(table: JointTable) -> Decomposition:
     """Split the three-way information into its two contributions."""
     if len(table.dims) != 3:
         raise ValueError("decomposition requires a 3-dimensional table")
-    x, y, z = table.dims
-    pairwise = (
-        mutual_info_2(table.marginal((x, y)))
-        + mutual_info_2(table.marginal((x, z)))
-        + mutual_info_2(table.marginal((y, z)))
-    )
-    gap = (
-        entropy(table)
-        - entropy(table.marginal((x,)))
-        - entropy(table.marginal((y,)))
-        - entropy(table.marginal((z,)))
-    )
+    h = _table_entropies(table)
+    pairwise = sum(max(_information(h, pair), 0.0) for pair in combinations((0, 1, 2), 2))
+    gap = h[(0, 1, 2)] - h[(0,)] - h[(1,)] - h[(2,)]
     return Decomposition(pairwise_sum=pairwise, subadditivity_gap=gap, t3=pairwise + gap)
 
 
@@ -190,7 +220,7 @@ def efficiency(counts: Iterable[float]) -> float:
     v = arr.size
     if v == 1:
         return 0.0
-    return _entropy_of_probs(arr / arr.sum()) / float(np.log2(v))
+    return subset_entropies(arr)[(0,)] / float(np.log2(v))
 
 
 # ---------------------------------------------------------------------------
@@ -232,62 +262,31 @@ class MiSeries:
         return [r.year for r in self.records]
 
 
-def _entropy_of_counts(counts: np.ndarray) -> float:
-    return _entropy_of_probs(counts / counts.sum())
+# C/D/E axis subset -> the YearMi field holding its entropy
+_ENTROPY_FIELDS = {
+    subset: "h_" + "".join(BRANCHES[a] for a in subset).lower()
+    for subset in _subsets((0, 1, 2))
+}
 
 
 def year_entropies(vectors: np.ndarray) -> dict[str, float]:
-    """All seven entropies for one year's (n, 3) count-vector block.
-
-    Vectorized path: each axis combination is encoded into a single
-    integer key and tallied with ``np.unique``, which is equivalent to
-    building the explicit joint table.
-    """
-    n = len(vectors)
-    if n == 0:
-        raise ValueError("no observations")
-    base = int(vectors.max()) + 1
-    zc = vectors[:, 0]
-    zd = vectors[:, 1]
-    ze = vectors[:, 2]
-
-    def h(codes: np.ndarray) -> float:
-        _, counts = np.unique(codes, return_counts=True)
-        return _entropy_of_counts(counts.astype(float))
-
-    return {
-        "h_c": h(zc),
-        "h_d": h(zd),
-        "h_e": h(ze),
-        "h_cd": h(zc * base + zd),
-        "h_ce": h(zc * base + ze),
-        "h_de": h(zd * base + ze),
-        "h_cde": h((zc * base + zd) * base + ze),
-    }
-
-
-def _clamp(t: float) -> float:
-    return 0.0 if t < 0.0 else t
+    """All seven entropies (``h_c`` ... ``h_cde``) for one year's (n, 3) block."""
+    h = subset_entropies(joint_histogram(vectors))
+    return {name: h[subset] for subset, name in _ENTROPY_FIELDS.items()}
 
 
 def _year_record(year: int, vectors: np.ndarray, low_support_threshold: int) -> YearMi:
-    h = year_entropies(vectors)
-    t_cd = _clamp(h["h_c"] + h["h_d"] - h["h_cd"])
-    t_ce = _clamp(h["h_c"] + h["h_e"] - h["h_ce"])
-    t_de = _clamp(h["h_d"] + h["h_e"] - h["h_de"])
-    t_cde = (
-        h["h_c"] + h["h_d"] + h["h_e"]
-        - h["h_cd"] - h["h_ce"] - h["h_de"]
-        + h["h_cde"]
-    )
+    named = year_entropies(vectors)
+    h = {subset: named[name] for subset, name in _ENTROPY_FIELDS.items()}
+    t_cd, t_ce, t_de = (max(_information(h, pair), 0.0) for pair in combinations((0, 1, 2), 2))
     n = len(vectors)
     return YearMi(
         year=year,
-        **h,
+        **named,
         t_cd=t_cd,
         t_ce=t_ce,
         t_de=t_de,
-        t_cde=t_cde,
+        t_cde=_information(h, (0, 1, 2)),
         n_obs=n,
         low_support=n < low_support_threshold,
     )

@@ -76,19 +76,12 @@ def replicate_rng(seed: int, replicate: int) -> np.random.Generator:
 
 def shuffle_year(triples: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     """Randomize one year's (n, 3) branch counts under both constraints."""
-    sizes = triples.sum(axis=1)
+    n = len(triples)
     pool = np.repeat(np.arange(3), triples.sum(axis=0))
-    out = np.zeros_like(triples)
-    nonzero = sizes > 0
-    if not nonzero.any():
-        return out
     rng.shuffle(pool)
-    starts = np.zeros(int(nonzero.sum()), dtype=np.intp)
-    starts[1:] = np.cumsum(sizes[nonzero])[:-1]
-    for branch in range(3):
-        indicator = (pool == branch).astype(np.int64)
-        out[nonzero, branch] = np.add.reduceat(indicator, starts)
-    return out
+    owner = np.repeat(np.arange(n), triples.sum(axis=1))
+    out = np.bincount(owner * 3 + pool, minlength=3 * n).reshape(n, 3)
+    return out.astype(triples.dtype, copy=False)
 
 
 def percentile(sorted_values, p: float) -> float:

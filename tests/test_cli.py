@@ -63,7 +63,15 @@ def test_malformed_flag_values_exit_one(tmp_path, capsys, monkeypatch):
     assert run(["null", *io, "--replicates", "1"]) == 1
     assert run(["synth", "--mode", "xor", "--pubs", "5", "--years", "2",
                 "--rho", "2", "--out", str(tmp_path)]) == 1
+    assert run(["pairs", *io, "--branches", "D,D"]) == 1
+    assert run(["pairs", *io, "--branches", "D,X"]) == 1
+    assert run(["dynamics", *io, "--pair-branches", "E,E"]) == 1
+    assert run(["null", *io, "--threads", "0"]) == 1
+    assert run(["null", *io, "--threads", "-3"]) == 1
     monkeypatch.setenv("HELIX_THREADS", "abc")
+    assert run(["null", *io]) == 1
+    assert "HELIX_THREADS" in capsys.readouterr().err
+    monkeypatch.setenv("HELIX_THREADS", "0")
     assert run(["null", *io]) == 1
     assert "HELIX_THREADS" in capsys.readouterr().err
 

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helixmi.infotheory import (
@@ -17,7 +17,7 @@ from helixmi.infotheory import (
 )
 
 from conftest import make_corpus
-from oracles import entropy_direct, mi2_direct, mi3_direct
+from oracles import entropy_direct, marginal_direct, mi2_direct, mi3_direct
 
 XOR_CELLS = {(0, 0, 0): 0.25, (0, 1, 1): 0.25, (1, 0, 1): 0.25, (1, 1, 0): 0.25}
 TRIPLICATE_CELLS = {(0, 0, 0): 0.5, (1, 1, 1): 0.5}
@@ -43,6 +43,25 @@ def random_table(draw, ndim=3, side=4):
     cells = {k: w / total for k, w in zip(cells_all, weights) if w}
     dims = ("C", "D", "E")[:ndim]
     return JointTable(dims=dims, cells=cells)
+
+
+@st.composite
+def year_block(draw, max_rows=60):
+    """One year's (n, 3) vectors: small values, negatives included, and
+    optionally one outlier row with counts in the thousands."""
+    small = st.integers(-3, 6)
+    rows = draw(st.lists(st.tuples(small, small, small), min_size=1, max_size=max_rows))
+    if draw(st.booleans()):
+        big = st.integers(1000, 5000)
+        rows.insert(draw(st.integers(0, len(rows))), draw(st.tuples(big, big, big)))
+    return np.array(rows, dtype=np.int64)
+
+
+def observed_cells(vectors):
+    counts = {}
+    for row in vectors.tolist():
+        counts[tuple(row)] = counts.get(tuple(row), 0) + 1
+    return {k: c / len(vectors) for k, c in counts.items()}
 
 
 # --- fixtures from direct evaluation ---------------------------------------
@@ -187,6 +206,13 @@ def test_marginals_are_valid_tables(t):
         assert all(0 < p <= 1.0 + 1e-15 for p in m.cells.values())
 
 
+def test_table_keyed_by_large_integers():
+    cells = {(-(10**12), 7): 0.25, (10**12, 7): 0.25, (10**12, 10**15): 0.5}
+    t = JointTable(dims=("C", "D"), cells=cells)
+    assert entropy(t) == pytest.approx(1.5, abs=1e-12)
+    assert mutual_info_2(t) == pytest.approx(mi2_direct(cells), abs=1e-12)
+
+
 def test_table_validation_rejects_bad_sum():
     with pytest.raises(ValueError):
         JointTable(dims=("C",), cells={(0,): 0.5, (1,): 0.4})
@@ -289,3 +315,47 @@ def test_yearly_mi_median_uses_pooled_medians(tiny_vocab):
     corpus = make_corpus(tiny_vocab, rows)
     series = yearly_mi(corpus, map_kind="median")
     assert [r.year for r in series.records] == [2000, 2001]
+
+
+# A (5000, 5000, 5000) row among 1300 small ones: axis values span more
+# than the rows, yet the histogram holds only the distinct values.
+OUTLIER_BLOCK = np.vstack([np.tile(np.arange(4), (3, 325)).T, [[5000, 5000, 5000]]])
+
+
+@settings(max_examples=150, deadline=None)
+@given(year_block())
+@example(OUTLIER_BLOCK)
+def test_year_entropies_match_oracle(vectors):
+    h = year_entropies(vectors)
+    cells = observed_cells(vectors)
+    names = {"h_c": (0,), "h_d": (1,), "h_e": (2,), "h_cd": (0, 1), "h_ce": (0, 2),
+             "h_de": (1, 2), "h_cde": (0, 1, 2)}
+    assert list(h) == list(names)
+    for name, axes in names.items():
+        assert h[name] == pytest.approx(
+            entropy_direct(marginal_direct(cells, axes)), abs=1e-12
+        )
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(year_block(max_rows=30), min_size=1, max_size=3))
+def test_mi_from_triples_matches_oracle(blocks):
+    series = mi_from_triples({2000 + i: b for i, b in enumerate(blocks)})
+    assert len(series.records) == len(blocks)
+    for record, vectors in zip(series.records, blocks):
+        cells = observed_cells(vectors)
+        assert record.n_obs == len(vectors)
+        for value, axes in ((record.t_cd, (0, 1)), (record.t_ce, (0, 2)),
+                            (record.t_de, (1, 2))):
+            pair = marginal_direct(cells, axes)
+            assert value == pytest.approx(max(mi2_direct(pair), 0.0), abs=1e-12)
+        assert record.t_cde == pytest.approx(mi3_direct(cells), abs=1e-12)
+
+
+def test_negative_counts_do_not_collide():
+    vectors = np.array([[-1, 2, 0], [0, -1, 0], [1, 1, 1], [0, 0, 0]])
+    h = year_entropies(vectors)
+    assert h["h_cd"] == pytest.approx(
+        entropy(year_joint_table(vectors).marginal(("C", "D"))), abs=1e-12
+    )
+    assert h["h_cd"] == pytest.approx(2.0, abs=1e-12)

@@ -83,6 +83,30 @@ class TestShuffleYear:
         assert (shuffled.sum(axis=1) == triples.sum(axis=1)).all()
         assert (shuffled >= 0).all()
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(st.integers(0, 8), st.integers(0, 8), st.integers(0, 8)),
+            max_size=40,
+        ),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_deals_one_shuffled_pool_in_publication_order(self, rows, seed):
+        # the per-(seed, replicate) stream: one rng.shuffle of the
+        # branch-sorted label pool, dealt out in consecutive runs
+        pool = np.array([b for b in range(3) for row in rows for _ in range(row[b])],
+                        dtype=np.int64)
+        np.random.default_rng(seed).shuffle(pool)
+        expected, pos = [], 0
+        for row in rows:
+            labels = pool[pos:pos + sum(row)].tolist()
+            pos += sum(row)
+            expected.append([labels.count(b) for b in range(3)])
+        triples = np.array(rows, dtype=np.int64).reshape(-1, 3)
+        shuffled = shuffle_year(triples, np.random.default_rng(seed))
+        assert shuffled.dtype == triples.dtype
+        assert shuffled.tolist() == expected
+
 
 class TestPercentile:
     def test_five_of_one_hundred(self):
