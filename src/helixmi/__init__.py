@@ -15,6 +15,7 @@ from .counts import (
     wilcoxon_signed_rank,
 )
 from .dynamics import branch_share_series, detect_entries, rank_trajectories, top_pairs
+from .errors import DataError
 from .infotheory import (
     JointTable,
     MiSeries,
@@ -35,6 +36,7 @@ __all__ = [
     "BranchTriple",
     "Corpus",
     "CountVector",
+    "DataError",
     "IngestReport",
     "JointTable",
     "MeshDescriptor",

@@ -3,7 +3,9 @@
 Every subcommand writes its outputs plus a ``manifest.json`` recording
 input hashes and the full configuration; two runs with equal manifests
 (timestamp aside) produce byte-identical outputs.  Exit codes: 0 on
-success, 1 on usage errors, 2 on data errors.
+success, 1 on usage errors, 2 on data errors (a ``DataError`` or an
+unreadable file); any other exception is a bug and surfaces as a
+traceback.
 """
 
 from __future__ import annotations
@@ -23,7 +25,6 @@ import numpy as np
 from . import __version__
 from .corpus import (
     Corpus,
-    CorpusFormatError,
     IngestReport,
     corpus_canonical_bytes,
     ingest_jsonl,
@@ -39,8 +40,9 @@ from .counts import (
     wilcoxon_signed_rank,
 )
 from .dynamics import branch_share_series, detect_entries, rank_trajectories, top_pairs
+from .errors import DataError
 from .infotheory import efficiency, yearly_mi
-from .mesh import MeshFormatError, Vocabulary, load_mesh_ascii, load_mesh_tsv, write_mesh_tsv
+from .mesh import Vocabulary, load_mesh_ascii, load_mesh_tsv, write_mesh_tsv
 from .nullmodel import TARGETS, ShuffleConfig, null_band
 from .scaling import heaps_fit, rank_table, zipf_fit
 from .synth import MODES, SynthConfig, synth_corpus
@@ -85,6 +87,7 @@ class RunManifest:
     inputs: list[dict] = field(default_factory=list)
     vocabulary_sha256: str | None = None
     config: dict = field(default_factory=dict)
+    diagnostics: dict = field(default_factory=dict)
     tool_version: str = __version__
     timestamp: str = ""
 
@@ -190,12 +193,21 @@ def _resolve_threads(value: int | None) -> int:
     return os.cpu_count() or 1
 
 
+def _read(path: str, reader, *args):
+    """``reader(path, *args)``, reporting a file that is not UTF-8 text as a
+    data error."""
+    try:
+        return reader(path, *args)
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not UTF-8 text ({exc})") from None
+
+
 def _load_inputs(args, manifest: RunManifest):
-    vocabulary = _detect_and_load_mesh(args.mesh)
+    vocabulary = _read(args.mesh, _detect_and_load_mesh)
     manifest.add_input(args.mesh)
     manifest.vocabulary_sha256 = file_sha256(args.mesh)
     label = getattr(args, "label", None) or Path(args.corpus).stem
-    corpus, report = _detect_and_ingest(args.corpus, vocabulary, args.years, label)
+    corpus, report = _read(args.corpus, _detect_and_ingest, vocabulary, args.years, label)
     manifest.add_input(args.corpus)
     return vocabulary, corpus, report
 
@@ -289,6 +301,9 @@ def _cmd_null(args, out_dir: Path, manifest: RunManifest) -> int:
         threads=_resolve_threads(args.threads),
     )
     _, corpus, _ = _load_inputs(args, manifest)
+    # hashed first: the serialization's transient memory is then reused
+    # by the null run instead of adding to its peak
+    corpus_hash = hashlib.sha256(corpus_canonical_bytes(corpus)).hexdigest()
     band = null_band(corpus, config, args.target)
     rows = [
         [r.year, band.target, band.map_kind, r.observed, r.mean_rand, r.lo, r.hi, r.flag]
@@ -305,9 +320,13 @@ def _cmd_null(args, out_dir: Path, manifest: RunManifest) -> int:
             "seed": config.seed,
             "replicates": config.replicates,
             "ci_level": config.ci_level,
-            "corpus_hash": hashlib.sha256(corpus_canonical_bytes(corpus)).hexdigest(),
+            "corpus_hash": corpus_hash,
         },
     )
+    manifest.diagnostics["null"] = {
+        "undefined_replicates": {str(r.year): r.undefined_replicates for r in band.rows},
+        "dropped_years": band.dropped_years,
+    }
     return 0
 
 
@@ -460,7 +479,7 @@ def build_parser() -> _Parser:
     sub.add_argument("--ci", type=float, default=0.90)
     sub.add_argument("--seed", type=int, default=0)
     sub.add_argument("--threads", type=_positive_int_arg, default=None,
-                     help="worker threads (default: HELIX_THREADS or machine parallelism)")
+                     help="accepted and validated; the replicates run in one thread")
 
     sub = commands.add_parser("scaling", help="rank-frequency and vocabulary-growth fits")
     _add_io_options(sub)
@@ -528,7 +547,7 @@ def main(argv: list[str] | None = None) -> int:
     except UsageError as exc:
         print(f"helixmi {args.command}: error: {exc}", file=sys.stderr)
         return 1
-    except (MeshFormatError, CorpusFormatError, FileNotFoundError, ValueError, OSError) as exc:
+    except (DataError, OSError) as exc:
         print(f"helixmi {args.command}: error: {exc}", file=sys.stderr)
         return 2
     manifest.write(out_dir)

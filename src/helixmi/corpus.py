@@ -22,10 +22,11 @@ from itertools import chain
 import numpy as np
 from scipy import sparse
 
+from .errors import DataError
 from .mesh import Vocabulary
 
 
-class CorpusFormatError(ValueError):
+class CorpusFormatError(DataError):
     """Raised when a corpus file cannot be parsed."""
 
 

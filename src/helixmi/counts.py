@@ -16,12 +16,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 from scipy.stats import rankdata
 
 from .corpus import Corpus
+from .errors import DataError
 
 BRANCHES = ("C", "D", "E")
 MAP_KINDS = ("binary", "median", "full")
@@ -135,12 +136,21 @@ def apply_count_map(
 
 def branch_stats_from_triples(triples: np.ndarray) -> BranchStats:
     if len(triples) == 0:
-        raise ValueError("empty corpus")
+        raise DataError("empty corpus")
     mean = {a: float(triples[:, i].mean()) for i, a in enumerate(BRANCHES)}
     # population standard deviation, matching descriptive use
     std = {a: float(triples[:, i].std(ddof=0)) for i, a in enumerate(BRANCHES)}
     median = {a: float(np.median(triples[:, i])) for i, a in enumerate(BRANCHES)}
     return BranchStats(mean=mean, std=std, median=median)
+
+
+def pooled_branch_stats(triples_per_year: Mapping[int, np.ndarray]) -> BranchStats:
+    """Statistics of all years' triples pooled; the median map's thresholds."""
+    if not triples_per_year:
+        raise DataError("empty corpus")
+    return branch_stats_from_triples(
+        np.concatenate([triples_per_year[y] for y in sorted(triples_per_year)])
+    )
 
 
 def branch_stats(corpus: Corpus, counting: str = "membership") -> BranchStats:
@@ -156,7 +166,7 @@ def distribution_of_counts(
         raise ValueError(f"branch must be one of {BRANCHES}")
     column = corpus_triples(corpus, counting)[:, BRANCHES.index(alpha)]
     if len(column) == 0:
-        raise ValueError("empty corpus")
+        raise DataError("empty corpus")
     counts = np.bincount(column)
     total = counts.sum()
     return {int(n): c / total for n, c in enumerate(counts) if c > 0}

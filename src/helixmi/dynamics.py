@@ -15,6 +15,7 @@ import numpy as np
 
 from .corpus import Corpus
 from .counts import BRANCHES, branch_matrix
+from .errors import DataError
 from .scaling import ranked_columns
 
 ABSENT = -2
@@ -61,7 +62,7 @@ class RankTrajectoryMatrix:
 def rank_trajectories(corpus: Corpus, k: int = 200) -> RankTrajectoryMatrix:
     years = corpus.years()
     if len(years) < 2:
-        raise ValueError("rank trajectories need a corpus spanning at least 2 years")
+        raise DataError("rank trajectories need a corpus spanning at least 2 years")
     if k < 0:
         raise ValueError(f"k must be non-negative, got {k}")
     counts = corpus.year_counts

@@ -36,39 +36,69 @@ from .counts import (
     MAP_KINDS,
     BranchStats,
     apply_count_map,
-    branch_stats_from_triples,
+    pooled_branch_stats,
     triples_by_year,
 )
+from .errors import DataError
 
 PROB_TOLERANCE = 1e-12
 LOW_SUPPORT_THRESHOLD = 30
 
 
-def _axis_ranks(values: np.ndarray) -> tuple[np.ndarray, int]:
-    """Rank of each value among the distinct values of its axis, and their count."""
-    shifted = values - values.min()
-    if shifted.max() <= 4 * len(values) + 64:
-        seen = np.bincount(shifted) > 0
-        ranks = np.cumsum(seen) - 1
-        return ranks[shifted], int(ranks[-1]) + 1
+def _axis_ranks(shifted: np.ndarray) -> tuple[np.ndarray, int]:
+    """Rank of each value among the distinct values of its row of the
+    (B, n) non-negative ``shifted``, and the most distinct values of a row."""
+    b, n = shifted.shape
+    span = int(shifted.max()) + 1
+    key = np.arange(b)[:, None] * span + shifted
+    if span <= 4 * n + 64:
+        seen = np.bincount(key.ravel(), minlength=b * span).reshape(b, span) > 0
+        ranks = np.cumsum(seen, axis=1) - 1
+        return ranks.ravel()[key], int(ranks[:, -1].max()) + 1
     # sparse values (a table keyed by large integers): no span-long array
-    ordered = np.sort(shifted)
-    distinct = ordered[np.r_[True, ordered[1:] != ordered[:-1]]]
-    return np.searchsorted(distinct, shifted), len(distinct)
+    distinct, inverse = np.unique(key.ravel(), return_inverse=True)
+    starts = np.searchsorted(distinct, np.arange(b + 1) * span)
+    return inverse.reshape(b, n) - starts[:-1, None], int(np.diff(starts).max())
+
+
+def joint_histograms(rows: np.ndarray, weights: np.ndarray | None = None) -> np.ndarray:
+    """Counts (or summed ``weights``) of each of B stacked blocks of (n, d)
+    integer rows, as a (B, k_1, ..., k_d) array with one axis per column.
+
+    Each column is shifted to start at 0.  Where the shifted columns span
+    more than 4n + 64 cells together, or ``weights`` are summed, every
+    axis is compacted to the values that occur, ``k_i`` being the most
+    distinct values any block has in column i.  Small counts are left as
+    they are: integer sums are exact whatever empty cells the table holds,
+    while float sums depend on the cells they run over."""
+    b, n, d = rows.shape
+    if n == 0:
+        raise DataError("no observations")
+    columns = np.moveaxis(rows, 2, 0)
+    lows = [int(column.min()) for column in columns]
+    shape = [int(column.max()) - low + 1 for column, low in zip(columns, lows)]
+    code = np.zeros((b, n), dtype=np.intp)
+    code += np.arange(b)[:, None]
+    if weights is None and math.prod(shape) <= 4 * n + 64:
+        for column, low, k in zip(columns, lows, shape):
+            code *= k
+            code += column
+            code -= low
+    else:
+        shape = []
+        for column, low in zip(columns, lows):
+            ranks, k = _axis_ranks(column - low)
+            code *= k
+            code += ranks
+            shape.append(k)
+        weights = None if weights is None else weights.ravel()
+    cells = b * math.prod(shape)
+    return np.bincount(code.ravel(), weights=weights, minlength=cells).reshape(b, *shape)
 
 
 def joint_histogram(rows: np.ndarray, weights: np.ndarray | None = None) -> np.ndarray:
-    """Counts (or summed ``weights``) of (n, d) integer rows in a dense array
-    with one axis per column, each compacted to the values that occur."""
-    if len(rows) == 0:
-        raise ValueError("no observations")
-    code = np.zeros(len(rows), dtype=np.intp)
-    shape = []
-    for column in rows.T:
-        ranks, k = _axis_ranks(column)
-        code = code * k + ranks
-        shape.append(k)
-    return np.bincount(code, weights=weights, minlength=math.prod(shape)).reshape(shape)
+    """:func:`joint_histograms` of one block of (n, d) rows."""
+    return joint_histograms(rows[None], None if weights is None else weights[None])[0]
 
 
 def _subsets(axes: Sequence[int]) -> list[tuple[int, ...]]:
@@ -76,22 +106,57 @@ def _subsets(axes: Sequence[int]) -> list[tuple[int, ...]]:
     return [s for size in range(1, len(axes) + 1) for s in combinations(axes, size)]
 
 
-def subset_entropies(hist: np.ndarray) -> dict[tuple[int, ...], float]:
-    """Entropy, in bits, of the marginal on every non-empty axis subset."""
-    total = hist.sum()
-    axes = tuple(range(hist.ndim))
+def _row_entropies(marginal: np.ndarray, totals: np.ndarray) -> np.ndarray:
+    """Entropy, in bits, of each row of (B, K) ``marginal`` over its total."""
+    support = np.count_nonzero(marginal, axis=1)
+    # rows in order of support size, so that rows of one size form a slice,
+    # and only the columns some row has positive
+    order = np.argsort(support, kind="stable")
+    support = support[order]
+    marginal = marginal[:, marginal.any(axis=0)][order]
+    # dividing by a row's total keeps the row's order, so sort the counts;
+    # zeros sort first
+    ascending = np.sort(marginal, axis=1)[:, marginal.shape[1] - support[-1]:]
+    ascending = ascending / totals[order, None]
+    # log2 runs on a reversed one-dimensional view: numpy's vector loop for
+    # contiguous input can differ in the last bit
+    descending = ascending.ravel()[::-1]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        terms = (descending * np.log2(descending)).reshape(ascending.shape)[::-1]
+    # each row's positive terms lead in descending order; rows of one
+    # support size are summed together, which keeps numpy's pairwise
+    # summation order of a single row
+    h = np.empty(len(order))
+    edges = [0, *(np.flatnonzero(np.diff(support)) + 1), len(order)]
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        h[order[lo:hi]] = -terms[lo:hi, : support[lo]].sum(axis=1)
+    # + 0.0 turns a possible -0.0 (single-cell table) into plain 0.0
+    return h + 0.0
+
+
+def stacked_subset_entropies(hists: np.ndarray) -> dict[tuple[int, ...], np.ndarray]:
+    """Entropy, in bits, of the marginal on every non-empty axis subset of
+    each of the B non-empty tables stacked along axis 0 of ``hists``."""
+    b = len(hists)
+    totals = hists.reshape(b, -1).sum(axis=1)
+    axes = tuple(range(hists.ndim - 1))
     out = {}
     for subset in _subsets(axes):
-        marginal = hist.sum(axis=tuple(a for a in axes if a not in subset))
-        p = np.sort(marginal[marginal > 0] / total)[::-1]
-        # + 0.0 turns a possible -0.0 (single-cell table) into plain 0.0
-        out[subset] = float(-(p * np.log2(p)).sum()) + 0.0
+        other = tuple(a + 1 for a in axes if a not in subset)
+        marginal = hists.sum(axis=other) if other else hists
+        out[subset] = _row_entropies(marginal.reshape(b, -1), totals)
     return out
+
+
+def subset_entropies(hist: np.ndarray) -> dict[tuple[int, ...], float]:
+    """Entropy, in bits, of the marginal on every non-empty axis subset."""
+    return {s: float(h[0]) for s, h in stacked_subset_entropies(hist[None]).items()}
 
 
 def _information(h: Mapping[tuple[int, ...], float], axes: Sequence[int]) -> float:
     """T over ``axes`` by inclusion-exclusion: T_xy = H_x + H_y - H_xy, and
-    T_xyz = H_x + H_y + H_z - H_xy - H_xz - H_yz + H_xyz."""
+    T_xyz = H_x + H_y + H_z - H_xy - H_xz - H_yz + H_xyz.  Entropies given
+    as arrays give T elementwise."""
     t = 0.0
     for subset in _subsets(axes):
         t += h[subset] if len(subset) % 2 else -h[subset]
@@ -142,7 +207,7 @@ class JointTable:
             counts[key] = counts.get(key, 0) + 1
             n += 1
         if n == 0:
-            raise ValueError("no observations")
+            raise DataError("no observations")
         cells = {k: c / n for k, c in counts.items()}
         return cls(dims=tuple(dims), cells=cells, n_obs=n)
 
@@ -227,6 +292,9 @@ def efficiency(counts: Iterable[float]) -> float:
 # Yearly series
 # ---------------------------------------------------------------------------
 
+TARGETS = ("T_CD", "T_CE", "T_DE", "T_CDE")
+
+
 @dataclass(frozen=True)
 class YearMi:
     year: int
@@ -292,6 +360,30 @@ def _year_record(year: int, vectors: np.ndarray, low_support_threshold: int) -> 
     )
 
 
+def stacked_targets(vectors: np.ndarray, include_empty: bool = True) -> np.ndarray:
+    """The :data:`TARGETS` of B stacked (n, 3) blocks of non-negative count
+    vectors, as a (4, B) array: for each block the values
+    :func:`mi_from_triples` gives for that block alone, or NaN where it
+    has no vector left to evaluate."""
+    b, n, _ = vectors.shape
+    hists = joint_histograms(vectors)
+    kept = np.full(b, n)
+    if not include_empty:
+        # zero is the smallest count on every axis, so a block's all-zero
+        # vectors, if it has any, are exactly its cell (0, 0, 0)
+        empty = np.count_nonzero(~vectors.any(axis=2), axis=1)
+        hists[:, 0, 0, 0] -= empty
+        kept -= empty
+    out = np.full((len(TARGETS), b), np.nan)
+    valid = kept > 0
+    if valid.any():
+        h = stacked_subset_entropies(hists[valid])
+        for i, pair in enumerate(combinations((0, 1, 2), 2)):
+            out[i, valid] = np.maximum(_information(h, pair), 0.0)
+        out[3, valid] = _information(h, (0, 1, 2))
+    return out
+
+
 def mi_from_triples(
     triples_per_year: Mapping[int, np.ndarray],
     map_kind: str = "full",
@@ -308,8 +400,7 @@ def mi_from_triples(
     if map_kind not in MAP_KINDS:
         raise ValueError(f"unknown count map {map_kind!r}")
     if map_kind == "median" and medians is None:
-        pooled = np.concatenate([triples_per_year[y] for y in sorted(triples_per_year)])
-        medians = branch_stats_from_triples(pooled)
+        medians = pooled_branch_stats(triples_per_year)
     records = []
     for year in sorted(triples_per_year):
         triples = triples_per_year[year]

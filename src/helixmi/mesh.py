@@ -12,12 +12,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property
 
+from .errors import DataError
+
 VALID_BRANCHES = frozenset("ABCDEFGHIJKLMNVZ")
 
 TSV_HEADER = "id\tname\ttree_numbers"
 
 
-class MeshFormatError(ValueError):
+class MeshFormatError(DataError):
     """Raised when a descriptor file cannot be parsed."""
 
 

@@ -12,24 +12,29 @@ statistically equivalent to permuting descriptor identities and much
 cheaper.
 
 Replicate r draws its generator from (seed, r) alone, so results are
-independent of execution order and thread count, and extending the
-replicate count never changes earlier replicates.
+independent of execution order, and extending the replicate count never
+changes earlier replicates.  The replicates run year by year in one
+process: every generator shuffles the years in ascending order, and the
+shuffles of one year are evaluated together, in blocks of replicates,
+by one stacked histogram and one entropy pass (``threads`` is accepted
+and has no effect).
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Mapping
 
 import numpy as np
 
 from .corpus import Corpus
-from .counts import BranchStats, branch_stats_from_triples, triples_by_year
-from .infotheory import MiSeries, mi_from_triples
+from .counts import BranchStats, apply_count_map, pooled_branch_stats, triples_by_year
+from .infotheory import TARGETS, mi_from_triples, stacked_targets
 
-TARGETS = ("T_CD", "T_CE", "T_DE", "T_CDE")
+# A block of one year's replicates holds at most this many labels (or
+# publications, if the year has more), which bounds its stacked counts.
+BLOCK_LABELS = 1 << 19
 
 
 @dataclass(frozen=True)
@@ -40,7 +45,7 @@ class ShuffleConfig:
     map_kind: str = "full"
     counting: str = "membership"
     include_empty: bool = True
-    threads: int = 1
+    threads: int = 1  # accepted; the replicates run in one thread
 
     def __post_init__(self) -> None:
         if self.replicates < 2:
@@ -57,6 +62,7 @@ class YearBand:
     lo: float
     hi: float
     flag: str  # inside | above | below | undefined
+    undefined_replicates: int = 0  # replicates that left the year no vector
 
 
 @dataclass
@@ -67,6 +73,8 @@ class NullBand:
     ci_level: float
     seed: int
     rows: list[YearBand] = field(default_factory=list)
+    # input years with no vector to evaluate in the observed series
+    dropped_years: list[int] = field(default_factory=list)
 
 
 def replicate_rng(seed: int, replicate: int) -> np.random.Generator:
@@ -77,9 +85,11 @@ def replicate_rng(seed: int, replicate: int) -> np.random.Generator:
 def shuffle_year(triples: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     """Randomize one year's (n, 3) branch counts under both constraints."""
     n = len(triples)
-    pool = np.repeat(np.arange(3), triples.sum(axis=0))
+    # column by column: numpy's sums along an axis of length 3 are slow
+    c, d, e = triples.T
+    pool = np.repeat(np.arange(3), [c.sum(), d.sum(), e.sum()])
     rng.shuffle(pool)
-    owner = np.repeat(np.arange(n), triples.sum(axis=1))
+    owner = np.repeat(np.arange(n), c + d + e)
     out = np.bincount(owner * 3 + pool, minlength=3 * n).reshape(n, 3)
     return out.astype(triples.dtype, copy=False)
 
@@ -93,23 +103,33 @@ def percentile(sorted_values, p: float) -> float:
     return sorted_values[k - 1]
 
 
-def _replicate_series(
+def replicate_values(
     triples_per_year: Mapping[int, np.ndarray],
     config: ShuffleConfig,
     medians: BranchStats | None,
-    replicate: int,
-) -> MiSeries:
-    rng = replicate_rng(config.seed, replicate)
-    shuffled = {
-        year: shuffle_year(triples_per_year[year], rng)
-        for year in sorted(triples_per_year)
-    }
-    return mi_from_triples(
-        shuffled,
-        map_kind=config.map_kind,
-        medians=medians,
-        include_empty=config.include_empty,
-    )
+    years: list[int],
+) -> np.ndarray:
+    """Every target of every replicate in each of ``years``, as a NaN-filled
+    (4, replicates, len(years)) array in :data:`TARGETS` order; NaN where
+    a replicate leaves the year with no vector to evaluate."""
+    rngs = [replicate_rng(config.seed, r) for r in range(config.replicates)]
+    column = {year: i for i, year in enumerate(years)}
+    values = np.full((len(TARGETS), config.replicates, len(years)), np.nan)
+    for year in sorted(triples_per_year):
+        triples = triples_per_year[year]
+        step = max(1, BLOCK_LABELS // max(int(triples.sum()), len(triples), 1))
+        for lo in range(0, config.replicates, step):
+            batch = rngs[lo:lo + step]
+            block = np.empty((len(batch), *triples.shape), dtype=triples.dtype)
+            # every year is shuffled, evaluated or not, to keep each stream
+            for i, rng in enumerate(batch):
+                block[i] = shuffle_year(triples, rng)
+            if year in column:
+                vectors = apply_count_map(block.reshape(-1, 3), config.map_kind, medians)
+                values[:, lo:lo + len(block), column[year]] = stacked_targets(
+                    vectors.reshape(block.shape), config.include_empty
+                )
+    return values
 
 
 def null_band_from_triples(
@@ -123,10 +143,7 @@ def null_band_from_triples(
     # from the observed corpus and are reused for every replicate.
     medians: BranchStats | None = None
     if config.map_kind == "median":
-        pooled = np.concatenate(
-            [triples_per_year[y] for y in sorted(triples_per_year)]
-        )
-        medians = branch_stats_from_triples(pooled)
+        medians = pooled_branch_stats(triples_per_year)
 
     observed = mi_from_triples(
         triples_per_year,
@@ -135,22 +152,7 @@ def null_band_from_triples(
         include_empty=config.include_empty,
     )
     years = observed.years()
-    year_pos = {y: i for i, y in enumerate(years)}
-    # NaN-filled: a year missing from any replicate is flagged undefined
-    values = np.full((config.replicates, len(years)), np.nan)
-
-    def run(replicate: int) -> MiSeries:
-        return _replicate_series(triples_per_year, config, medians, replicate)
-
-    if config.threads > 1:
-        with ThreadPoolExecutor(max_workers=config.threads) as pool:
-            series = list(pool.map(run, range(config.replicates)))
-    else:
-        series = [run(r) for r in range(config.replicates)]
-    for r, s in enumerate(series):
-        for record in s.records:
-            if record.year in year_pos:
-                values[r, year_pos[record.year]] = record.target(target)
+    values = replicate_values(triples_per_year, config, medians, years)[TARGETS.index(target)]
 
     p_lo = (1.0 - config.ci_level) / 2.0
     p_hi = 1.0 - p_lo
@@ -160,11 +162,13 @@ def null_band_from_triples(
         replicates=config.replicates,
         ci_level=config.ci_level,
         seed=config.seed,
+        dropped_years=sorted(set(triples_per_year) - set(years)),
     )
-    for record in observed.records:
-        column = np.sort(values[:, year_pos[record.year]])
+    for i, record in enumerate(observed.records):
+        column = np.sort(values[:, i])
         obs = record.target(target)
-        if np.isnan(column).any():
+        undefined = int(np.isnan(column).sum())
+        if undefined:
             # some replicate left this year with no vector to evaluate
             lo = hi = math.nan
             flag = "undefined"
@@ -181,10 +185,11 @@ def null_band_from_triples(
             YearBand(
                 year=record.year,
                 observed=obs,
-                mean_rand=float(values[:, year_pos[record.year]].mean()),
+                mean_rand=float(values[:, i].mean()),
                 lo=lo,
                 hi=hi,
                 flag=flag,
+                undefined_replicates=undefined,
             )
         )
     return band

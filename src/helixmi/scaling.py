@@ -17,6 +17,7 @@ import numpy as np
 from scipy.stats import linregress
 
 from .corpus import Corpus
+from .errors import DataError
 
 
 @dataclass(frozen=True)
@@ -94,7 +95,7 @@ def zipf_fit(table: RankTable, min_count: int = 5) -> ScalingFit:
     """OLS fit of log10 C(r) on log10 r over ranks with count >= min_count."""
     rows = [e for e in table.entries if e.count >= min_count]
     if len(rows) < 3:
-        raise ValueError(
+        raise DataError(
             f"need at least 3 ranks with count >= {min_count}, found {len(rows)}"
         )
     ranks = np.array([e.rank for e in rows], dtype=float)
@@ -114,7 +115,7 @@ def heaps_fit(pairs: Iterable[tuple[float, float]]) -> ScalingFit:
     """OLS fit of log10 V on log10 M over yearly (M, V) pairs."""
     pts = [(m, v) for m, v in pairs if m > 0 and v > 0]
     if len(pts) < 3:
-        raise ValueError(f"need at least 3 years with positive (M, V), found {len(pts)}")
+        raise DataError(f"need at least 3 years with positive (M, V), found {len(pts)}")
     m = np.array([p[0] for p in pts], dtype=float)
     v = np.array([p[1] for p in pts], dtype=float)
     slope, intercept, stderr, r2 = _ols_loglog(m, v)

@@ -4,10 +4,14 @@ Everything here is deliberately plain Python (dicts, math.log2,
 exhaustive loops) and shares no code with the package: direct-summation
 entropy and mutual information over explicit cell maps, full sign
 enumeration for the signed-rank test, and brute-force pair counting.
+The one exception is the null-model reference, which must draw the same
+random streams as the package and so runs its per-replicate primitives.
 """
 
 import math
 from itertools import product
+
+import numpy as np
 
 
 def entropy_direct(cells):
@@ -182,3 +186,24 @@ def branch_shares_brute(corpus, counting):
         else:
             out.append((year, *(n / denom for n in totals[year])))
     return out
+
+
+def null_values_loop(triples_per_year, config, medians, years):
+    """(4, replicates, years) targets of the shuffling null, one replicate
+    at a time: shuffle every year of the replicate in ascending order, then
+    take the yearly series of the shuffled corpus; NaN for a year the
+    replicate's series lacks."""
+    from helixmi.infotheory import mi_from_triples
+    from helixmi.nullmodel import TARGETS, replicate_rng, shuffle_year
+
+    values = np.full((len(TARGETS), config.replicates, len(years)), np.nan)
+    for r in range(config.replicates):
+        rng = replicate_rng(config.seed, r)
+        shuffled = {y: shuffle_year(triples_per_year[y], rng) for y in sorted(triples_per_year)}
+        series = mi_from_triples(shuffled, map_kind=config.map_kind, medians=medians,
+                                 include_empty=config.include_empty)
+        for record in series.records:
+            if record.year in years:
+                for t, target in enumerate(TARGETS):
+                    values[t, r, years.index(record.year)] = record.target(target)
+    return values

@@ -6,6 +6,7 @@ import sys
 
 import pytest
 
+from helixmi import cli
 from helixmi.cli import _resolve_threads, main
 
 
@@ -47,6 +48,32 @@ def test_data_errors_exit_two(tmp_path, capsys):
     )
     assert code == 2
     assert "error" in capsys.readouterr().err
+
+
+def test_unusable_data_exits_two(synth_dir, tmp_path, capsys):
+    io = ["--corpus", synth_dir / "corpus.jsonl", "--mesh", synth_dir / "mesh.tsv"]
+    # a year window without publications leaves no branch statistics
+    assert run(["stats", *io, "--years", "1900:1901", "--out", tmp_path / "a"]) == 2
+    assert "empty corpus" in capsys.readouterr().err
+    assert run(["dynamics", *io, "--years", "2000:2000", "--out", tmp_path / "b"]) == 2
+    assert "at least 2 years" in capsys.readouterr().err
+    assert run(["scaling", *io, "--years", "2000:2001", "--out", tmp_path / "c"]) == 2
+    assert "at least 3 years" in capsys.readouterr().err
+    latin = tmp_path / "latin.jsonl"
+    latin.write_bytes(b'{"id": "1", "year": 2000, "mesh": ["Caf\xe9"]}\n')
+    assert run(["mi", "--corpus", latin, "--mesh", synth_dir / "mesh.tsv",
+                "--out", tmp_path / "d"]) == 2
+    assert "not UTF-8" in capsys.readouterr().err
+
+
+def test_internal_value_error_is_a_traceback(synth_dir, tmp_path, monkeypatch):
+    def broken(*args, **kwargs):
+        raise ValueError("an internal fault")
+
+    monkeypatch.setattr(cli, "yearly_mi", broken)
+    with pytest.raises(ValueError, match="an internal fault"):
+        run(["mi", "--corpus", synth_dir / "corpus.jsonl", "--mesh",
+             synth_dir / "mesh.tsv", "--out", tmp_path])
 
 
 def test_malformed_flag_values_exit_one(tmp_path, capsys, monkeypatch):
@@ -172,6 +199,23 @@ def test_null_command_and_thread_invariance(synth_dir, tmp_path):
         assert null_manifest["ci_level"] == 0.9
         assert len(null_manifest["corpus_hash"]) == 64
     assert csvs[0] == csvs[1]
+
+
+def test_null_manifest_reports_undefined_replicates(synth_dir, tmp_path):
+    out = tmp_path / "null"
+    assert run(
+        ["null", "--corpus", synth_dir / "corpus.jsonl", "--mesh",
+         synth_dir / "mesh.tsv", "--map", "median", "--replicates", "10",
+         "--seed", "5", "--out", out]
+    ) == 0
+    years = [row["year"] for row in read_csv(out / "null_band.csv")]
+    assert len(years) == 4
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["diagnostics"] == {
+        "null": {"undefined_replicates": {y: 0 for y in years}, "dropped_years": []}
+    }
+    assert sorted(json.loads((out / "null_manifest.json").read_text())) == [
+        "ci_level", "corpus_hash", "replicates", "seed"]
 
 
 def test_scaling_command(synth_dir, tmp_path):

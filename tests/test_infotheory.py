@@ -8,9 +8,13 @@ from helixmi.infotheory import (
     decomposition,
     efficiency,
     entropy,
+    joint_histograms,
     mi_from_triples,
     mutual_info_2,
     mutual_info_3,
+    stacked_subset_entropies,
+    stacked_targets,
+    subset_entropies,
     year_entropies,
     year_joint_table,
     yearly_mi,
@@ -359,3 +363,39 @@ def test_negative_counts_do_not_collide():
         entropy(year_joint_table(vectors).marginal(("C", "D"))), abs=1e-12
     )
     assert h["h_cd"] == pytest.approx(2.0, abs=1e-12)
+
+
+def test_stacked_entropies_keep_the_single_table_bits():
+    # a D marginal (zipf62k seed 1, year 2010, replicate 66) whose entropy
+    # comes out one bit off when log2 runs on a contiguous copy
+    d = np.array([341, 856, 1003, 809, 522, 261, 114, 46, 13, 4, 3])
+    stack = np.zeros((3, 12), dtype=np.int64)
+    stack[0, :2] = [5, 1]
+    stack[1, :11] = d
+    stack[2] = np.arange(1, 13)
+    h = stacked_subset_entropies(stack)[(0,)]
+    p = np.sort(d / d.sum())[::-1]
+    assert h[1] == subset_entropies(d)[(0,)] == -(p * np.log2(p)).sum()
+    assert list(h) == [subset_entropies(row)[(0,)] for row in stack]
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(year_block(max_rows=40), min_size=1, max_size=6), st.data())
+def test_stacked_tables_equal_single_tables(blocks, data):
+    n = min(len(b) for b in blocks)
+    stack = np.stack([b[:n] for b in blocks])
+    if data.draw(st.booleans()):
+        stack = np.abs(stack)
+    hists = stack[:, :, :data.draw(st.integers(1, 3))]
+    stacked = stacked_subset_entropies(joint_histograms(hists))
+    for i, rows in enumerate(hists):
+        single = subset_entropies(joint_histograms(rows[None])[0])
+        assert {s: h[i] for s, h in stacked.items()} == single
+
+
+def test_stacked_targets_of_an_emptied_block_are_nan():
+    block = np.array([[[0, 0, 0], [0, 0, 0]], [[1, 0, 2], [0, 0, 0]]])
+    values = stacked_targets(block, include_empty=False)
+    assert np.isnan(values[:, 0]).all()
+    (record,) = mi_from_triples({2000: block[1]}, include_empty=False).records
+    assert list(values[:, 1]) == [record.t_cd, record.t_ce, record.t_de, record.t_cde]

@@ -1,20 +1,27 @@
 import math
 from collections import Counter
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helixmi import nullmodel
+from helixmi.counts import pooled_branch_stats
+from helixmi.infotheory import mi_from_triples
 from helixmi.nullmodel import (
     ShuffleConfig,
     null_band,
     null_band_from_triples,
     percentile,
     replicate_rng,
+    replicate_values,
     shuffle_year,
 )
 from helixmi.synth import SynthConfig, synth_corpus, synth_triples
+
+from oracles import null_values_loop
 
 
 def random_triples(rng, n, max_count=5):
@@ -192,6 +199,34 @@ class TestNullBand:
         assert row.flag == "undefined"
         assert math.isnan(row.mean_rand) and math.isnan(row.lo) and math.isnan(row.hi)
 
+    def test_band_reports_undefined_replicates_and_dropped_years(self):
+        per_year = {
+            2000: np.array([[2, 0, 0], [0, 2, 0]], dtype=np.int64),
+            2001: np.array([[1, 1, 1]] * 9, dtype=np.int64),
+        }
+        config = ShuffleConfig(
+            replicates=20, seed=1, map_kind="median", include_empty=False
+        )
+        band = null_band_from_triples(per_year, config, "T_CD")
+        assert band.dropped_years == [2001]
+        values = null_values_loop(per_year, config, pooled_branch_stats(per_year), [2000])
+        missing = int(np.isnan(values[0, :, 0]).sum())
+        assert 0 < missing < 20
+        assert band.rows[0].undefined_replicates == missing
+
+    def test_every_target_comes_from_one_run(self):
+        per_year = synth_triples(
+            SynthConfig(mode="pairwise", pubs_per_year=60, years=3, seed=5)
+        )
+        config = ShuffleConfig(replicates=12, seed=8)
+        years = sorted(per_year)
+        values = replicate_values(per_year, config, None, years)
+        for t, target in enumerate(nullmodel.TARGETS):
+            band = null_band_from_triples(per_year, config, target)
+            assert [r.mean_rand for r in band.rows] == [
+                float(values[t, :, i].mean()) for i in range(len(years))
+            ]
+
     def test_xor_coupling_flagged_below(self):
         corpus = synth_corpus(
             SynthConfig(mode="xor", pubs_per_year=400, years=4, seed=21, rho=1.0)
@@ -201,6 +236,50 @@ class TestNullBand:
         )
         flags = [r.flag for r in band.rows]
         assert flags.count("below") >= 3
+
+
+@st.composite
+def null_corpus(draw):
+    """Per-year (n, 3) counts: empty years, one-row years, all-empty rows
+    and, now and then, an outlier row that makes the histogram compact."""
+    small = st.integers(0, 4)
+    per_year = {}
+    for year in range(2000, 2000 + draw(st.integers(1, 4))):
+        rows = draw(st.lists(st.tuples(small, small, small), max_size=25))
+        if rows and draw(st.integers(0, 4)) == 0:
+            big = st.integers(30, 90)
+            rows.insert(draw(st.integers(0, len(rows))), draw(st.tuples(big, big, big)))
+        per_year[year] = np.array(rows, dtype=np.int64).reshape(-1, 3)
+    return per_year
+
+
+class TestReplicateValues:
+    @settings(max_examples=80, deadline=None)
+    @given(
+        null_corpus(),
+        st.sampled_from(["binary", "median", "full"]),
+        st.booleans(),
+        st.integers(2, 6),
+        st.integers(0, 2**32 - 1),
+        st.sampled_from([1, 7, nullmodel.BLOCK_LABELS]),
+    )
+    def test_matches_replicate_by_replicate_loop(
+        self, per_year, map_kind, include_empty, replicates, seed, block_labels
+    ):
+        medians = None
+        if map_kind == "median":
+            if not any(len(t) for t in per_year.values()):
+                return
+            medians = pooled_branch_stats(per_year)
+        config = ShuffleConfig(replicates=replicates, seed=seed, map_kind=map_kind,
+                               include_empty=include_empty)
+        years = mi_from_triples(per_year, map_kind, medians, include_empty).years()
+        with mock.patch.object(nullmodel, "BLOCK_LABELS", block_labels):
+            values = replicate_values(per_year, config, medians, years)
+        expected = null_values_loop(per_year, config, medians, years)
+        assert values.shape == (4, replicates, len(years))
+        # exact equality, NaN where a replicate left the year no vector
+        assert np.array_equal(values, expected, equal_nan=True)
 
 
 def test_null_band_coverage_smoke():
