@@ -14,7 +14,6 @@ import argparse
 import csv
 import hashlib
 import json
-import os
 import sys
 from dataclasses import asdict, dataclass, field
 from datetime import datetime, timezone
@@ -26,7 +25,7 @@ from . import __version__
 from .corpus import (
     Corpus,
     IngestReport,
-    corpus_canonical_bytes,
+    corpus_canonical_lines,
     ingest_jsonl,
     ingest_medline_text,
     write_corpus_jsonl,
@@ -119,7 +118,7 @@ def _detect_and_ingest(
 
 
 class UsageError(Exception):
-    """A flag or environment value the command cannot run with (exit 1)."""
+    """A flag value the command cannot run with (exit 1)."""
 
 
 def _make_config(factory, **fields):
@@ -179,18 +178,6 @@ def _lam_arg(text: str) -> tuple[float, float, float]:
         raise argparse.ArgumentTypeError(
             f"expected three comma-separated rates, got {text!r}"
         ) from None
-
-
-def _resolve_threads(value: int | None) -> int:
-    if value is not None:
-        return value
-    env = os.environ.get("HELIX_THREADS")
-    if env:
-        try:
-            return _positive_int_arg(env)
-        except argparse.ArgumentTypeError as exc:
-            raise UsageError(f"HELIX_THREADS: {exc}") from None
-    return os.cpu_count() or 1
 
 
 def _read(path: str, reader, *args):
@@ -298,12 +285,12 @@ def _cmd_null(args, out_dir: Path, manifest: RunManifest) -> int:
         seed=args.seed,
         map_kind=args.map,
         counting=args.counting,
-        threads=_resolve_threads(args.threads),
     )
     _, corpus, _ = _load_inputs(args, manifest)
-    # hashed first: the serialization's transient memory is then reused
-    # by the null run instead of adding to its peak
-    corpus_hash = hashlib.sha256(corpus_canonical_bytes(corpus)).hexdigest()
+    digest = hashlib.sha256()
+    for line in corpus_canonical_lines(corpus):
+        digest.update(line)
+    corpus_hash = digest.hexdigest()
     band = null_band(corpus, config, args.target)
     rows = [
         [r.year, band.target, band.map_kind, r.observed, r.mean_rand, r.lo, r.hi, r.flag]
@@ -479,7 +466,7 @@ def build_parser() -> _Parser:
     sub.add_argument("--ci", type=float, default=0.90)
     sub.add_argument("--seed", type=int, default=0)
     sub.add_argument("--threads", type=_positive_int_arg, default=None,
-                     help="accepted and validated; the replicates run in one thread")
+                     help="accepted and ignored; the replicates run in one thread")
 
     sub = commands.add_parser("scaling", help="rank-frequency and vocabulary-growth fits")
     _add_io_options(sub)

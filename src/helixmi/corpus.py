@@ -17,7 +17,8 @@ import re
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import chain
+from itertools import groupby
+from typing import Iterator
 
 import numpy as np
 from scipy import sparse
@@ -62,9 +63,10 @@ class IngestReport:
 class Corpus:
     """Immutable per-query corpus with yearly partitions.
 
-    ``by_year`` maps each year to indices into ``publications``;
-    publications are stored in canonical (year, id) order so that
-    serialization and all downstream derivations are deterministic.
+    Publications are stored in canonical (year, id) order so that
+    serialization and all downstream derivations are deterministic; each
+    year is then one contiguous run of rows, and ``by_year`` maps it to
+    that ``range`` of indices into ``publications``.
 
     Count-based analyses read the columnar view instead of the
     publications: ``incidence`` marks which descriptors each publication
@@ -75,21 +77,21 @@ class Corpus:
     query_label: str
     publications: tuple[Publication, ...]
     vocabulary: Vocabulary
-    by_year: dict[int, tuple[int, ...]] = field(default_factory=dict)
+    by_year: dict[int, range] = field(default_factory=dict)
 
     @classmethod
     def build(
         cls, query_label: str, publications: list[Publication], vocabulary: Vocabulary
     ) -> "Corpus":
         pubs = tuple(sorted(publications, key=lambda p: (p.year, p.id)))
-        by_year: dict[int, list[int]] = {}
-        for i, p in enumerate(pubs):
-            by_year.setdefault(p.year, []).append(i)
+        by_year: dict[int, range] = {}
+        start = 0
+        for year, run in groupby(p.year for p in pubs):
+            stop = start + sum(1 for _ in run)
+            by_year[year] = range(start, stop)
+            start = stop
         return cls(
-            query_label=query_label,
-            publications=pubs,
-            vocabulary=vocabulary,
-            by_year={y: tuple(ix) for y, ix in sorted(by_year.items())},
+            query_label=query_label, publications=pubs, vocabulary=vocabulary, by_year=by_year
         )
 
     def __len__(self) -> int:
@@ -125,14 +127,12 @@ class Corpus:
     @cached_property
     def year_counts(self) -> np.ndarray:
         """(years x descriptors) publication counts, rows in ``years()`` order."""
-        members = [self.by_year[y] for y in self.years()]
-        indptr = np.concatenate([[0], np.cumsum([len(m) for m in members], dtype=np.int64)])
-        indices = np.fromiter(
-            chain.from_iterable(members), dtype=np.int32, count=int(indptr[-1])
-        )
+        # the year ranges tile the rows in ``years()`` order, so selection
+        # row j marks the rows of year j and nothing else
+        indptr = np.array([0] + [self.by_year[y].stop for y in self.years()], dtype=np.int64)
         select = sparse.csr_matrix(
-            (np.ones(len(indices), dtype=np.int32), indices, indptr),
-            shape=(len(members), len(self)),
+            (np.ones(len(self), dtype=np.int32), np.arange(len(self), dtype=np.int32), indptr),
+            shape=(len(indptr) - 1, len(self)),
         )
         return (select @ self.incidence).toarray()
 
@@ -274,24 +274,27 @@ def ingest_medline_text(
     return Corpus.build(label, out, vocabulary), report
 
 
+# one encoder for every line: ``json.dumps`` with options builds a new one per call
+_CANONICAL_JSON = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
+
+def corpus_canonical_lines(corpus: Corpus) -> Iterator[bytes]:
+    """The canonical serialization one UTF-8 line at a time, LF included."""
+    encode = _CANONICAL_JSON.encode
+    for p in corpus.publications:
+        record = {"id": p.id, "year": p.year, "mesh": list(p.mesh_ids)}
+        yield (encode(record) + "\n").encode("utf-8")
+
+
 def corpus_canonical_bytes(corpus: Corpus) -> bytes:
     """Canonical serialization: sorted JSONL with descriptor ids resolved."""
-    lines = []
-    for p in corpus.publications:
-        lines.append(
-            json.dumps(
-                {"id": p.id, "year": p.year, "mesh": list(p.mesh_ids)},
-                sort_keys=True,
-                separators=(",", ":"),
-            )
-        )
-    return ("\n".join(lines) + "\n" if lines else "").encode("utf-8")
+    return b"".join(corpus_canonical_lines(corpus))
 
 
 def write_corpus_jsonl(corpus: Corpus, path: str) -> None:
     """Write the canonical cache format (UTF-8, LF endings)."""
     with open(path, "wb") as fh:
-        fh.write(corpus_canonical_bytes(corpus))
+        fh.writelines(corpus_canonical_lines(corpus))
 
 
 @dataclass(frozen=True)

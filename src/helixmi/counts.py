@@ -99,12 +99,9 @@ def corpus_triples(corpus: Corpus, counting: str = "membership") -> np.ndarray:
 
 
 def triples_by_year(corpus: Corpus, counting: str = "membership") -> dict[int, np.ndarray]:
-    """Yearly partitions of :func:`corpus_triples`."""
+    """Yearly partitions of :func:`corpus_triples`, as views of its rows."""
     all_triples = corpus_triples(corpus, counting)
-    return {
-        year: all_triples[np.asarray(idx, dtype=np.intp)]
-        for year, idx in corpus.by_year.items()
-    }
+    return {year: all_triples[rows.start:rows.stop] for year, rows in corpus.by_year.items()}
 
 
 def count_map(

@@ -102,6 +102,8 @@ def detect_entries(corpus: Corpus, k: int = 200) -> list[EntryRecord]:
     the end, normalized by the appearances of the whole top-K set over
     that same window.
     """
+    if k < 0:
+        raise ValueError(f"k must be non-negative, got {k}")
     years = corpus.years()
     if not years:
         return []
@@ -160,18 +162,20 @@ def top_pairs(
     """
     if branch_a == branch_b or branch_a not in BRANCHES or branch_b not in BRANCHES:
         raise ValueError("branches must be two distinct letters among C, D, E")
+    if limit < 0:
+        raise ValueError(f"limit must be non-negative, got {limit}")
     years = corpus.years()
     if window is None:
         if not years:
             return []
         window = (years[0], years[-1])
     lo, hi = window
-    in_window = [
-        np.asarray(ix, dtype=np.intp) for y, ix in corpus.by_year.items() if lo <= y <= hi
-    ]
-    rows = np.concatenate([np.empty(0, dtype=np.intp), *in_window])
+    # the window's years are one contiguous run of rows
+    in_window = [rows for y, rows in corpus.by_year.items() if lo <= y <= hi]
+    if not in_window:
+        return []
     # int32 so that co-occurrence sums cannot wrap in the int8 incidence dtype
-    x = corpus.incidence[rows].astype(np.int32)
+    x = corpus.incidence[in_window[0].start:in_window[-1].stop].astype(np.int32)
     member = branch_matrix(corpus.vocabulary, "membership")
     cols_a = np.flatnonzero(member[:, BRANCHES.index(branch_a)])
     cols_b = np.flatnonzero(member[:, BRANCHES.index(branch_b)])

@@ -343,7 +343,7 @@ def year_entropies(vectors: np.ndarray) -> dict[str, float]:
     return {name: h[subset] for subset, name in _ENTROPY_FIELDS.items()}
 
 
-def _year_record(year: int, vectors: np.ndarray, low_support_threshold: int) -> YearMi:
+def _year_record(year: int, vectors: np.ndarray) -> YearMi:
     named = year_entropies(vectors)
     h = {subset: named[name] for subset, name in _ENTROPY_FIELDS.items()}
     t_cd, t_ce, t_de = (max(_information(h, pair), 0.0) for pair in combinations((0, 1, 2), 2))
@@ -356,7 +356,7 @@ def _year_record(year: int, vectors: np.ndarray, low_support_threshold: int) -> 
         t_de=t_de,
         t_cde=_information(h, (0, 1, 2)),
         n_obs=n,
-        low_support=n < low_support_threshold,
+        low_support=n < LOW_SUPPORT_THRESHOLD,
     )
 
 
@@ -389,7 +389,6 @@ def mi_from_triples(
     map_kind: str = "full",
     medians: BranchStats | None = None,
     include_empty: bool = True,
-    low_support_threshold: int = LOW_SUPPORT_THRESHOLD,
 ) -> MiSeries:
     """Yearly entropy/MI series from per-year branch-count arrays.
 
@@ -411,7 +410,7 @@ def mi_from_triples(
             vectors = vectors[vectors.any(axis=1)]
             if len(vectors) == 0:
                 continue
-        records.append(_year_record(year, vectors, low_support_threshold))
+        records.append(_year_record(year, vectors))
     return MiSeries(map_kind=map_kind, records=records)
 
 
@@ -426,6 +425,8 @@ def yearly_mi(
     For the median map the thresholds are the medians of the pooled
     corpus (all years), matching how the per-query medians are reported.
     """
+    if len(corpus) == 0:
+        raise DataError("empty corpus")
     per_year = triples_by_year(corpus, counting)
     return mi_from_triples(per_year, map_kind=map_kind, include_empty=include_empty)
 

@@ -16,8 +16,7 @@ independent of execution order, and extending the replicate count never
 changes earlier replicates.  The replicates run year by year in one
 process: every generator shuffles the years in ascending order, and the
 shuffles of one year are evaluated together, in blocks of replicates,
-by one stacked histogram and one entropy pass (``threads`` is accepted
-and has no effect).
+by one stacked histogram and one entropy pass.
 """
 
 from __future__ import annotations
@@ -30,6 +29,7 @@ import numpy as np
 
 from .corpus import Corpus
 from .counts import BranchStats, apply_count_map, pooled_branch_stats, triples_by_year
+from .errors import DataError
 from .infotheory import TARGETS, mi_from_triples, stacked_targets
 
 # A block of one year's replicates holds at most this many labels (or
@@ -45,7 +45,6 @@ class ShuffleConfig:
     map_kind: str = "full"
     counting: str = "membership"
     include_empty: bool = True
-    threads: int = 1  # accepted; the replicates run in one thread
 
     def __post_init__(self) -> None:
         if self.replicates < 2:
@@ -197,5 +196,7 @@ def null_band_from_triples(
 
 def null_band(corpus: Corpus, config: ShuffleConfig, target: str) -> NullBand:
     """Observed target series with the randomized percentile envelope."""
+    if len(corpus) == 0:
+        raise DataError("empty corpus")
     per_year = triples_by_year(corpus, config.counting)
     return null_band_from_triples(per_year, config, target)

@@ -7,7 +7,7 @@ import sys
 import pytest
 
 from helixmi import cli
-from helixmi.cli import _resolve_threads, main
+from helixmi.cli import main
 
 
 def run(args):
@@ -59,6 +59,9 @@ def test_unusable_data_exits_two(synth_dir, tmp_path, capsys):
     assert "at least 2 years" in capsys.readouterr().err
     assert run(["scaling", *io, "--years", "2000:2001", "--out", tmp_path / "c"]) == 2
     assert "at least 3 years" in capsys.readouterr().err
+    for command in ("mi", "null"):
+        assert run([command, *io, "--years", "1900:1901", "--out", tmp_path / command]) == 2
+        assert "empty corpus" in capsys.readouterr().err
     latin = tmp_path / "latin.jsonl"
     latin.write_bytes(b'{"id": "1", "year": 2000, "mesh": ["Caf\xe9"]}\n')
     assert run(["mi", "--corpus", latin, "--mesh", synth_dir / "mesh.tsv",
@@ -76,7 +79,7 @@ def test_internal_value_error_is_a_traceback(synth_dir, tmp_path, monkeypatch):
              synth_dir / "mesh.tsv", "--out", tmp_path])
 
 
-def test_malformed_flag_values_exit_one(tmp_path, capsys, monkeypatch):
+def test_malformed_flag_values_exit_one(tmp_path):
     base = ["mi", "--corpus", "c.jsonl", "--mesh", "m.tsv", "--out", tmp_path]
     assert run(base + ["--years", "2000"]) == 1
     assert run(["synth", "--mode", "xor", "--pubs", "5", "--years", "two",
@@ -95,20 +98,6 @@ def test_malformed_flag_values_exit_one(tmp_path, capsys, monkeypatch):
     assert run(["dynamics", *io, "--pair-branches", "E,E"]) == 1
     assert run(["null", *io, "--threads", "0"]) == 1
     assert run(["null", *io, "--threads", "-3"]) == 1
-    monkeypatch.setenv("HELIX_THREADS", "abc")
-    assert run(["null", *io]) == 1
-    assert "HELIX_THREADS" in capsys.readouterr().err
-    monkeypatch.setenv("HELIX_THREADS", "0")
-    assert run(["null", *io]) == 1
-    assert "HELIX_THREADS" in capsys.readouterr().err
-
-
-def test_threads_resolution(monkeypatch):
-    assert _resolve_threads(3) == 3
-    monkeypatch.setenv("HELIX_THREADS", "7")
-    assert _resolve_threads(None) == 7
-    monkeypatch.delenv("HELIX_THREADS")
-    assert _resolve_threads(None) >= 1
 
 
 def test_synth_outputs(synth_dir):
@@ -197,7 +186,8 @@ def test_null_command_and_thread_invariance(synth_dir, tmp_path):
         assert null_manifest["seed"] == 42
         assert null_manifest["replicates"] == 40
         assert null_manifest["ci_level"] == 0.9
-        assert len(null_manifest["corpus_hash"]) == 64
+        # the synth corpus file is already in canonical form
+        assert null_manifest["corpus_hash"] == cli.file_sha256(synth_dir / "corpus.jsonl")
     assert csvs[0] == csvs[1]
 
 

@@ -82,6 +82,12 @@ def test_corpus_triples_match_branch_triple(corpus, counting):
 @examples
 @given(corpora())
 def test_yearly_sizes_match_publications(corpus):
+    # each year is one row range, and the ranges tile the corpus in year order
+    ranges = [corpus.by_year[y] for y in corpus.years()]
+    assert all(type(rows) is range for rows in ranges)
+    assert [i for rows in ranges for i in rows] == list(range(len(corpus)))
+    for year, rows in corpus.by_year.items():
+        assert {corpus.publications[i].year for i in rows} == {year}
     rows = yearly_sizes(corpus)
     assert [r.year for r in rows] == corpus.years()
     for r in rows:
@@ -211,6 +217,10 @@ def test_negative_k_rejected(tiny_vocab):
     corpus = make_corpus(tiny_vocab, [("1", 2000, ["C1"]), ("2", 2001, ["D1"])])
     with pytest.raises(ValueError):
         rank_trajectories(corpus, k=-5)
+    with pytest.raises(ValueError):
+        detect_entries(corpus, k=-1)
+    with pytest.raises(ValueError):
+        top_pairs(corpus, "C", "D", limit=-1)
 
 
 def test_counts_beyond_int8_range():

@@ -159,20 +159,6 @@ class TestNullBand:
             )
             assert row.flag == expected
 
-    def test_deterministic_across_threads(self):
-        per_year = synth_triples(
-            SynthConfig(mode="independent", pubs_per_year=100, years=3, seed=2)
-        )
-        bands = [
-            null_band_from_triples(
-                per_year,
-                ShuffleConfig(replicates=24, seed=11, threads=threads),
-                "T_CDE",
-            )
-            for threads in (1, 4)
-        ]
-        assert bands[0].rows == bands[1].rows
-
     def test_adding_replicates_keeps_early_ones(self):
         per_year = {2000: random_triples(np.random.default_rng(0), 80)}
         results = {}
