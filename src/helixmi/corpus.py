@@ -18,10 +18,9 @@ from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import groupby
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 import numpy as np
-from scipy import sparse
 
 from .errors import DataError
 from .mesh import Vocabulary
@@ -57,6 +56,15 @@ class IngestReport:
             "skipped_malformed": self.skipped_malformed,
             "unresolved_terms": [{"name": n, "count": c} for n, c in terms],
         }
+
+
+class Incidence(NamedTuple):
+    """The (publications x descriptors) 0/1 matrix in CSR form: the
+    descriptor columns of row i are ``indices[indptr[i]:indptr[i + 1]]``,
+    ascending."""
+
+    indptr: np.ndarray  # int64, one more entry than there are rows
+    indices: np.ndarray  # int32 column positions
 
 
 @dataclass
@@ -104,9 +112,9 @@ class Corpus:
         return [self.publications[i] for i in self.by_year.get(year, ())]
 
     @cached_property
-    def incidence(self) -> sparse.csr_matrix:
-        """(publications x descriptors) 0/1 matrix in corpus order, with
-        columns in ``vocabulary.column_ids`` order.
+    def incidence(self) -> Incidence:
+        """Which descriptors each publication carries, rows in corpus order
+        and columns in ``vocabulary.column_ids`` order.
 
         Raises ``KeyError`` for an id missing from the vocabulary:
         ingestion is expected to have cleaned those.
@@ -121,20 +129,20 @@ class Corpus:
             dtype=np.int32,
             count=int(indptr[-1]),
         )
-        data = np.ones(len(indices), dtype=np.int8)
-        return sparse.csr_matrix((data, indices, indptr), shape=(len(self), len(column_of)))
+        return Incidence(indptr, indices)
 
     @cached_property
     def year_counts(self) -> np.ndarray:
         """(years x descriptors) publication counts, rows in ``years()`` order."""
-        # the year ranges tile the rows in ``years()`` order, so selection
-        # row j marks the rows of year j and nothing else
-        indptr = np.array([0] + [self.by_year[y].stop for y in self.years()], dtype=np.int64)
-        select = sparse.csr_matrix(
-            (np.ones(len(self), dtype=np.int32), np.arange(len(self), dtype=np.int32), indptr),
-            shape=(len(indptr) - 1, len(self)),
-        )
-        return (select @ self.incidence).toarray()
+        indptr, indices = self.incidence
+        width = len(self.vocabulary.column_ids)
+        # the year ranges tile the rows in ``years()`` order, so the entries
+        # of year j are one run, bounded by the indptr of its first and last row
+        bounds = indptr[[0] + [self.by_year[y].stop for y in self.years()]]
+        n_years = len(bounds) - 1
+        year_row = np.repeat(np.arange(n_years), np.diff(bounds))
+        counts = np.bincount(year_row * width + indices, minlength=n_years * width)
+        return counts.reshape(n_years, width)
 
 
 def _resolve_terms(

@@ -19,12 +19,11 @@ from dataclasses import dataclass
 from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
-from scipy.stats import rankdata
 
 from .corpus import Corpus
 from .errors import DataError
+from .mesh import BRANCHES
 
-BRANCHES = ("C", "D", "E")
 MAP_KINDS = ("binary", "median", "full")
 COUNTINGS = ("membership", "primary")
 
@@ -76,26 +75,33 @@ def branch_triple(publication, vocabulary, counting: str = "membership") -> Bran
 
 
 def branch_matrix(vocabulary, counting: str = "membership") -> np.ndarray:
-    """(V, 3) 0/1 matrix: which of C, D, E each descriptor column counts toward.
+    """(V, 3) read-only 0/1 matrix: which of C, D, E each descriptor column
+    counts toward.
 
     Rows follow ``vocabulary.column_ids``.  Membership counting credits
     every branch the descriptor sits in; primary counting credits its
-    primary branch only, which may lie outside C/D/E.
+    primary branch only, which may lie outside C/D/E.  Both matrices are
+    built once per vocabulary.
     """
     if counting not in COUNTINGS:
         raise ValueError(f"unknown counting mode {counting!r}")
     if counting == "membership":
-        owned = [vocabulary.descriptors[uid].branches for uid in vocabulary.column_ids]
-    else:
-        owned = [{alpha} for alpha in vocabulary.primary_branches]
-    rows = [[alpha in branches for alpha in BRANCHES] for branches in owned]
-    return np.array(rows, dtype=np.int64).reshape(-1, 3)
+        return vocabulary.membership_matrix
+    return vocabulary.primary_matrix
 
 
 def corpus_triples(corpus: Corpus, counting: str = "membership") -> np.ndarray:
     """(n_pubs, 3) int array of branch counts, aligned with corpus order."""
     weights = branch_matrix(corpus.vocabulary, counting)
-    return corpus.incidence @ weights
+    indptr, indices = corpus.incidence
+    triples = np.empty((len(indptr) - 1, len(BRANCHES)), dtype=np.int64)
+    running = np.zeros(len(indices) + 1, dtype=np.int64)
+    for i in range(len(BRANCHES)):
+        # a row's count is a difference of running sums over the entries, so
+        # a publication without descriptors gets 0
+        np.cumsum(weights[:, i][indices], out=running[1:])
+        triples[:, i] = running[indptr[1:]] - running[indptr[:-1]]
+    return triples
 
 
 def triples_by_year(corpus: Corpus, counting: str = "membership") -> dict[int, np.ndarray]:
@@ -189,12 +195,15 @@ def wilcoxon_signed_rank(x: Sequence[float], y: Sequence[float]) -> WilcoxonResu
     ya = np.asarray(y, dtype=float)
     if xa.shape != ya.shape or xa.ndim != 1 or len(xa) == 0:
         raise ValueError("x and y must be equal-length non-empty 1-d samples")
-    d = xa - ya
+    with np.errstate(invalid="ignore", over="ignore"):
+        d = xa - ya
+    if not np.isfinite(d).all():
+        raise ValueError("x - y must be finite: a NaN or infinite difference has no rank")
     d = d[d != 0]
     n = len(d)
     if n == 0:
         return WilcoxonResult(0.0, 1.0, 0)
-    ranks = rankdata(np.abs(d))
+    ranks = _midranks(np.abs(d))
     w_plus = float(ranks[d > 0].sum())
     w_minus = float(ranks[d < 0].sum())
     statistic = abs(w_plus - w_minus)
@@ -206,6 +215,21 @@ def wilcoxon_signed_rank(x: Sequence[float], y: Sequence[float]) -> WilcoxonResu
         z = (w_plus - total / 2.0) / math.sqrt(var)
         p = min(1.0, math.erfc(abs(z) / math.sqrt(2.0)))
     return WilcoxonResult(statistic, p, n)
+
+
+def _midranks(values: np.ndarray) -> np.ndarray:
+    """1-based ranks of a 1-d array; tied values share the mean of their ranks."""
+    order = np.argsort(values, kind="stable")
+    ordered = values[order]
+    starts_group = np.empty(len(values), dtype=bool)
+    starts_group[:1] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=starts_group[1:])
+    # the tie group at sorted positions start..end-1 holds ranks start+1..end
+    start = np.flatnonzero(starts_group)
+    end = np.append(start[1:], len(values))
+    ranks = np.empty(len(values))
+    ranks[order] = (0.5 * (start + end + 1))[np.cumsum(starts_group) - 1]
+    return ranks
 
 
 def _exact_signed_rank_p(ranks: np.ndarray, w_plus: float) -> float:

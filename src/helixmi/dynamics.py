@@ -172,23 +172,42 @@ def top_pairs(
     lo, hi = window
     # the window's years are one contiguous run of rows
     in_window = [rows for y, rows in corpus.by_year.items() if lo <= y <= hi]
-    if not in_window:
+    if not in_window or limit == 0:
         return []
-    # int32 so that co-occurrence sums cannot wrap in the int8 incidence dtype
-    x = corpus.incidence[in_window[0].start:in_window[-1].stop].astype(np.int32)
+    first, stop = in_window[0].start, in_window[-1].stop
+    indptr, indices = corpus.incidence
+    cols = indices[indptr[first]:indptr[stop]]
+    row = np.repeat(np.arange(stop - first), np.diff(indptr[first:stop + 1]))
     member = branch_matrix(corpus.vocabulary, "membership")
-    cols_a = np.flatnonzero(member[:, BRANCHES.index(branch_a)])
-    cols_b = np.flatnonzero(member[:, BRANCHES.index(branch_b)])
-    co = (x[:, cols_a].T @ x[:, cols_b]).tocoo()
-    a, b, c = cols_a[co.row], cols_b[co.col], co.data
+    in_a = member[:, BRANCHES.index(branch_a)].astype(bool)[cols]
+    in_b = member[:, BRANCHES.index(branch_b)].astype(bool)[cols]
+    a_rows, b_cols = row[in_a], cols[in_b]
+    # the B entries keep row order, so row r's run of them starts at b_start[r]
+    b_per_row = np.bincount(row[in_b], minlength=stop - first)
+    b_start = np.cumsum(b_per_row) - b_per_row
+    # pair each A entry with every B entry of its row: the k-th copy of an
+    # A entry in row r takes the B entry at b_start[r] + k
+    fan = b_per_row[a_rows]
+    first_copy = np.cumsum(fan) - fan
+    a = np.repeat(cols[in_a], fan)
+    b = b_cols[np.arange(len(a)) + np.repeat(b_start[a_rows] - first_copy, fan)]
     distinct = a != b
-    a, b, c = a[distinct], b[distinct], c[distinct]
-    # columns follow sorted id, so this is the (-count, id_a, id_b) order
-    order = np.lexsort((b, a, -c))[:limit]
     ids = corpus.vocabulary.column_ids
+    width = len(ids)
+    codes, counts = np.unique(
+        a[distinct].astype(np.int64) * width + b[distinct], return_counts=True
+    )
+    if limit < len(counts):
+        # only counts at or above the limit-th largest can make the cut
+        kth = np.partition(counts, len(counts) - limit)[len(counts) - limit]
+        codes, counts = codes[counts >= kth], counts[counts >= kth]
+    # codes ascend by (column a, column b) and columns follow sorted id, so
+    # a stable sort by descending count gives the (-count, id_a, id_b) order
+    order = np.argsort(-counts, kind="stable")[:limit]
+    a, b = np.divmod(codes[order], width)
     return [
         PairRecord(descriptor_a=ids[i], descriptor_b=ids[j], co_count=n, window=window)
-        for i, j, n in zip(a[order].tolist(), b[order].tolist(), c[order].tolist())
+        for i, j, n in zip(a.tolist(), b.tolist(), counts[order].tolist())
     ]
 
 

@@ -12,9 +12,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property
 
+import numpy as np
+
 from .errors import DataError
 
 VALID_BRANCHES = frozenset("ABCDEFGHIJKLMNVZ")
+
+# the branches every count is taken over: diseases, drugs, techniques
+BRANCHES = ("C", "D", "E")
 
 TSV_HEADER = "id\tname\ttree_numbers"
 
@@ -113,6 +118,33 @@ class Vocabulary:
     def primary_branches(self) -> tuple[str, ...]:
         """Primary-branch letter of each descriptor, in column order."""
         return tuple(self.descriptors[uid].primary_branch for uid in self.column_ids)
+
+    @cached_property
+    def membership_matrix(self) -> np.ndarray:
+        """(V, 3) read-only 0/1 matrix in column order: which of C, D, E
+        each descriptor has a tree number in."""
+        slot = {alpha: i for i, alpha in enumerate(BRANCHES)}
+        cells = [
+            (j, slot[t.raw[0]])
+            for j, uid in enumerate(self.column_ids)
+            for t in self.descriptors[uid].tree_numbers
+            if t.raw[0] in slot
+        ]
+        matrix = np.zeros((len(self.column_ids), len(BRANCHES)), dtype=np.int64)
+        if cells:
+            matrix[tuple(np.array(cells).T)] = 1
+        matrix.flags.writeable = False
+        return matrix
+
+    @cached_property
+    def primary_matrix(self) -> np.ndarray:
+        """(V, 3) read-only 0/1 matrix in column order: which of C, D, E is
+        each descriptor's primary branch (none for a primary outside them)."""
+        outside = len(BRANCHES)  # the padded identity's last row is all zeros
+        slots = [BRANCHES.index(b) if b in BRANCHES else outside for b in self.primary_branches]
+        matrix = np.eye(outside + 1, outside, dtype=np.int64)[slots]
+        matrix.flags.writeable = False
+        return matrix
 
     def resolve(self, token: str) -> str | None:
         """Map a descriptor id or display name to a descriptor id."""

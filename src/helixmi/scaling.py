@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from typing import Iterable
 
 import numpy as np
-from scipy.stats import linregress
 
 from .corpus import Corpus
 from .errors import DataError
@@ -87,8 +86,28 @@ def rank_table(corpus: Corpus, scope: str | int = "all") -> RankTable:
 
 
 def _ols_loglog(x: np.ndarray, y: np.ndarray) -> tuple[float, float, float, float]:
-    fit = linregress(np.log10(x), np.log10(y))
-    return fit.slope, fit.intercept, fit.stderr, fit.rvalue**2
+    """Slope, intercept, slope standard error and r^2 of the OLS line of
+    log10 y on log10 x, for at least 3 points.
+
+    The arithmetic follows the reference OLS routine in
+    ``tests/oracles.py`` step by step, so the values agree to the bit.  A
+    constant y gives slope 0 and NaN for r^2 and the standard error when
+    the mean of its logs is exact; when that mean rounds, the slope and
+    r^2 come out as rounding noise near 0 instead.
+    """
+    lx, ly = np.log10(x), np.log10(y)
+    if lx.max() == lx.min():
+        raise DataError("cannot fit a line through points that all share one x value")
+    # population (co)variances: mean squared deviations and their cross term
+    ssxm, ssxym, _, ssym = np.cov(lx, ly, bias=1).flat
+    if ssxm == 0.0 or ssym == 0.0:
+        r = np.float64(np.nan if ssxym == 0 else 0.0)
+    else:
+        r = np.clip(ssxym / np.sqrt(ssxm * ssym), -1.0, 1.0)
+    slope = ssxym / ssxm
+    intercept = ly.mean() - slope * lx.mean()
+    stderr = np.sqrt((1 - r**2) * ssym / ssxm / (len(lx) - 2))
+    return slope, intercept, stderr, r**2
 
 
 def zipf_fit(table: RankTable, min_count: int = 5) -> ScalingFit:

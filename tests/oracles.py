@@ -6,12 +6,17 @@ entropy and mutual information over explicit cell maps, full sign
 enumeration for the signed-rank test, and brute-force pair counting.
 The one exception is the null-model reference, which must draw the same
 random streams as the package and so runs its per-replicate primitives.
+
+The package itself needs only numpy; scipy is a test dependency and
+serves here as the reference for the least-squares line and for
+midranks.
 """
 
 import math
 from itertools import product
 
 import numpy as np
+from scipy.stats import linregress, rankdata
 
 
 def entropy_direct(cells):
@@ -55,6 +60,18 @@ def midranks(values):
             ranks[order[k]] = mid
         i = j
     return ranks
+
+
+def midranks_scipy(values):
+    """Average-method ranks from ``scipy.stats.rankdata``."""
+    return rankdata(values)
+
+
+def ols_loglog_scipy(x, y):
+    """Slope, intercept, slope standard error and r^2 of
+    ``scipy.stats.linregress`` on log10 x and log10 y."""
+    fit = linregress(np.log10(x), np.log10(y))
+    return fit.slope, fit.intercept, fit.stderr, fit.rvalue**2
 
 
 def wilcoxon_enumerate(x, y):

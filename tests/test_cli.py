@@ -62,6 +62,16 @@ def test_unusable_data_exits_two(synth_dir, tmp_path, capsys):
     for command in ("mi", "null"):
         assert run([command, *io, "--years", "1900:1901", "--out", tmp_path / command]) == 2
         assert "empty corpus" in capsys.readouterr().err
+    # every year tags the same three descriptors, so every (M, V) point is one
+    same = tmp_path / "same.jsonl"
+    same.write_text("".join(
+        json.dumps({"id": f"{year}-{i}", "year": year,
+                    "mesh": ["C000000", "D000000", "E000000"]}) + "\n"
+        for year in (2000, 2001, 2002) for i in range(3)
+    ), encoding="utf-8")
+    assert run(["scaling", "--corpus", same, "--mesh", synth_dir / "mesh.tsv",
+                "--min-count", "1", "--out", tmp_path / "e"]) == 2
+    assert "one x value" in capsys.readouterr().err
     latin = tmp_path / "latin.jsonl"
     latin.write_bytes(b'{"id": "1", "year": 2000, "mesh": ["Caf\xe9"]}\n')
     assert run(["mi", "--corpus", latin, "--mesh", synth_dir / "mesh.tsv",
@@ -276,6 +286,16 @@ def test_outputs_stable_across_fresh_processes(synth_dir, tmp_path):
         assert proc.returncode == 0, proc.stderr
         outputs.append((out / "null_band.csv").read_bytes())
     assert outputs[0] == outputs[1]
+
+
+def test_cli_import_loads_no_scipy():
+    # scipy is a test dependency only: the library runs on numpy alone
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    code = "import sys, helixmi.cli; print([m for m in sys.modules if m.split('.')[0] == 'scipy'])"
+    proc = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_synth_year_range_notation(tmp_path):

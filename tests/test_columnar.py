@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 
 from helixmi.cli import main
 from helixmi.corpus import Corpus, Publication, write_corpus_jsonl, yearly_sizes
-from helixmi.counts import COUNTINGS, branch_triple, corpus_triples
+from helixmi.counts import BRANCHES, COUNTINGS, branch_matrix, branch_triple, corpus_triples
 from helixmi.dynamics import branch_share_series, detect_entries, rank_trajectories, top_pairs
 from helixmi.infotheory import efficiency
 from helixmi.mesh import write_mesh_tsv
@@ -147,7 +147,7 @@ def test_detect_entries_match_reference(corpus, k):
     corpora(),
     st.sampled_from([("C", "D"), ("D", "E"), ("E", "C")]),
     st.one_of(st.none(), st.tuples(st.integers(1996, 2006), st.integers(1996, 2006))),
-    st.integers(1, 60),
+    st.integers(0, 60),
 )
 def test_top_pairs_match_brute_force(corpus, branches, window, limit):
     pairs = top_pairs(corpus, *branches, window=window, limit=limit)
@@ -156,6 +156,26 @@ def test_top_pairs_match_brute_force(corpus, branches, window, limit):
     expected = sorted(brute.items(), key=lambda kv: (-kv[1], kv[0]))[:limit]
     assert [((p.descriptor_a, p.descriptor_b), p.co_count) for p in pairs] == expected
     assert all(p.window == full_window and type(p.co_count) is int for p in pairs)
+
+
+@examples
+@given(corpora(), st.sampled_from(COUNTINGS))
+def test_branch_matrix_is_built_once_and_read_only(corpus, counting):
+    vocab = corpus.vocabulary
+    matrix = branch_matrix(vocab, counting)
+    assert branch_matrix(vocab, counting) is matrix
+    assert not matrix.flags.writeable
+    with pytest.raises(ValueError):
+        matrix[0, 0] = 1
+    # a fresh build from the descriptors, row by row in column order
+    descriptors = [vocab.descriptors[uid] for uid in vocab.column_ids]
+    if counting == "membership":
+        homes = [{t.raw[0] for t in d.tree_numbers} for d in descriptors]
+    else:
+        homes = [{d.primary_branch} for d in descriptors]
+    expected = [[int(alpha in h) for alpha in BRANCHES] for h in homes]
+    assert matrix.dtype == np.int64
+    assert matrix.tolist() == expected
 
 
 @examples
@@ -224,7 +244,7 @@ def test_negative_k_rejected(tiny_vocab):
 
 
 def test_counts_beyond_int8_range():
-    # the incidence matrix stores int8; every count derived from it must not wrap
+    # counts past the int8 range must not wrap, whatever width the incidence arrays use
     n = 130
     vocab = make_vocab({"E1": ["E01"], **{f"C{i:03d}": [f"C01.{i:03d}"] for i in range(n)}})
     corpus = make_corpus(vocab, [(str(j), 2000, list(vocab.descriptors)) for j in range(n)])

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.stats import poisson
 
 from helixmi.counts import (
@@ -13,10 +15,11 @@ from helixmi.counts import (
     count_map,
     distribution_of_counts,
     wilcoxon_signed_rank,
+    _midranks,
 )
 
 from conftest import make_corpus
-from oracles import wilcoxon_enumerate
+from oracles import midranks_scipy, wilcoxon_enumerate
 
 
 @pytest.fixture
@@ -195,6 +198,31 @@ class TestWilcoxon:
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError):
             wilcoxon_signed_rank([1, 2], [1])
+
+    @pytest.mark.parametrize("n", [3, 30])
+    def test_non_finite_difference_rejected(self, n):
+        # n = 3 takes the exact path, n = 30 the normal approximation
+        x = np.arange(1.0, n + 1)
+        x[1] = np.nan
+        with pytest.raises(ValueError, match="finite"):
+            wilcoxon_signed_rank(x, np.zeros(n))
+        x[1] = np.inf
+        with pytest.raises(ValueError, match="finite"):
+            wilcoxon_signed_rank(x, np.where(np.arange(n) == 1, np.inf, 0.0))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.one_of(
+        st.lists(st.integers(0, 3), min_size=1, max_size=60),
+        st.lists(st.floats(0, 1e6, allow_nan=False), min_size=1, max_size=60),
+    )
+)
+def test_midranks_match_rankdata_bit_for_bit(values):
+    values = np.array(values, dtype=float)
+    ranks = _midranks(values)
+    assert ranks.dtype == np.float64
+    np.testing.assert_array_equal(ranks, midranks_scipy(values))
 
 
 def test_branch_stats_empty_triples_rejected():

@@ -184,6 +184,9 @@ class TestPairs:
         assert {(p.descriptor_a, p.descriptor_b): p.co_count for p in pairs} == brute
         assert pairs[0].co_count == 2
         assert (pairs[0].descriptor_a, pairs[0].descriptor_b) == ("D1", "E1")
+        # a limit cuts the same ordered list, down to nothing
+        assert top_pairs(corpus, "D", "E", limit=2) == pairs[:2]
+        assert top_pairs(corpus, "D", "E", limit=0) == []
 
     def test_window_filters_years(self, tiny_vocab):
         corpus = make_corpus(

@@ -1,9 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
+from helixmi.errors import DataError
 from helixmi.scaling import (
     RankEntry,
     RankTable,
+    _ols_loglog,
     heaps_fit,
     marginal_returns,
     rank_table,
@@ -11,6 +15,7 @@ from helixmi.scaling import (
 )
 
 from conftest import make_corpus
+from oracles import ols_loglog_scipy
 
 
 def synthetic_table(counts):
@@ -108,6 +113,45 @@ def test_heaps_every_token_new():
 def test_heaps_too_few_points():
     with pytest.raises(ValueError):
         heaps_fit([(10, 5), (100, 20)])
+
+
+def test_heaps_identical_sizes_are_a_data_error():
+    # every year the same M: no line through the points has a slope
+    with pytest.raises(DataError, match="one x value"):
+        heaps_fit([(9, 3), (9, 3), (9, 3)])
+
+
+positive = st.floats(1e-3, 1e9, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def loglog_points(draw):
+    n = draw(st.integers(3, 40))
+    x = draw(st.lists(positive, min_size=n, max_size=n))
+    if draw(st.booleans()):
+        y = [draw(positive)] * n
+    else:
+        y = draw(st.lists(positive, min_size=n, max_size=n))
+    return np.array(x), np.array(y)
+
+
+@settings(max_examples=300, deadline=None)
+@given(loglog_points())
+# exact collinear points whose unclipped r rounds to just above 1
+@example((np.array([35.0, 145.0, 512.0, 755.0, 950.0]),
+          np.array([35.0, 145.0, 512.0, 755.0, 950.0]) ** 3))
+def test_ols_matches_linregress_bit_for_bit(points):
+    x, y = points
+    assume(np.log10(x).max() != np.log10(x).min())
+    # equal arrays, NaN where the reference has NaN (a constant y)
+    np.testing.assert_array_equal(np.array(_ols_loglog(x, y)), np.array(ols_loglog_scipy(x, y)))
+
+
+def test_ols_constant_y_has_no_correlation():
+    slope, intercept, stderr, r2 = _ols_loglog(np.array([10.0, 100.0, 1000.0]), np.full(3, 4.0))
+    assert slope == 0.0
+    assert intercept == np.log10(4.0)
+    assert np.isnan(stderr) and np.isnan(r2)
 
 
 def test_noisy_recovery_within_tolerance():
