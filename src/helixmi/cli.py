@@ -90,8 +90,11 @@ class RunManifest:
     tool_version: str = __version__
     timestamp: str = ""
 
-    def add_input(self, path: str) -> None:
-        self.inputs.append({"path": str(path), "sha256": file_sha256(path)})
+    def add_input(self, path: str) -> str:
+        """Record an input file; returns its sha256."""
+        digest = file_sha256(path)
+        self.inputs.append({"path": str(path), "sha256": digest})
+        return digest
 
     def write(self, out_dir: Path) -> None:
         self.timestamp = datetime.now(timezone.utc).isoformat()
@@ -191,11 +194,18 @@ def _read(path: str, reader, *args):
 
 def _load_inputs(args, manifest: RunManifest):
     vocabulary = _read(args.mesh, _detect_and_load_mesh)
-    manifest.add_input(args.mesh)
-    manifest.vocabulary_sha256 = file_sha256(args.mesh)
+    manifest.vocabulary_sha256 = manifest.add_input(args.mesh)
     label = getattr(args, "label", None) or Path(args.corpus).stem
     corpus, report = _read(args.corpus, _detect_and_ingest, vocabulary, args.years, label)
     manifest.add_input(args.corpus)
+    manifest.diagnostics["ingest"] = {
+        "excluded_no_mesh": report.excluded_no_mesh,
+        "excluded_year": report.excluded_year,
+        "excluded_duplicate": report.excluded_duplicate,
+        "skipped_malformed": report.skipped_malformed,
+        "unresolved_distinct": len(report.unresolved_terms),
+        "unresolved_total": sum(report.unresolved_terms.values()),
+    }
     return vocabulary, corpus, report
 
 

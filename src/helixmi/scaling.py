@@ -90,14 +90,17 @@ def _ols_loglog(x: np.ndarray, y: np.ndarray) -> tuple[float, float, float, floa
     log10 y on log10 x, for at least 3 points.
 
     The arithmetic follows the reference OLS routine in
-    ``tests/oracles.py`` step by step, so the values agree to the bit.  A
-    constant y gives slope 0 and NaN for r^2 and the standard error when
-    the mean of its logs is exact; when that mean rounds, the slope and
-    r^2 come out as rounding noise near 0 instead.
+    ``tests/oracles.py`` step by step, so the values agree to the bit
+    whenever log10 y varies.  A constant log10 y has no correlation to
+    fit: it gives slope 0, intercept log10 y and NaN for the standard
+    error and r^2 (the reference returns rounding noise near 0 for some
+    such inputs).
     """
     lx, ly = np.log10(x), np.log10(y)
     if lx.max() == lx.min():
         raise DataError("cannot fit a line through points that all share one x value")
+    if ly.max() == ly.min():
+        return np.float64(0.0), ly.mean(), np.float64(np.nan), np.float64(np.nan)
     # population (co)variances: mean squared deviations and their cross term
     ssxm, ssxym, _, ssym = np.cov(lx, ly, bias=1).flat
     if ssxm == 0.0 or ssym == 0.0:

@@ -10,9 +10,16 @@ random streams as the package and so runs its per-replicate primitives.
 The package itself needs only numpy; scipy is a test dependency and
 serves here as the reference for the least-squares line and for
 midranks.
+
+The object parsers at the end are the record-by-record ingestion the
+array parsers replaced: each record becomes a ``Publication`` and the
+rules run on those objects.  They use only the package's record and
+report types and the vocabulary's lookups.
 """
 
+import json
 import math
+import re
 from itertools import product
 
 import numpy as np
@@ -224,3 +231,145 @@ def null_values_loop(triples_per_year, config, medians, years):
                 for t, target in enumerate(TARGETS):
                     values[t, r, years.index(record.year)] = record.target(target)
     return values
+
+
+# ---------------------------------------------------------------------------
+# Object parsers
+# ---------------------------------------------------------------------------
+
+def _resolve_terms(tokens, vocabulary, report):
+    ids = set()
+    for token in tokens:
+        rid = vocabulary.resolve(token)
+        if rid is None:
+            report.unresolved_terms[token] += 1
+        else:
+            ids.add(rid)
+    return tuple(sorted(ids))
+
+
+def _admit(pub_id, year, mesh_ids, year_range, seen, out, report):
+    from helixmi.corpus import Publication
+
+    if pub_id in seen:
+        report.excluded_duplicate += 1
+        return
+    if year_range is not None and not (year_range[0] <= year <= year_range[1]):
+        report.excluded_year += 1
+        return
+    if not mesh_ids:
+        report.excluded_no_mesh += 1
+        return
+    seen.add(pub_id)
+    out.append(Publication(id=pub_id, year=year, mesh_ids=mesh_ids))
+
+
+def _in_corpus_order(publications):
+    return tuple(sorted(publications, key=lambda p: (p.year, p.id)))
+
+
+def ingest_jsonl_objects(path, vocabulary, year_range=None):
+    """(publications in (year, id) order, report) of a JSONL corpus."""
+    from helixmi.corpus import CorpusFormatError, IngestReport
+
+    report = IngestReport()
+    out = []
+    seen = set()
+    with open(path, encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            if not line.strip():
+                continue
+            try:
+                obj = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise CorpusFormatError(f"{path}: line {lineno}: {exc}") from None
+            try:
+                pub_id = str(obj["id"])
+                year = int(obj["year"])
+                mesh_field = obj["mesh"]
+                if not isinstance(mesh_field, list):
+                    raise TypeError("mesh must be a list")
+                tokens = [str(t) for t in mesh_field]
+            except (KeyError, TypeError, ValueError) as exc:
+                raise CorpusFormatError(
+                    f"{path}: line {lineno}: bad record ({exc})"
+                ) from None
+            mesh_ids = _resolve_terms(tokens, vocabulary, report)
+            _admit(pub_id, year, mesh_ids, year_range, seen, out, report)
+    return _in_corpus_order(out), report
+
+
+_YEAR_RE = re.compile(r"\d{4}")
+
+
+def _clean_mesh_value(value):
+    value = value.lstrip("*")
+    return value.split("/", 1)[0].strip()
+
+
+def ingest_medline_objects(path, vocabulary, year_range=None):
+    """(publications in (year, id) order, report) of a MEDLINE text corpus:
+    the lines of a record are gathered as (tag, value) fields and read
+    when the record ends."""
+    from helixmi.corpus import IngestReport
+
+    report = IngestReport()
+    out = []
+    seen = set()
+
+    def finish(fields):
+        if not fields:
+            return
+        pub_id = None
+        year = None
+        tokens = []
+        for tag, value in fields:
+            if tag == "PMID" and pub_id is None:
+                pub_id = value.strip()
+            elif tag == "DP" and year is None:
+                m = _YEAR_RE.search(value)
+                if m:
+                    year = int(m.group())
+            elif tag == "MH":
+                cleaned = _clean_mesh_value(value)
+                if cleaned:
+                    tokens.append(cleaned)
+        if not pub_id or year is None:
+            report.skipped_malformed += 1
+            return
+        mesh_ids = _resolve_terms(tokens, vocabulary, report)
+        _admit(pub_id, year, mesh_ids, year_range, seen, out, report)
+
+    fields = []
+    with open(path, encoding="utf-8", errors="replace") as fh:
+        for line in fh:
+            line = line.rstrip("\r\n")
+            if not line.strip():
+                finish(fields)
+                fields = []
+            elif line.startswith("      ") and fields:
+                tag, value = fields[-1]
+                fields[-1] = (tag, value + " " + line.strip())
+            elif len(line) >= 6 and line[4:6] == "- ":
+                fields.append((line[:4].strip(), line[6:]))
+    finish(fields)
+    return _in_corpus_order(out), report
+
+
+def csr_of(publications, vocabulary):
+    """Ids, years, indptr and indices of publications, one walk over them."""
+    indptr = [0]
+    indices = []
+    for p in publications:
+        indices.extend(vocabulary.column_of[uid] for uid in p.mesh_ids)
+        indptr.append(len(indices))
+    return [p.id for p in publications], [p.year for p in publications], indptr, indices
+
+
+def canonical_bytes_of(publications):
+    """Sorted-key compact JSONL of publications, one line each."""
+    return "".join(
+        json.dumps({"id": p.id, "year": p.year, "mesh": list(p.mesh_ids)},
+                   sort_keys=True, separators=(",", ":")) + "\n"
+        for p in publications
+    ).encode("utf-8")

@@ -135,6 +135,36 @@ def test_ingest_command(synth_dir, tmp_path):
     assert all(len(i["sha256"]) == 64 for i in manifest["inputs"])
 
 
+def test_every_command_records_ingest_diagnostics(synth_dir, tmp_path):
+    corpus = tmp_path / "corpus.jsonl"
+    records = [
+        {"id": "1", "year": 2000, "mesh": ["C000000", "No Such Term"]},
+        {"id": "1", "year": 2000, "mesh": ["D000000", "No Such Term"]},
+        {"id": "2", "year": 1990, "mesh": ["C000000"]},
+        {"id": "3", "year": 2001, "mesh": ["Other Term"]},
+        {"id": "4", "year": 2001, "mesh": ["D000000", "E000000"]},
+        {"id": "5", "year": 2002, "mesh": ["E000000"]},
+    ]
+    corpus.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
+    common = ["--corpus", corpus, "--mesh", synth_dir / "mesh.tsv", "--years", "1999:2005"]
+    assert run(["ingest", *common, "--out", tmp_path / "ingest"]) == 0
+    report = json.loads((tmp_path / "ingest" / "ingest_report.json").read_text())
+    expected = {
+        "excluded_no_mesh": 1, "excluded_year": 1, "excluded_duplicate": 1,
+        "skipped_malformed": 0, "unresolved_distinct": 2, "unresolved_total": 3,
+    }
+    assert {k: report[k] for k in expected if k in report} == {
+        k: v for k, v in expected.items() if not k.startswith("unresolved")}
+    assert len(report["unresolved_terms"]) == expected["unresolved_distinct"]
+    assert sum(t["count"] for t in report["unresolved_terms"]) == expected["unresolved_total"]
+    for command in ("ingest", "stats", "mi"):
+        if command != "ingest":
+            assert run([command, *common, "--out", tmp_path / command]) == 0
+        manifest = json.loads((tmp_path / command / "manifest.json").read_text())
+        assert manifest["diagnostics"]["ingest"] == expected
+        assert manifest["vocabulary_sha256"] == manifest["inputs"][0]["sha256"]
+
+
 def test_stats_command(synth_dir, tmp_path):
     out = tmp_path / "stats"
     assert run(
@@ -212,7 +242,9 @@ def test_null_manifest_reports_undefined_replicates(synth_dir, tmp_path):
     assert len(years) == 4
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["diagnostics"] == {
-        "null": {"undefined_replicates": {y: 0 for y in years}, "dropped_years": []}
+        "ingest": {"excluded_no_mesh": 0, "excluded_year": 0, "excluded_duplicate": 0,
+                   "skipped_malformed": 0, "unresolved_distinct": 0, "unresolved_total": 0},
+        "null": {"undefined_replicates": {y: 0 for y in years}, "dropped_years": []},
     }
     assert sorted(json.loads((out / "null_manifest.json").read_text())) == [
         "ci_level", "corpus_hash", "replicates", "seed"]

@@ -226,11 +226,11 @@ def test_stats_vocabulary_and_efficiency_match_reference(corpus):
 
 
 def test_unknown_descriptor_id_named_in_key_error(tiny_vocab):
-    corpus = Corpus.build("t", [Publication("1", 2000, ("C1", "Q9"))], tiny_vocab)
+    publication = Publication("1", 2000, ("C1", "Q9"))
     with pytest.raises(KeyError, match="Q9"):
-        corpus_triples(corpus)
+        Corpus.build("t", [publication], tiny_vocab)
     with pytest.raises(KeyError, match="Q9"):
-        branch_triple(corpus.publications[0], tiny_vocab)
+        branch_triple(publication, tiny_vocab)
 
 
 def test_negative_k_rejected(tiny_vocab):

@@ -128,10 +128,7 @@ positive = st.floats(1e-3, 1e9, allow_nan=False, allow_infinity=False)
 def loglog_points(draw):
     n = draw(st.integers(3, 40))
     x = draw(st.lists(positive, min_size=n, max_size=n))
-    if draw(st.booleans()):
-        y = [draw(positive)] * n
-    else:
-        y = draw(st.lists(positive, min_size=n, max_size=n))
+    y = draw(st.lists(positive, min_size=n, max_size=n))
     return np.array(x), np.array(y)
 
 
@@ -143,8 +140,21 @@ def loglog_points(draw):
 def test_ols_matches_linregress_bit_for_bit(points):
     x, y = points
     assume(np.log10(x).max() != np.log10(x).min())
-    # equal arrays, NaN where the reference has NaN (a constant y)
+    # a constant y is not fitted (test_ols_constant_y_is_undefined)
+    assume(np.log10(y).max() != np.log10(y).min())
     np.testing.assert_array_equal(np.array(_ols_loglog(x, y)), np.array(ols_loglog_scipy(x, y)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(positive, min_size=3, max_size=40, unique=True), positive)
+def test_ols_constant_y_is_undefined(xs, y):
+    x = np.array(xs)
+    assume(np.log10(x).max() != np.log10(x).min())
+    ly = np.log10(np.full(len(x), y))
+    slope, intercept, stderr, r2 = _ols_loglog(x, np.full(len(x), y))
+    assert slope == 0.0 and not np.signbit(slope)
+    assert intercept == ly.mean()
+    assert np.isnan(stderr) and np.isnan(r2)
 
 
 def test_ols_constant_y_has_no_correlation():
