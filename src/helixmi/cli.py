@@ -198,14 +198,7 @@ def _load_inputs(args, manifest: RunManifest):
     label = getattr(args, "label", None) or Path(args.corpus).stem
     corpus, report = _read(args.corpus, _detect_and_ingest, vocabulary, args.years, label)
     manifest.add_input(args.corpus)
-    manifest.diagnostics["ingest"] = {
-        "excluded_no_mesh": report.excluded_no_mesh,
-        "excluded_year": report.excluded_year,
-        "excluded_duplicate": report.excluded_duplicate,
-        "skipped_malformed": report.skipped_malformed,
-        "unresolved_distinct": len(report.unresolved_terms),
-        "unresolved_total": sum(report.unresolved_terms.values()),
-    }
+    manifest.diagnostics["ingest"] = report.summary()
     return vocabulary, corpus, report
 
 

@@ -53,13 +53,27 @@ class IngestReport:
     skipped_malformed: int = 0
     unresolved_terms: Counter = field(default_factory=Counter)
 
-    def to_json_dict(self) -> dict:
-        terms = sorted(self.unresolved_terms.items(), key=lambda kv: (-kv[1], kv[0]))
+    def _counts(self) -> dict:
         return {
             "excluded_no_mesh": self.excluded_no_mesh,
             "excluded_year": self.excluded_year,
             "excluded_duplicate": self.excluded_duplicate,
             "skipped_malformed": self.skipped_malformed,
+        }
+
+    def summary(self) -> dict:
+        """The excluded and skipped counts, the number of distinct
+        unresolved terms and their total."""
+        return {
+            **self._counts(),
+            "unresolved_distinct": len(self.unresolved_terms),
+            "unresolved_total": sum(self.unresolved_terms.values()),
+        }
+
+    def to_json_dict(self) -> dict:
+        terms = sorted(self.unresolved_terms.items(), key=lambda kv: (-kv[1], kv[0]))
+        return {
+            **self._counts(),
             "unresolved_terms": [{"name": n, "count": c} for n, c in terms],
         }
 
@@ -115,9 +129,10 @@ class Corpus:
         id_rank = np.empty(n, dtype=np.int64)
         id_rank[sorted(range(n), key=pub_ids.__getitem__)] = np.arange(n)
         order = np.lexsort((id_rank, years))
+        # gather each row's run of entries in the new row order; rows already
+        # in order (the canonical JSONL that ``ingest`` writes) keep their
+        # arrays, as the gather's index arrays hold 16 bytes per entry
         if (np.diff(order) != 1).any():
-            # gather each row's run of entries in the new row order (input
-            # already in order, such as a canonical JSONL, skips this copy)
             lengths = np.diff(indptr)[order]
             sorted_ptr = np.zeros(n + 1, dtype=np.int64)
             np.cumsum(lengths, out=sorted_ptr[1:])

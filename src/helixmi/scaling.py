@@ -100,7 +100,7 @@ def _ols_loglog(x: np.ndarray, y: np.ndarray) -> tuple[float, float, float, floa
     if lx.max() == lx.min():
         raise DataError("cannot fit a line through points that all share one x value")
     if ly.max() == ly.min():
-        return np.float64(0.0), ly.mean(), np.float64(np.nan), np.float64(np.nan)
+        return np.float64(0.0), ly[0], np.float64(np.nan), np.float64(np.nan)
     # population (co)variances: mean squared deviations and their cross term
     ssxm, ssxym, _, ssym = np.cov(lx, ly, bias=1).flat
     if ssxm == 0.0 or ssym == 0.0:
