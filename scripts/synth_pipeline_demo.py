@@ -4,9 +4,10 @@
 Generates two corpora: an xor-coupled one (planted three-way synergy)
 and a size-mixture one (pairwise dependence only), then runs the
 mutual-information series, the shuffling null model, the scaling fits
-and the descriptor dynamics on them.  The xor corpus should come out
-flagged 'below' the confidence band under the full-count map in nearly
-every year, while the size-mixture corpus should stay inside.
+and the descriptor dynamics on them.  The xor corpus must come out
+flagged 'below' the confidence band in every year under both the
+full-count and the binary map, or the script exits 1; the size-mixture
+corpus should mostly stay inside.
 """
 
 import argparse
@@ -61,10 +62,15 @@ def main():
         run(["dynamics"] + source + ["--topk", "50", "--out", base / "dynamics"])
 
     print(f"outputs under {out}/")
+    missed = []
     for name in corpora:
         for map_kind in ("full", "binary"):
             summary = flag_summary(out / name / f"null-{map_kind}" / "null_band.csv")
             print(f"  {name:10s} T_CDE vs band ({map_kind:6s}): {summary}")
+            if name == "xor" and summary != {"below": args.years}:
+                missed.append(map_kind)
+    if missed:
+        raise SystemExit(f"xor synergy not below the band in every year: {', '.join(missed)}")
 
 
 if __name__ == "__main__":

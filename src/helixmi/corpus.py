@@ -87,6 +87,22 @@ class Incidence(NamedTuple):
     indices: np.ndarray  # int32 column positions
 
 
+def _row_runs(starts: np.ndarray, lengths: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+    """The concatenated ranges ``starts[i]:starts[i] + lengths[i]``, whose
+    runs begin at ``offsets[:-1]``: unit steps with a jump at the start of
+    each run, summed in place, in int32 when the indices fit."""
+    total = int(offsets[-1])
+    dtype = np.int32 if total <= np.iinfo(np.int32).max else np.int64
+    runs = np.ones(total, dtype=dtype)
+    filled = lengths > 0
+    starts, lengths = starts[filled], lengths[filled]
+    if len(starts):
+        last = starts + lengths - 1
+        runs[offsets[:-1][filled]] = starts - np.concatenate(([0], last[:-1]))
+    np.cumsum(runs, dtype=dtype, out=runs)
+    return runs
+
+
 @dataclass(eq=False)
 class Corpus:
     """Immutable per-query corpus with yearly partitions, held as arrays.
@@ -131,24 +147,23 @@ class Corpus:
         order = np.lexsort((id_rank, years))
         # gather each row's run of entries in the new row order; rows already
         # in order (the canonical JSONL that ``ingest`` writes) keep their
-        # arrays, as the gather's index arrays hold 16 bytes per entry
+        # arrays, as the gather holds one more index per entry
         if (np.diff(order) != 1).any():
             lengths = np.diff(indptr)[order]
             sorted_ptr = np.zeros(n + 1, dtype=np.int64)
             np.cumsum(lengths, out=sorted_ptr[1:])
-            gather = np.repeat(indptr[:-1][order] - sorted_ptr[:-1], lengths)
-            gather += np.arange(sorted_ptr[-1])
+            gather = _row_runs(indptr[:-1][order], lengths, sorted_ptr)
             pub_ids = [pub_ids[i] for i in order.tolist()]
             years, indptr, indices = years[order], sorted_ptr, indices[gather]
-        year_list = years.tolist()
         cuts = [0, *(np.flatnonzero(np.diff(years)) + 1).tolist(), n] if n else []
+        firsts = years[cuts[:-1]].tolist()
         return cls(
             query_label=query_label,
             vocabulary=vocabulary,
             pub_ids=tuple(pub_ids),
             pub_years=years,
             incidence=Incidence(indptr, indices),
-            by_year={year_list[a]: range(a, b) for a, b in zip(cuts, cuts[1:])},
+            by_year={y: range(a, b) for y, a, b in zip(firsts, cuts, cuts[1:])},
         )
 
     @classmethod
@@ -405,15 +420,25 @@ def ingest_medline_text(
     return sink.corpus(query_label or path), report
 
 
-# one encoder for every line: ``json.dumps`` with options builds a new one per call
-_CANONICAL_JSON = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+# what ``json.JSONEncoder`` (``ensure_ascii`` by default) applies to a str
+_encode_str = json.encoder.encode_basestring_ascii
 
 
 def corpus_canonical_lines(corpus: Corpus) -> Iterator[bytes]:
-    """The canonical serialization one UTF-8 line at a time, LF included."""
-    encode = _CANONICAL_JSON.encode
-    for pub_id, year, mesh in corpus.rows():
-        yield (encode({"id": pub_id, "year": year, "mesh": mesh}) + "\n").encode("utf-8")
+    """The canonical serialization one UTF-8 line at a time, LF included.
+
+    Each line holds the bytes ``json.JSONEncoder(sort_keys=True,
+    separators=(",", ":"))`` gives for ``{"id", "year", "mesh"}``; every
+    descriptor id is encoded once, not once per row that carries it.
+    """
+    indptr, indices = corpus.incidence
+    names = [_encode_str(uid) for uid in corpus.vocabulary.column_ids]
+    mesh = np.array(names, dtype=object)[indices].tolist()
+    bounds = indptr.tolist()
+    join = ",".join
+    for pub_id, year, lo, hi in zip(corpus.pub_ids, corpus.pub_years.tolist(), bounds, bounds[1:]):
+        line = f'{{"id":{_encode_str(pub_id)},"mesh":[{join(mesh[lo:hi])}],"year":{year}}}\n'
+        yield line.encode("ascii")
 
 
 def corpus_canonical_bytes(corpus: Corpus) -> bytes:

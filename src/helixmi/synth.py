@@ -16,6 +16,12 @@ what the shuffle preserves.  The copy generator, by contrast, has iid
 margins that no allocation respecting per-publication totals can
 reproduce.  Every publication also carries one out-of-scope filler
 descriptor so that zero-C/D/E fingerprints remain valid records.
+
+The corpus is built as arrays: a publication with count k in a branch
+carries a uniform k-subset of that branch's descriptor pool, drawn for
+a whole (year, branch) block at once from a random stream of its own.
+The counts come from another stream, so they, and every statistic of
+them, do not depend on how the descriptors are picked.
 """
 
 from __future__ import annotations
@@ -24,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .corpus import Corpus, Publication
+from .corpus import Corpus
 from .counts import BRANCHES
 from .mesh import MeshDescriptor, TreeNumber, Vocabulary
 
@@ -107,33 +113,33 @@ def synth_vocabulary(pool_sizes: dict[str, int]) -> Vocabulary:
 
 
 def synth_corpus(config: SynthConfig) -> Corpus:
-    """Materialize a synthetic corpus with descriptor-level fingerprints."""
+    """Materialize a synthetic corpus with descriptor-level fingerprints.
+
+    A publication with count k in a branch carries a uniform k-subset of
+    that branch's pool: for each (year, branch) block one ``(n, pool)``
+    array of uniform keys is drawn, and a row picks the columns whose key
+    ranks below its count.
+    """
     per_year = synth_triples(config)
-    pool_sizes = {
-        alpha: max(int(max(t[:, i].max() for t in per_year.values())), 1)
-        for i, alpha in enumerate(BRANCHES)
-    }
-    vocabulary = synth_vocabulary(pool_sizes)
-    pools = {
-        alpha: [f"{alpha}{i:06d}" for i in range(pool_sizes[alpha])]
-        for alpha in BRANCHES
-    }
+    years = sorted(per_year)
+    triples = np.concatenate([per_year[year] for year in years])
+    pool_sizes = np.maximum(triples.max(axis=0), 1).tolist()
+    vocabulary = synth_vocabulary(dict(zip(BRANCHES, pool_sizes)))
     rng = np.random.default_rng(np.random.SeedSequence([config.seed, 1]))
-    publications = []
-    serial = 0
-    for year in sorted(per_year):
-        for triple in per_year[year]:
-            mesh_ids = [FILLER_ID]
-            for i, alpha in enumerate(BRANCHES):
-                count = int(triple[i])
-                if count:
-                    picks = rng.choice(len(pools[alpha]), size=count, replace=False)
-                    mesh_ids.extend(pools[alpha][j] for j in sorted(picks))
-            publications.append(
-                Publication(
-                    id=f"S{serial:08d}", year=year, mesh_ids=tuple(sorted(mesh_ids))
-                )
-            )
-            serial += 1
+    n = config.pubs_per_year
+    # columns in vocabulary order: ids sort as C... < D... < E... < the filler
+    edges = np.cumsum([0, *pool_sizes])
+    picked = np.zeros((len(triples), edges[-1] + 1), dtype=bool)
+    picked[:, -1] = True
+    for y in range(len(years)):
+        rows = slice(y * n, (y + 1) * n)
+        for i, pool in enumerate(pool_sizes):
+            ranks = rng.random((n, pool)).argsort(axis=1).argsort(axis=1)
+            picked[rows, edges[i]:edges[i + 1]] = ranks < triples[rows, i, None]
+    indptr = np.zeros(len(triples) + 1, dtype=np.int64)
+    np.cumsum(picked.sum(axis=1), out=indptr[1:])
+    indices = np.nonzero(picked)[1]
+    ids = [f"S{serial:08d}" for serial in range(len(triples))]
+    pub_years = np.repeat(years, n)
     label = f"synthetic-{config.mode}-seed{config.seed}"
-    return Corpus.build(label, publications, vocabulary)
+    return Corpus.from_arrays(label, vocabulary, ids, pub_years, indptr, indices)

@@ -14,7 +14,10 @@ midranks.
 The object parsers at the end are the record-by-record ingestion the
 array parsers replaced: each record becomes a ``Publication`` and the
 rules run on those objects.  They use only the package's record and
-report types and the vocabulary's lookups.
+report types and the vocabulary's lookups.  Likewise the synthetic
+corpus reference builds one ``Publication`` per row and draws each
+row's descriptor picks with its own ``rng.choice`` call, and the
+canonical writer reference hands each row to ``json.JSONEncoder``.
 """
 
 import json
@@ -373,3 +376,53 @@ def canonical_bytes_of(publications):
                    sort_keys=True, separators=(",", ":")) + "\n"
         for p in publications
     ).encode("utf-8")
+
+
+def canonical_lines_encoder(corpus):
+    """The canonical lines of a corpus, each row a dict passed to one
+    ``json.JSONEncoder(sort_keys=True, separators=(",", ":"))``."""
+    encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+    for pub_id, year, mesh in corpus.rows():
+        yield (encode({"id": pub_id, "year": year, "mesh": mesh}) + "\n").encode("utf-8")
+
+
+# ---------------------------------------------------------------------------
+# Synthetic corpus
+# ---------------------------------------------------------------------------
+
+def synth_corpus_objects(config):
+    """The synthetic corpus built one ``Publication`` at a time, with one
+    ``rng.choice`` per (publication, branch) for the descriptor picks."""
+    from helixmi.corpus import Corpus, Publication
+    from helixmi.counts import BRANCHES
+    from helixmi.synth import FILLER_ID, synth_triples, synth_vocabulary
+
+    per_year = synth_triples(config)
+    pool_sizes = {
+        alpha: max(int(max(t[:, i].max() for t in per_year.values())), 1)
+        for i, alpha in enumerate(BRANCHES)
+    }
+    vocabulary = synth_vocabulary(pool_sizes)
+    pools = {
+        alpha: [f"{alpha}{i:06d}" for i in range(pool_sizes[alpha])]
+        for alpha in BRANCHES
+    }
+    rng = np.random.default_rng(np.random.SeedSequence([config.seed, 1]))
+    publications = []
+    serial = 0
+    for year in sorted(per_year):
+        for triple in per_year[year]:
+            mesh_ids = [FILLER_ID]
+            for i, alpha in enumerate(BRANCHES):
+                count = int(triple[i])
+                if count:
+                    picks = rng.choice(len(pools[alpha]), size=count, replace=False)
+                    mesh_ids.extend(pools[alpha][j] for j in sorted(picks))
+            publications.append(
+                Publication(
+                    id=f"S{serial:08d}", year=year, mesh_ids=tuple(sorted(mesh_ids))
+                )
+            )
+            serial += 1
+    label = f"synthetic-{config.mode}-seed{config.seed}"
+    return Corpus.build(label, publications, vocabulary)

@@ -5,7 +5,10 @@ arrays; ``oracles.ingest_jsonl_objects`` and
 ``oracles.ingest_medline_objects`` build one ``Publication`` per record
 and apply the rules to those.  Generated inputs must give equal rows,
 equal reports and equal canonical bytes, with and without a year
-window.  Named MEDLINE fixtures pin the parser's edge cases.
+window.  Named MEDLINE fixtures pin the parser's edge cases.  The
+canonical writer must give the bytes of ``json.JSONEncoder``
+(``oracles.canonical_lines_encoder``) for any id text and year, and its
+output must ingest back to the same corpus.
 """
 
 import gc
@@ -17,16 +20,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helixmi.corpus import (
+    Corpus,
     CorpusFormatError,
+    IngestReport,
     Publication,
     corpus_canonical_bytes,
     ingest_jsonl,
     ingest_medline_text,
+    write_corpus_jsonl,
 )
+from helixmi.mesh import MeshDescriptor, TreeNumber, Vocabulary
 
 from conftest import make_vocab
 from oracles import (
     canonical_bytes_of,
+    canonical_lines_encoder,
     csr_of,
     ingest_jsonl_objects,
     ingest_medline_objects,
@@ -250,6 +258,56 @@ def test_medline_fixture(tmp_path, name):
                 "skipped_malformed": 0, "unresolved_terms": []}
     expected.update(report_fields)
     assert report.to_json_dict() == expected
+
+
+# ---------------------------------------------------------------------------
+# Canonical writer
+# ---------------------------------------------------------------------------
+
+# text JSON must escape or that stresses the escaping: quotes, backslashes,
+# control characters, DEL, line separators, non-ASCII and non-BMP characters
+awkward_text = st.lists(
+    st.sampled_from(['"', "\\", "/", "\x00", "\n", "\r", "\x1f", "\x7f", "\u2028",
+                     "\u00e9", "\u00a0", "\U0001f600", "\U0010ffff"])
+    | st.characters(),
+    max_size=6,
+).map("".join)
+
+
+@st.composite
+def awkward_corpora(draw):
+    uids = draw(st.lists(awkward_text, min_size=1, max_size=8, unique=True))
+    vocabulary = Vocabulary.from_descriptors([
+        MeshDescriptor(id=uid, name=f"term {i}", tree_numbers=(TreeNumber("C01"),))
+        for i, uid in enumerate(uids)
+    ])
+    columns = vocabulary.column_ids
+    publications = [
+        Publication(
+            pub_id,
+            draw(st.integers(-(2**63), 2**63 - 1)),
+            tuple(sorted(draw(st.sets(st.sampled_from(columns), min_size=1)))),
+        )
+        for pub_id in draw(st.lists(awkward_text, max_size=12, unique=True))
+    ]
+    return Corpus.build("awkward", publications, vocabulary)
+
+
+@examples
+@given(awkward_corpora())
+def test_writer_matches_encoder_and_round_trips(tmp_path_factory, corpus):
+    data = corpus_canonical_bytes(corpus)
+    assert data == b"".join(canonical_lines_encoder(corpus))
+    path = tmp_path_factory.mktemp("writer") / "c.jsonl"
+    write_corpus_jsonl(corpus, str(path))
+    assert path.read_bytes() == data
+    again, report = ingest_jsonl(str(path), corpus.vocabulary)
+    assert again.pub_ids == corpus.pub_ids
+    assert again.pub_years.tolist() == corpus.pub_years.tolist()
+    assert again.incidence.indptr.tolist() == corpus.incidence.indptr.tolist()
+    assert again.incidence.indices.tolist() == corpus.incidence.indices.tolist()
+    assert report.summary() == IngestReport().summary()
+    assert corpus_canonical_bytes(again) == data
 
 
 # ---------------------------------------------------------------------------
