@@ -114,12 +114,25 @@ def replicate_values(
     rngs = [replicate_rng(config.seed, r) for r in range(config.replicates)]
     column = {year: i for i, year in enumerate(years)}
     values = np.full((len(TARGETS), config.replicates, len(years)), np.nan)
+    steps = {
+        year: min(config.replicates,
+                  max(1, BLOCK_LABELS // max(int(triples.sum()), len(triples), 1)))
+        for year, triples in triples_per_year.items()
+    }
+    # Every block is a view of one buffer, sized for the largest.  Blocks of
+    # varying sizes, freed and allocated again year after year, leave the
+    # allocator keeping heap in a pattern that depends on the process's
+    # memory layout, and peak RSS then differs from one run to the next.
+    buffer = np.empty(
+        max((steps[year] * t.size for year, t in triples_per_year.items()), default=0),
+        dtype=np.int64,
+    )
     for year in sorted(triples_per_year):
         triples = triples_per_year[year]
-        step = max(1, BLOCK_LABELS // max(int(triples.sum()), len(triples), 1))
+        step = steps[year]
         for lo in range(0, config.replicates, step):
             batch = rngs[lo:lo + step]
-            block = np.empty((len(batch), *triples.shape), dtype=triples.dtype)
+            block = buffer[:len(batch) * triples.size].reshape(len(batch), *triples.shape)
             # every year is shuffled, evaluated or not, to keep each stream
             for i, rng in enumerate(batch):
                 block[i] = shuffle_year(triples, rng)
