@@ -11,10 +11,13 @@ traceback.
 from __future__ import annotations
 
 import argparse
+import codecs
 import csv
 import hashlib
 import json
+import resource
 import sys
+import time
 from dataclasses import asdict, dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
@@ -87,6 +90,9 @@ class RunManifest:
     vocabulary_sha256: str | None = None
     config: dict = field(default_factory=dict)
     diagnostics: dict = field(default_factory=dict)
+    # wall seconds of the vocabulary load, the ingest and the whole command,
+    # and the process's peak resident set size
+    stages: dict = field(default_factory=dict)
     tool_version: str = __version__
     timestamp: str = ""
 
@@ -114,7 +120,7 @@ def _detect_and_ingest(
     path: str, vocabulary: Vocabulary, year_range, label: str
 ) -> tuple[Corpus, IngestReport]:
     with open(path, "rb") as fh:
-        head = fh.read(4096).lstrip()
+        head = fh.read(4096).removeprefix(codecs.BOM_UTF8).lstrip()
     if head.startswith(b"{"):
         return ingest_jsonl(path, vocabulary, year_range, label)
     return ingest_medline_text(path, vocabulary, year_range, label)
@@ -193,10 +199,14 @@ def _read(path: str, reader, *args):
 
 
 def _load_inputs(args, manifest: RunManifest):
+    start = time.perf_counter()
     vocabulary = _read(args.mesh, _detect_and_load_mesh)
+    manifest.stages["vocabulary_s"] = time.perf_counter() - start
     manifest.vocabulary_sha256 = manifest.add_input(args.mesh)
     label = getattr(args, "label", None) or Path(args.corpus).stem
+    start = time.perf_counter()
     corpus, report = _read(args.corpus, _detect_and_ingest, vocabulary, args.years, label)
+    manifest.stages["ingest_s"] = time.perf_counter() - start
     manifest.add_input(args.corpus)
     manifest.diagnostics["ingest"] = report.summary()
     return vocabulary, corpus, report
@@ -519,7 +529,14 @@ _COMMANDS = {
 }
 
 
+def _peak_rss_mb() -> float:
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    # kilobytes on Linux, bytes on macOS
+    return peak / 2**20 if sys.platform == "darwin" else peak / 2**10
+
+
 def main(argv: list[str] | None = None) -> int:
+    start = time.perf_counter()
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
@@ -540,6 +557,8 @@ def main(argv: list[str] | None = None) -> int:
     except (DataError, OSError) as exc:
         print(f"helixmi {args.command}: error: {exc}", file=sys.stderr)
         return 2
+    manifest.stages["command_s"] = time.perf_counter() - start
+    manifest.stages["peak_rss_mb"] = _peak_rss_mb()
     manifest.write(out_dir)
     return code
 

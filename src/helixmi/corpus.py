@@ -9,21 +9,24 @@ and descriptor names that do not resolve against the vocabulary are
 dropped per-term rather than per-record so that yearly publication
 counts stay unbiased.
 
-Both parsers hand each record to one sink, which resolves every
-distinct term once and appends the kept records to flat arrays: ids,
-years and the descriptor columns of each.  The corpus is those arrays,
-sorted once; ``Publication`` objects are built only when asked for.
+Both parsers hand records to one sink a block at a time: the JSONL
+parser in batches of parsed lines, the MEDLINE parser in blocks of the
+file cut after empty lines and parsed with array operations.  The sink
+resolves every distinct term once and appends the kept records to flat
+arrays: ids, years and the descriptor columns of each.  The corpus is
+those arrays, sorted once; ``Publication`` objects are built only when
+asked for.
 """
 
 from __future__ import annotations
 
+import codecs
 import json
 import re
 from array import array
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import chain
 from typing import Iterator, NamedTuple
 
 import numpy as np
@@ -85,6 +88,14 @@ class Incidence(NamedTuple):
 
     indptr: np.ndarray  # int64, one more entry than there are rows
     indices: np.ndarray  # int32 column positions
+
+
+def _firsts(x: np.ndarray) -> np.ndarray:
+    """Whether each entry differs from the one before it; the first does."""
+    first = np.empty(len(x), dtype=bool)
+    first[:1] = True
+    np.not_equal(x[1:], x[:-1], out=first[1:])
+    return first
 
 
 def _row_runs(starts: np.ndarray, lengths: np.ndarray, offsets: np.ndarray) -> np.ndarray:
@@ -230,78 +241,130 @@ class Corpus:
 
 
 class _TermColumns(dict):
-    """Memo of term -> descriptor column, -1 for a term the vocabulary
-    cannot resolve; each distinct term is resolved once."""
+    """Memo of term -> code: the term's descriptor column, or ``-1 - k`` for
+    the k-th distinct term the vocabulary cannot resolve, whose name is
+    ``unresolved[k]``; each distinct term is resolved once."""
 
     def __init__(self, vocabulary: Vocabulary) -> None:
         super().__init__()
         self.vocabulary = vocabulary
+        self.unresolved: list[str] = []
 
     def __missing__(self, term: str) -> int:
         uid = self.vocabulary.resolve(term)
-        column = -1 if uid is None else self.vocabulary.column_of[uid]
-        self[term] = column
-        return column
+        if uid is None:
+            code = -1 - len(self.unresolved)
+            self.unresolved.append(term)
+        else:
+            code = self.vocabulary.column_of[uid]
+        self[term] = code
+        return code
+
+
+# what a record's own year and terms make of it; a duplicate id decides first
+_ADMISSIBLE, _OUT_OF_WINDOW, _NO_MESH = range(3)
 
 
 class _RecordSink:
-    """Admits parsed records into flat arrays, the rows of a corpus.
+    """Admits blocks of parsed records into flat arrays, the rows of a corpus.
 
-    The rules apply in order: a duplicate of an admitted id, then a year
-    outside the window, then no resolvable descriptor.  Unresolved terms
-    are counted in the report whatever becomes of their record.  Only
-    strings and ints outlive a record, so the kept rows add no objects
-    for the garbage collector to walk.
+    A block is the records' ids and years, the term codes of all of them
+    in record order (``_TermColumns``) and each record's number of codes.
+    The rules apply record by record, in order: a duplicate of an admitted
+    id, then a year outside the window, then no resolvable descriptor.
+    Unresolved terms are counted in the report whatever becomes of their
+    record.
+
+    Each block's year and mesh rules are array operations, and one sort
+    deduplicates and orders the columns of every row that passes them.
+    The duplicate rule runs once, over the ids of all records in order,
+    when the corpus is built; a row it turns away is dropped then.  Only
+    strings and ints outlive a block, so the kept rows add no objects for
+    the garbage collector to walk.
     """
 
     def __init__(
-        self, vocabulary: Vocabulary, year_range: tuple[int, int] | None, report: IngestReport
+        self, columns: _TermColumns, year_range: tuple[int, int] | None, report: IngestReport
     ) -> None:
-        self.vocabulary = vocabulary
+        self.vocabulary = columns.vocabulary
         self.year_range = year_range
         self.report = report
-        self.columns = _TermColumns(vocabulary)
-        self.seen: set[str] = set()
+        self.columns = columns
+        # every record's id and verdict; years and columns of the admissible
         self.ids: list[str] = []
+        self.verdicts = array("b")
         self.years = array("q")
         self.indptr = array("q", [0])
         self.indices = array("i")
 
-    def add(self, pub_id: str, year: int, terms: list[str]) -> None:
-        columns = self.columns
-        cols = [columns[t] for t in terms]
-        report = self.report
-        if -1 in cols:
-            for term, col in zip(terms, cols):
-                if col < 0:
-                    report.unresolved_terms[term] += 1
-        if pub_id in self.seen:
-            report.excluded_duplicate += 1
-            return
-        year_range = self.year_range
-        if year_range is not None and not (year_range[0] <= year <= year_range[1]):
-            report.excluded_year += 1
-            return
-        kept = sorted(set(cols))
-        if kept and kept[0] < 0:
-            del kept[0]
-        if not kept:
-            report.excluded_no_mesh += 1
-            return
-        self.seen.add(pub_id)
-        self.ids.append(pub_id)
-        self.years.append(year)
-        self.indices.extend(kept)
-        self.indptr.append(len(self.indices))
+    def add_block(self, ids: list[str], years: np.ndarray, codes, lengths) -> None:
+        codes = np.asarray(codes, dtype=np.int64)
+        rows = np.repeat(np.arange(len(ids)), lengths)
+        unresolved = codes < 0
+        if unresolved.any():
+            names = self.columns.unresolved
+            counts = np.bincount(-1 - codes[unresolved])
+            for k in counts.nonzero()[0].tolist():
+                self.report.unresolved_terms[names[k]] += int(counts[k])
+        verdicts = np.full(len(ids), _NO_MESH, dtype=np.int8)
+        verdicts[rows[~unresolved]] = _ADMISSIBLE
+        if self.year_range is not None:
+            lo, hi = self.year_range
+            verdicts[(years < lo) | (years > hi)] = _OUT_OF_WINDOW
+        kept = verdicts == _ADMISSIBLE
+        entries = kept[rows] & ~unresolved
+        # (kept row, column) keys: sorted, then each repeat dropped
+        width = len(self.vocabulary.column_ids)
+        keys = (np.cumsum(kept) - 1)[rows[entries]] * width + codes[entries]
+        keys.sort()
+        keys = keys[_firsts(keys)]
+        self.ids += ids
+        self.verdicts.frombytes(verdicts.tobytes())
+        self.years.frombytes(years[kept].tobytes())
+        ends = np.cumsum(np.bincount(keys // width, minlength=int(kept.sum())))
+        self.indptr.frombytes((ends + self.indptr[-1]).tobytes())
+        self.indices.frombytes((keys % width).astype(np.int32).tobytes())
 
     def corpus(self, query_label: str) -> Corpus:
-        return Corpus.from_arrays(
-            query_label, self.vocabulary, self.ids, self.years, self.indptr, self.indices
-        )
+        report = self.report
+        seen: set[str] = set()
+        admitted: list[str] = []
+        dropped: list[int] = []
+        row = 0
+        for pub_id, verdict in zip(self.ids, self.verdicts):
+            if pub_id in seen:
+                report.excluded_duplicate += 1
+                if verdict == _ADMISSIBLE:
+                    dropped.append(row)
+            elif verdict == _OUT_OF_WINDOW:
+                report.excluded_year += 1
+            elif verdict == _NO_MESH:
+                report.excluded_no_mesh += 1
+            else:
+                seen.add(pub_id)
+                admitted.append(pub_id)
+            row += verdict == _ADMISSIBLE
+        # the ids and the set go before the rows are sorted
+        del seen, self.ids
+        years = np.asarray(self.years, dtype=np.int64)
+        indptr = np.asarray(self.indptr, dtype=np.int64)
+        indices = np.asarray(self.indices, dtype=np.int32)
+        if dropped:
+            keep = np.ones(len(years), dtype=bool)
+            keep[dropped] = False
+            lengths = np.diff(indptr)[keep]
+            kept_ptr = np.zeros(len(lengths) + 1, dtype=np.int64)
+            np.cumsum(lengths, out=kept_ptr[1:])
+            indices = indices[_row_runs(indptr[:-1][keep], lengths, kept_ptr)]
+            years, indptr = years[keep], kept_ptr
+        return Corpus.from_arrays(query_label, self.vocabulary, admitted, years, indptr, indices)
 
 
 # years are kept as int64
 _YEAR_LIMIT = 2**63
+
+# records per batch that ``ingest_jsonl`` hands the sink
+_JSONL_BATCH = 1 << 10
 
 
 def ingest_jsonl(
@@ -310,11 +373,24 @@ def ingest_jsonl(
     year_range: tuple[int, int] | None = None,
     query_label: str = "",
 ) -> tuple[Corpus, IngestReport]:
-    """Ingest canonical JSONL: one ``{"id","year","mesh"}`` object per line."""
+    """Ingest canonical JSONL: one ``{"id","year","mesh"}`` object per line.
+
+    One UTF-8 byte order mark at the start of the file is skipped.
+    """
     report = IngestReport()
-    sink = _RecordSink(vocabulary, year_range, report)
-    add = sink.add
-    with open(path, encoding="utf-8") as fh:
+    sink = _RecordSink(_TermColumns(vocabulary), year_range, report)
+    code_of = sink.columns.__getitem__
+    ids: list[str] = []
+    years: list[int] = []
+    codes: list[int] = []
+    lengths: list[int] = []
+
+    def flush() -> None:
+        sink.add_block(ids, np.array(years, dtype=np.int64), codes, lengths)
+        for column in (ids, years, codes, lengths):
+            column.clear()
+
+    with open(path, encoding="utf-8-sig") as fh:
         for lineno, line in enumerate(fh, start=1):
             if line.isspace():
                 continue
@@ -335,14 +411,284 @@ def ingest_jsonl(
                 raise CorpusFormatError(
                     f"{path}: line {lineno}: bad record ({exc})"
                 ) from None
-            add(pub_id, year, terms)
+            ids.append(pub_id)
+            years.append(year)
+            codes += map(code_of, terms)
+            lengths.append(len(terms))
+            if len(ids) == _JSONL_BATCH:
+                flush()
+    flush()
     return sink.corpus(query_label or path), report
 
 
-_YEAR_RE = re.compile(r"\d{4}")
+# bytes per read of the MEDLINE reader; a block that holds no empty line
+# grows until it does.  Larger blocks parse a little faster, but their
+# arrays leave more of the heap resident once the ingest is done.
+_BLOCK_BYTES = 1 << 18
+
+# line classes, in this order: a class from _SKIP up is a field line
+_JUNK, _BLANK, _CONT, _SKIP, _PMID, _DP, _MH = range(7)
 
 # the fields a record is read from; every other field is skipped
-_READ_FIELDS = frozenset({"PMID", "DP", "MH"})
+_READ_FIELDS = {"PMID": _PMID, "DP": _DP, "MH": _MH}
+
+# ``str.isspace`` of each byte below 0x80; a byte from 0x80 up is no
+# character on its own
+_SPACE = np.zeros(256, dtype=bool)
+_SPACE[[9, 10, 11, 12, 13, 28, 29, 30, 31, 32]] = True
+
+# a byte below 0x80 that is not whitespace
+_PLAIN = ~_SPACE & (np.arange(256) < 128)
+
+_YEAR_RE = re.compile(r"\d{4}")
+
+# the code of an MH value that cleans to no term
+_NO_TERM = np.iinfo(np.int64).min
+
+
+def _classify_text(line: str) -> tuple[int, str]:
+    """The class of one decoded line, by ``str`` rules, and what it adds to
+    its field: a field's value or a continuation's stripped text."""
+    if line[4:6] == "- ":
+        return _READ_FIELDS.get(line[:4].strip(), _SKIP), line[6:]
+    if line.isspace() or not line:
+        return _BLANK, ""
+    if line.startswith("      "):
+        return _CONT, line.strip()
+    return _JUNK, ""
+
+
+class _MeshColumns(_TermColumns):
+    """``_TermColumns`` that also takes MH values cut before their first
+    ``/``: "*DNA, Viral" has the code of "DNA, Viral", the value without
+    its major-topic marker and outer spaces, or ``_NO_TERM`` when nothing
+    is left.  A value that is its own term is one entry."""
+
+    def __missing__(self, value: str) -> int:
+        term = value.lstrip("*").strip()
+        if term and term == value:
+            return super().__missing__(term)
+        code = self[term] if term else _NO_TERM
+        self[value] = code
+        return code
+
+
+def _medline_blocks(fh) -> Iterator[tuple[np.ndarray, ...]]:
+    """The lines of a binary file, a block at a time: ``(data, starts, ends,
+    heads, marks)``, line i being the bytes ``data[starts[i]:ends[i]]`` (its
+    LF, CRLF or CR left out) and ``heads[i]`` the eight bytes from its start
+    as a little-endian uint64, bytes past its end included; ``marks`` is
+    scratch space of one bool per byte of ``data``.  Every block but the
+    last ends with an empty line, so each starts a record afresh.  ``data``
+    and ``marks`` view buffers that are reused, valid until the next block
+    is asked for.
+    """
+    if fh.peek(3)[:3] == codecs.BOM_UTF8:
+        fh.read(3)
+    size = 0
+    filled = 0
+    while True:
+        if filled == size:
+            # a full buffer with no empty line (or none yet): read on into
+            # one twice the size, with eight bytes to spare for the heads
+            size = max(2 * size, _BLOCK_BYTES)
+            buf = bytearray(buf[:filled] if filled else b"") + bytes(size + 8 - filled)
+            windows = np.ndarray((size + 1,), dtype="<u8", buffer=buf, strides=(1,))
+            marks = np.empty(size, dtype=bool)
+        got = fh.readinto(memoryview(buf)[filled:size])
+        filled += got
+        final = not got
+        data = np.frombuffer(buf, dtype=np.uint8, count=filled)
+        if buf.find(b"\r", 0, filled) < 0:
+            ends = np.flatnonzero(np.equal(data, 10, out=marks[:filled]))
+            nexts = ends + 1
+        else:
+            found = np.equal(data, 10, out=marks[:filled])
+            found |= data == 13
+            found = np.flatnonzero(found)
+            crlf = (data[found] == 13) & (data[np.minimum(found + 1, filled - 1)] == 10)
+            crlf &= found + 1 < filled
+            # the LF of a CRLF ends no line of its own; a CRLF split by the
+            # end of the buffer reads as a CR and an empty line, which
+            # changes nothing, as a block ends with an empty line anyway
+            lone = np.ones(len(found), dtype=bool)
+            lone[1:] = ~crlf[:-1]
+            ends = found[lone]
+            nexts = ends + 1 + crlf[lone]
+        starts = np.zeros(len(ends), dtype=np.int64)
+        starts[1:] = nexts[:-1]
+        if final:
+            tail = int(nexts[-1]) if len(nexts) else 0
+            if tail < filled:
+                starts = np.append(starts, tail)
+                ends = np.append(ends, filled)
+            yield data, starts, ends, windows[starts], marks[:filled]
+            return
+        empty = np.flatnonzero(starts == ends)
+        if not len(empty):
+            continue
+        last = int(empty[-1]) + 1
+        yield data, starts[:last], ends[:last], windows[starts[:last]], marks[:filled]
+        cut = int(nexts[last - 1])
+        buf[: filled - cut] = buf[cut:filled]
+        filled -= cut
+
+
+def _medline_block(data, starts, ends, heads, marks, sink: _RecordSink) -> None:
+    """Hand the records of one block of lines to the sink.
+
+    Field lines, six-space continuations and empty lines are told apart
+    by their first eight bytes; the other lines by each of their first
+    seven bytes, and the few whose class depends on ``str`` rules (a byte
+    from 0x80 up among the first six, or seven whitespace bytes and more to
+    come) are decoded and classified by ``_classify_text``.  Records, their
+    first ``PMID``, their ``DP`` fields and continuation joins then follow
+    from line positions, and only the values of read fields are decoded.
+    """
+    n = ends - starts
+    # bytes 0-3 and bytes 4-7 of each line
+    quads = heads.view("<u4")
+    low, high = quads[0::2], quads[1::2]
+    field = (n >= 6) & ((low & 0x80808080) == 0) & ((high & 0xFFFF) == 0x202D)
+    cont = (n >= 7) & (low == 0x20202020) & ((high & 0xFFFF) == 0x2020)
+    cont &= _PLAIN[(high >> 16) & 0xFF]
+    classes = np.zeros(len(n), dtype=np.int8)
+    classes[n == 0] = _BLANK
+    classes[cont] = _CONT
+
+    by_text = np.zeros(len(n), dtype=bool)
+    other = (~(field | cont) & (n > 0)).nonzero()[0]
+    if len(other):
+        head = heads[other]
+        size = n[other]
+        byte = [(head >> (8 * k)) & 0xFF for k in range(7)]
+        ascii6 = np.ones(len(other), dtype=bool)
+        space6 = ascii6.copy()
+        for k in range(6):
+            absent = size <= k
+            ascii6 &= (byte[k] < 128) | absent
+            space6 &= _SPACE[byte[k]] | absent
+        # whitespace up to the seventh byte, or to the end of a shorter line
+        space6 &= ascii6
+        b6 = byte[6]
+        classes[other[space6 & ((size <= 6) | ((size == 7) & _SPACE[b6]))]] = _BLANK
+        by_text[other[~ascii6 | (space6 & (size >= 7) & ((b6 >= 128) | (_SPACE[b6] & (size > 7))))]] = True
+
+    field_lines = field.nonzero()[0]
+    if len(field_lines):
+        tags = low[field_lines]
+        distinct = np.sort(tags)
+        distinct = distinct[_firsts(distinct)]
+        kinds = np.array(
+            [_READ_FIELDS.get(tag.to_bytes(4, "little").decode("ascii").strip(), _SKIP)
+             for tag in distinct.tolist()],
+            dtype=np.int8,
+        )
+        classes[field_lines] = kinds[np.searchsorted(distinct, tags)]
+
+    def decoded(lo: int, hi: int) -> str:
+        return data[lo:hi].tobytes().decode("utf-8", "replace")
+
+    texts = {}
+    for i in by_text.nonzero()[0].tolist():
+        classes[i], texts[i] = _classify_text(decoded(int(starts[i]), int(ends[i])))
+
+    fields = (classes >= _SKIP).nonzero()[0]
+    if not len(fields):
+        return
+    # a record is the field lines between two blank lines
+    blanks = (classes == _BLANK).nonzero()[0]
+    field_segment = np.searchsorted(blanks, fields)
+    record = np.cumsum(_firsts(field_segment)) - 1
+    n_records = int(record[-1]) + 1
+    field_class = classes[fields]
+
+    # a continuation line adds to the last field before it in its record,
+    # when that field is read
+    conts = (classes == _CONT).nonzero()[0]
+    owner = np.searchsorted(fields, conts) - 1
+    known = np.maximum(owner, 0)
+    joined = (owner >= 0) & (field_segment[known] == np.searchsorted(blanks, conts))
+    joined &= field_class[known] >= _PMID
+    conts, owner = conts[joined], owner[joined]
+    continued = np.zeros(len(fields), dtype=bool)
+    continued[owner] = True
+
+    # the values read: each record's first PMID, then every DP, then every
+    # MH up to its first "/" and without its leading "*"s
+    pmids = (field_class == _PMID).nonzero()[0]
+    pmids = pmids[_firsts(record[pmids])]
+    dps = (field_class == _DP).nonzero()[0]
+    mesh = (field_class == _MH).nonzero()[0]
+    read = np.concatenate((pmids, dps, mesh))
+    first_mesh = len(pmids) + len(dps)
+    lines = fields[read]
+    lo = starts[lines] + 6
+    hi = ends[lines]
+    mesh_lo, mesh_hi = lo[first_mesh:], hi[first_mesh:]
+    slashes = np.equal(data, 47, out=marks).nonzero()[0]
+    slash = np.append(slashes, len(data))[np.searchsorted(slashes, mesh_lo)]
+    np.minimum(mesh_hi, slash, out=mesh_hi)
+    while True:
+        star = (mesh_lo < mesh_hi) & (data[np.minimum(mesh_lo, len(data) - 1)] == 42)
+        if not star.any():
+            break
+        mesh_lo += star
+    # values on one line of their own are gathered with an LF after each
+    # and decoded at once
+    slow = by_text[lines] | continued[read]
+    lo, hi = lo[~slow], hi[~slow]
+    spans = hi - lo + 1
+    offsets = np.zeros(len(spans) + 1, dtype=np.int64)
+    np.cumsum(spans, out=offsets[1:])
+    gather = _row_runs(lo, spans, offsets)
+    np.minimum(gather, len(data) - 1, out=gather)
+    text = data[gather]
+    text[offsets[1:] - 1] = 10
+    values = text.tobytes().decode("utf-8", "replace").split("\n")
+    del values[-1]
+    if slow.any():
+        pieces: dict[int, list[str]] = {}
+        for line, field_pos in zip(conts.tolist(), owner.tolist()):
+            piece = texts[line] if line in texts else decoded(
+                int(starts[line]), int(ends[line])).strip()
+            pieces.setdefault(field_pos, []).append(piece)
+        fast_values, values = values, [""] * len(read)
+        for pos, value in zip((~slow).nonzero()[0].tolist(), fast_values):
+            values[pos] = value
+        for pos in slow.nonzero()[0].tolist():
+            line = int(lines[pos])
+            value = texts[line] if line in texts else decoded(int(starts[line]) + 6,
+                                                              int(ends[line]))
+            value = " ".join([value, *pieces.get(int(read[pos]), ())])
+            values[pos] = value.split("/", 1)[0].lstrip("*") if pos >= first_mesh else value
+
+    # a record's id is its first PMID, its year the first DP that holds one
+    ids: list[str | None] = [None] * n_records
+    for r, value in zip(record[pmids].tolist(), values[: len(pmids)]):
+        ids[r] = value.strip()
+    years: list[int | None] = [None] * n_records
+    search_year = _YEAR_RE.search
+    for r, value in zip(record[dps].tolist(), values[len(pmids):first_mesh]):
+        if years[r] is None:
+            m = search_year(value)
+            if m:
+                years[r] = int(m.group())
+    valid = [r for r in range(n_records) if ids[r] and years[r] is not None]
+    sink.report.skipped_malformed += n_records - len(valid)
+
+    codes = np.fromiter(map(sink.columns.__getitem__, values[first_mesh:]), dtype=np.int64,
+                        count=len(mesh))
+    row = np.full(n_records, -1)
+    row[valid] = np.arange(len(valid))
+    mesh_row = row[record[mesh]]
+    kept = (mesh_row >= 0) & (codes != _NO_TERM)
+    sink.add_block(
+        [ids[r] for r in valid],
+        np.array([years[r] for r in valid], dtype=np.int64),
+        codes[kept],
+        np.bincount(mesh_row[kept], minlength=len(valid)),
+    )
 
 
 def ingest_medline_text(
@@ -357,66 +703,19 @@ def ingest_medline_text(
     continuation lines indented with six spaces, and any other line is
     ignored.  The first ``PMID`` field and the first ``DP`` field with a
     four-digit year give the record's id and year; records missing either
-    are skipped and counted.
+    are skipped and counted.  Lines end with LF, CRLF or CR; bytes that
+    are not UTF-8 read as U+FFFD, and one byte order mark at the start of
+    the file is skipped.
+
+    The file is read in blocks of about ``_BLOCK_BYTES``, each cut just
+    after an empty line, and each block is parsed with array operations.
     """
     report = IngestReport()
-    sink = _RecordSink(vocabulary, year_range, report)
-    add = sink.add
-    search_year = _YEAR_RE.search
-
-    # the record read so far, and its last field: ``tag`` is None before the
-    # first field, "" for a field that is skipped; ``value`` is kept for the
-    # three fields that are read, continuation lines included
-    pub_id: str | None = None
-    year: int | None = None
-    terms: list[str] = []
-    tag: str | None = None
-    value = ""
-
-    with open(path, encoding="utf-8", errors="replace") as fh:
-        # a blank line after the last one ends the last record
-        for line in chain(fh, ("\n",)):
-            if line[4:6] == "- ":
-                # a field line: it holds "-", so it is neither blank nor a
-                # continuation
-                field = line[:4].strip()
-                if field not in _READ_FIELDS:
-                    field = ""
-                blank = False
-            elif line.isspace():
-                if tag is None:
-                    continue
-                blank = True
-            else:
-                if tag and line.startswith("      "):
-                    value = value.rstrip("\n") + " " + line.strip()
-                continue
-            # a new field or the end of the record: the last field is complete
-            if tag:
-                if tag == "MH":
-                    # "*DNA, Viral/analysis" -> "DNA, Viral": drop the major-topic
-                    # marker and everything after the first qualifier slash
-                    cleaned = value.lstrip("*").split("/", 1)[0].strip()
-                    if cleaned:
-                        terms.append(cleaned)
-                elif tag == "PMID":
-                    if pub_id is None:
-                        pub_id = value.strip()
-                elif year is None:  # a DP field
-                    m = search_year(value)
-                    if m:
-                        year = int(m.group())
-            if blank:
-                if not pub_id or year is None:
-                    report.skipped_malformed += 1
-                else:
-                    add(pub_id, year, terms)
-                pub_id, year, terms, tag = None, None, [], None
-            else:
-                tag = field
-                if field:
-                    value = line[6:]  # its newline goes when it is read
-
+    sink = _RecordSink(_MeshColumns(vocabulary), year_range, report)
+    with open(path, "rb") as fh:
+        for data, starts, ends, heads, marks in _medline_blocks(fh):
+            if len(starts):
+                _medline_block(data, starts, ends, heads, marks, sink)
     return sink.corpus(query_label or path), report
 
 

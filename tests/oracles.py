@@ -14,7 +14,8 @@ midranks.
 The object parsers at the end are the record-by-record ingestion the
 array parsers replaced: each record becomes a ``Publication`` and the
 rules run on those objects.  They use only the package's record and
-report types and the vocabulary's lookups.  Likewise the synthetic
+report types and the vocabulary's lookups; like the package, they skip
+one UTF-8 byte order mark at the start of a file.  Likewise the synthetic
 corpus reference builds one ``Publication`` per row and draws each
 row's descriptor picks with its own ``rng.choice`` call, and the
 canonical writer reference hands each row to ``json.JSONEncoder``.
@@ -278,7 +279,7 @@ def ingest_jsonl_objects(path, vocabulary, year_range=None):
     report = IngestReport()
     out = []
     seen = set()
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
@@ -344,7 +345,7 @@ def ingest_medline_objects(path, vocabulary, year_range=None):
         _admit(pub_id, year, mesh_ids, year_range, seen, out, report)
 
     fields = []
-    with open(path, encoding="utf-8", errors="replace") as fh:
+    with open(path, encoding="utf-8-sig", errors="replace") as fh:
         for line in fh:
             line = line.rstrip("\r\n")
             if not line.strip():

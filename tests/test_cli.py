@@ -1,3 +1,4 @@
+import codecs
 import csv
 import json
 import os
@@ -163,6 +164,28 @@ def test_every_command_records_ingest_diagnostics(synth_dir, tmp_path):
         manifest = json.loads((tmp_path / command / "manifest.json").read_text())
         assert manifest["diagnostics"]["ingest"] == expected
         assert manifest["vocabulary_sha256"] == manifest["inputs"][0]["sha256"]
+
+
+def test_manifest_records_stage_times(synth_dir, tmp_path):
+    io = ["--corpus", synth_dir / "corpus.jsonl", "--mesh", synth_dir / "mesh.tsv"]
+    assert run(["stats", *io, "--out", tmp_path / "stats"]) == 0
+    manifest = json.loads((tmp_path / "stats" / "manifest.json").read_text())
+    stages = manifest["stages"]
+    assert set(stages) == {"vocabulary_s", "ingest_s", "command_s", "peak_rss_mb"}
+    assert 0 < stages["vocabulary_s"] + stages["ingest_s"] < stages["command_s"]
+    assert stages["peak_rss_mb"] > 1
+    assert "stages" not in manifest["diagnostics"]
+    synth = json.loads((synth_dir / "manifest.json").read_text())["stages"]
+    assert set(synth) == {"command_s", "peak_rss_mb"}
+
+
+def test_ingest_detects_jsonl_after_a_byte_order_mark(synth_dir, tmp_path):
+    corpus = tmp_path / "bom.jsonl"
+    corpus.write_bytes(codecs.BOM_UTF8 + (synth_dir / "corpus.jsonl").read_bytes())
+    out = tmp_path / "out"
+    assert run(["ingest", "--corpus", corpus, "--mesh", synth_dir / "mesh.tsv",
+                "--out", out]) == 0
+    assert (out / "corpus.jsonl").read_bytes() == (synth_dir / "corpus.jsonl").read_bytes()
 
 
 def test_stats_command(synth_dir, tmp_path):

@@ -1,24 +1,27 @@
 """The array parsers against the object parsers they replaced.
 
-``ingest_jsonl`` and ``ingest_medline_text`` stream records into flat
-arrays; ``oracles.ingest_jsonl_objects`` and
+``ingest_jsonl`` hands records to the sink in batches and
+``ingest_medline_text`` parses the file in blocks cut after empty
+lines; ``oracles.ingest_jsonl_objects`` and
 ``oracles.ingest_medline_objects`` build one ``Publication`` per record
 and apply the rules to those.  Generated inputs must give equal rows,
 equal reports and equal canonical bytes, with and without a year
-window.  Named MEDLINE fixtures pin the parser's edge cases.  The
-canonical writer must give the bytes of ``json.JSONEncoder``
-(``oracles.canonical_lines_encoder``) for any id text and year, and its
-output must ingest back to the same corpus.
+window, at any batch or block size.  Named MEDLINE fixtures pin the
+parser's edge cases.  The canonical writer must give the bytes of
+``json.JSONEncoder`` (``oracles.canonical_lines_encoder``) for any id
+text and year, and its output must ingest back to the same corpus.
 """
 
 import gc
 import json
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helixmi import corpus as corpus_module
 from helixmi.corpus import (
     Corpus,
     CorpusFormatError,
@@ -54,6 +57,18 @@ VOCAB = make_vocab(
 examples = settings(max_examples=150, deadline=None)
 
 year_windows = st.none() | st.tuples(st.integers(1998, 2001), st.integers(1999, 2002))
+
+BOM = "\ufeff".encode("utf-8")
+
+
+@contextmanager
+def with_size(name, size):
+    """``helixmi.corpus.<name>`` (a batch or block size) set to ``size``
+    inside the block; None keeps the default."""
+    with pytest.MonkeyPatch.context() as mp:
+        if size is not None:
+            mp.setattr(corpus_module, name, size)
+        yield
 
 
 def assert_same_ingest(corpus, report, publications, expected_report):
@@ -107,19 +122,55 @@ def jsonl_files(draw):
 
 
 @examples
-@given(jsonl_files(), year_windows)
-def test_jsonl_matches_object_parser(tmp_path_factory, text, year_range):
+@given(jsonl_files(), year_windows, st.sampled_from([1, 3, None]))
+def test_jsonl_matches_object_parser(tmp_path_factory, text, year_range, batch):
     path = tmp_path_factory.mktemp("jsonl") / "c.jsonl"
     path.write_bytes(text.encode("utf-8"))
-    try:
-        expected = ingest_jsonl_objects(str(path), VOCAB, year_range)
-    except CorpusFormatError as exc:
-        with pytest.raises(CorpusFormatError) as raised:
-            ingest_jsonl(str(path), VOCAB, year_range)
-        assert str(raised.value) == str(exc)
-        return
-    corpus, report = ingest_jsonl(str(path), VOCAB, year_range)
+    with with_size("_JSONL_BATCH", batch):
+        try:
+            expected = ingest_jsonl_objects(str(path), VOCAB, year_range)
+        except CorpusFormatError as exc:
+            with pytest.raises(CorpusFormatError) as raised:
+                ingest_jsonl(str(path), VOCAB, year_range)
+            assert str(raised.value) == str(exc)
+            return
+        corpus, report = ingest_jsonl(str(path), VOCAB, year_range)
     assert_same_ingest(corpus, report, *expected)
+
+
+@pytest.mark.parametrize("batch", [1, 3])
+def test_jsonl_rules_span_batches(tmp_path, batch):
+    # "1" is first excluded for its year, then admitted, then a duplicate;
+    # the unresolved terms of excluded records land in other batches
+    records = [
+        {"id": "1", "year": 1990, "mesh": ["C1", "Nowhere"]},
+        {"id": "2", "year": 2000, "mesh": ["Nowhere"]},
+        {"id": "1", "year": 2000, "mesh": ["D1"]},
+        {"id": "3", "year": 2001, "mesh": ["E1", "Nowhere"]},
+        {"id": "1", "year": 2001, "mesh": ["E1", "Elsewhere"]},
+    ]
+    path = tmp_path / "c.jsonl"
+    path.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
+    with with_size("_JSONL_BATCH", batch):
+        corpus, report = ingest_jsonl(str(path), VOCAB, (1995, 2005))
+    assert [(p.id, p.year, p.mesh_ids) for p in corpus.publications] == [
+        ("1", 2000, ("D1",)), ("3", 2001, ("E1",))]
+    assert report.to_json_dict() == {
+        "excluded_no_mesh": 1, "excluded_year": 1, "excluded_duplicate": 1,
+        "skipped_malformed": 0,
+        "unresolved_terms": [{"name": "Nowhere", "count": 3},
+                             {"name": "Elsewhere", "count": 1}],
+    }
+
+
+def test_jsonl_byte_order_mark_is_skipped(tmp_path):
+    path = tmp_path / "c.jsonl"
+    path.write_bytes(BOM + b'{"id": "1", "year": 2000, "mesh": ["C1"]}\n'
+                     b'{"id": "2", "year": 2001, "mesh": ["D1"]}\n')
+    corpus, report = ingest_jsonl(str(path), VOCAB)
+    assert [(p.id, p.year, p.mesh_ids) for p in corpus.publications] == [
+        ("1", 2000, ("C1",)), ("2", 2001, ("D1",))]
+    assert report.summary() == IngestReport().summary()
 
 
 def test_jsonl_year_beyond_int64_is_a_format_error(tmp_path):
@@ -154,11 +205,17 @@ field_lines = st.one_of(
     st.builds("MH  - {}".format, mesh_values),
     st.sampled_from(["AB  - An abstract.", "TI  - A title", "OWN - NLM", " MH - Term D1",
                      "MH  -", "PMID-7"]),
+    # classes that only str rules decide: a read field whose value starts
+    # at byte 7, a skipped field with a non-ASCII tag, a tab-indented tag
+    st.sampled_from(["MH\u00a0 - Term C1", "\u00e9H  - Term C1", "\tMH - Term D1"]),
 )
 
 other_lines = st.sampled_from(
     ["      C1", "      continued text", "      ", "junk", "MH-Term C1", "   indented",
-     "\t", "\u00a0", " \t\u00a0", "", "\x1c", "Term \udcff"]
+     "\t", "\u00a0", " \t\u00a0", "", "\x1c", "Term \udcff",
+     # whitespace to the seventh byte and past it, and six spaces before a
+     # byte that is whitespace or not ASCII
+     "       ", "      \t  ", "      \u00a0", "      \tC1", "      \u00e9t\u00e9"]
 )
 
 
@@ -182,13 +239,17 @@ def medline_files(draw):
     return text.encode("utf-8", errors="surrogateescape")
 
 
+BLOCK_SIZES = [1, 2, 3, 7, 64, None]
+
+
 @examples
-@given(medline_files(), year_windows)
-def test_medline_matches_object_parser(tmp_path_factory, data, year_range):
+@given(medline_files(), year_windows, st.sampled_from(BLOCK_SIZES))
+def test_medline_matches_object_parser(tmp_path_factory, data, year_range, block):
     path = tmp_path_factory.mktemp("medline") / "m.txt"
     path.write_bytes(data)
     expected = ingest_medline_objects(str(path), VOCAB, year_range)
-    corpus, report = ingest_medline_text(str(path), VOCAB, year_range)
+    with with_size("_BLOCK_BYTES", block):
+        corpus, report = ingest_medline_text(str(path), VOCAB, year_range)
     assert_same_ingest(corpus, report, *expected)
 
 
@@ -244,20 +305,51 @@ MEDLINE_FIXTURES = {
         b"DP  - 2000\nMH  - Term C1\n\nPMID- 2\nDP  - 2001\nMH  - Term D1\n",
         [("2", 2001, ("D1",))], {"skipped_malformed": 1},
     ),
+    "crlf_last_line_unterminated": (
+        b"PMID- 1\r\nDP  - 2000\r\nMH  - Term C1\r\n\r\n"
+        b"PMID- 2\r\nDP  - 2001\r\nMH  - *Term D1/blood",
+        [("1", 2000, ("C1",)), ("2", 2001, ("D1",))], {},
+    ),
+    "no_empty_line": (
+        b"PMID- 1\nDP  - 2000\nMH  - Term C1\n \nPMID- 2\nDP  - 2001\nMH  - Term D1\n"
+        b"\t\nPMID- 3\nDP  - 2002\nMH  - Term E1\n",
+        [("1", 2000, ("C1",)), ("2", 2001, ("D1",)), ("3", 2002, ("E1",))], {},
+    ),
+    # the first four lines take 9 + 12 + 15 + 27 bytes, so the empty line's
+    # CR is byte 63 and a 64-byte block ends between it and its LF
+    "block_cut_between_cr_and_lf": (
+        b"PMID- 1\r\nDP  - 2000\r\nMH  - Term C1\r\nAB  - nineteen bytes long\r\n\r\n"
+        b"PMID- 2\r\nDP  - 2001\r\nMH  - Term D1\r\n",
+        [("1", 2000, ("C1",)), ("2", 2001, ("D1",))], {},
+    ),
+    "utf8_byte_order_mark": (
+        BOM + b"PMID- 1\nDP  - 2000\nMH  - Term C1\n\nPMID- 2\nDP  - 2001\nMH  - Term D1\n",
+        [("1", 2000, ("C1",)), ("2", 2001, ("D1",))], {},
+    ),
 }
 
 
-@pytest.mark.parametrize("name", sorted(MEDLINE_FIXTURES))
-def test_medline_fixture(tmp_path, name):
+def check_fixture(path, name, block=None):
     data, rows, report_fields = MEDLINE_FIXTURES[name]
-    path = tmp_path / "m.txt"
     path.write_bytes(data)
-    corpus, report = ingest_medline_text(str(path), VOCAB)
+    with with_size("_BLOCK_BYTES", block):
+        corpus, report = ingest_medline_text(str(path), VOCAB)
     assert [(p.id, p.year, p.mesh_ids) for p in corpus.publications] == rows
     expected = {"excluded_no_mesh": 0, "excluded_year": 0, "excluded_duplicate": 0,
                 "skipped_malformed": 0, "unresolved_terms": []}
     expected.update(report_fields)
     assert report.to_json_dict() == expected
+
+
+@pytest.mark.parametrize("name", sorted(MEDLINE_FIXTURES))
+def test_medline_fixture(tmp_path, name):
+    check_fixture(tmp_path / "m.txt", name)
+
+
+@pytest.mark.parametrize("block", [1, 64])
+@pytest.mark.parametrize("name", sorted(MEDLINE_FIXTURES))
+def test_medline_fixture_in_small_blocks(tmp_path, name, block):
+    check_fixture(tmp_path / "m.txt", name, block)
 
 
 # ---------------------------------------------------------------------------
