@@ -323,6 +323,8 @@ def _cmd_null(args, out_dir: Path, manifest: RunManifest) -> int:
             "corpus_hash": corpus_hash,
         },
     )
+    manifest.stages["null_s"] = band.replicate_s
+    manifest.stages["null_workers"] = band.workers
     manifest.diagnostics["null"] = {
         "undefined_replicates": {str(r.year): r.undefined_replicates for r in band.rows},
         "dropped_years": band.dropped_years,
@@ -479,7 +481,8 @@ def build_parser() -> _Parser:
     sub.add_argument("--ci", type=float, default=0.90)
     sub.add_argument("--seed", type=int, default=0)
     sub.add_argument("--threads", type=_positive_int_arg, default=None,
-                     help="accepted and ignored; the replicates run in one thread")
+                     help="accepted and ignored; the replicates run in one process "
+                          "per usable core")
 
     sub = commands.add_parser("scaling", help="rank-frequency and vocabulary-growth fits")
     _add_io_options(sub)
@@ -530,7 +533,9 @@ _COMMANDS = {
 
 
 def _peak_rss_mb() -> float:
-    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    """The largest resident set of this process and of its finished workers."""
+    peak = max(resource.getrusage(who).ru_maxrss
+               for who in (resource.RUSAGE_SELF, resource.RUSAGE_CHILDREN))
     # kilobytes on Linux, bytes on macOS
     return peak / 2**20 if sys.platform == "darwin" else peak / 2**10
 

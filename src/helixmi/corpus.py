@@ -396,7 +396,7 @@ def ingest_jsonl(
                 continue
             try:
                 obj = json.loads(line)
-            except json.JSONDecodeError as exc:
+            except ValueError as exc:  # JSONDecodeError, or an integer too long to convert
                 raise CorpusFormatError(f"{path}: line {lineno}: {exc}") from None
             try:
                 pub_id = str(obj["id"])

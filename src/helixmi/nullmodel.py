@@ -13,15 +13,22 @@ cheaper.
 
 Replicate r draws its generator from (seed, r) alone, so results are
 independent of execution order, and extending the replicate count never
-changes earlier replicates.  The replicates run year by year in one
-process: every generator shuffles the years in ascending order, and the
-shuffles of one year are evaluated together, in blocks of replicates,
-by one stacked histogram and one entropy pass.
+changes earlier replicates.  The replicates are therefore split into one
+contiguous range per usable core (``taskset`` limits the cores): the
+calling process evaluates the first range and a forked worker each of
+the others, and the ranges are joined in replicate order, so the values
+do not depend on the number of processes.  Within a range every
+generator shuffles the years in ascending order.  Each year's label pool
+is built once; the shuffles of one year are dealt together, in blocks of
+replicates, by one ``np.add.at`` and evaluated by one stacked histogram
+and one entropy pass.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import time
 from dataclasses import dataclass, field
 from typing import Mapping
 
@@ -33,8 +40,10 @@ from .errors import DataError
 from .infotheory import TARGETS, mi_from_triples, stacked_targets
 
 # A block of one year's replicates holds at most this many labels (or
-# publications, if the year has more), which bounds its stacked counts.
-BLOCK_LABELS = 1 << 19
+# publications, if the year has more), which bounds its label and count
+# buffers.  Blocks of 1 << 19 ran no faster, and with the label buffer
+# they raised the null command's peak RSS by about 5 MB.
+BLOCK_LABELS = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -74,6 +83,8 @@ class NullBand:
     rows: list[YearBand] = field(default_factory=list)
     # input years with no vector to evaluate in the observed series
     dropped_years: list[int] = field(default_factory=list)
+    workers: int = 1  # processes that evaluated the replicates
+    replicate_s: float = 0.0  # wall seconds of the replicate evaluation
 
 
 def replicate_rng(seed: int, replicate: int) -> np.random.Generator:
@@ -81,16 +92,35 @@ def replicate_rng(seed: int, replicate: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([seed, replicate]))
 
 
-def shuffle_year(triples: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """Randomize one year's (n, 3) branch counts under both constraints."""
-    n = len(triples)
+def _label_pool(triples: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """One year's branch labels in branch order, and the first cell (3 x
+    row) of the publication each position of the pool is dealt to."""
     # column by column: numpy's sums along an axis of length 3 are slow
     c, d, e = triples.T
     pool = np.repeat(np.arange(3), [c.sum(), d.sum(), e.sum()])
+    cells = np.repeat(np.arange(0, 3 * len(triples), 3), c + d + e)
+    return pool, cells
+
+
+def _deal(labels: np.ndarray, cells: np.ndarray, counts: np.ndarray) -> None:
+    """Deal B shuffled pools, the rows of ``labels``, in runs to the
+    publications: ``counts`` (B, n, 3) receives each pool's branch counts.
+    ``labels`` is overwritten with the cell codes."""
+    labels += cells
+    labels += counts[0].size * np.arange(len(labels))[:, None]
+    counts.fill(0)
+    # counted in place: a bincount would allocate its result anew for every
+    # block (see the buffers in replicate_slice)
+    np.add.at(counts.reshape(-1), labels.reshape(-1), 1)
+
+
+def shuffle_year(triples: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """Randomize one year's (n, 3) branch counts under both constraints."""
+    pool, cells = _label_pool(triples)
     rng.shuffle(pool)
-    owner = np.repeat(np.arange(n), c + d + e)
-    out = np.bincount(owner * 3 + pool, minlength=3 * n).reshape(n, 3)
-    return out.astype(triples.dtype, copy=False)
+    counts = np.empty((1, *triples.shape), dtype=triples.dtype)
+    _deal(pool[None], cells, counts)
+    return counts[0]
 
 
 def percentile(sorted_values, p: float) -> float:
@@ -102,44 +132,122 @@ def percentile(sorted_values, p: float) -> float:
     return sorted_values[k - 1]
 
 
+def usable_cores() -> int:
+    """The number of cores this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def worker_count(replicates: int) -> int:
+    """Processes that evaluate ``replicates``: one per usable core, at most
+    one per replicate, and one where processes cannot be forked."""
+    workers = min(usable_cores(), replicates)
+    if workers > 1:
+        import multiprocessing
+
+        if "fork" not in multiprocessing.get_all_start_methods():
+            return 1
+    return workers
+
+
 def replicate_values(
     triples_per_year: Mapping[int, np.ndarray],
     config: ShuffleConfig,
     medians: BranchStats | None,
     years: list[int],
+    workers: int | None = None,
 ) -> np.ndarray:
     """Every target of every replicate in each of ``years``, as a NaN-filled
     (4, replicates, len(years)) array in :data:`TARGETS` order; NaN where
-    a replicate leaves the year with no vector to evaluate."""
-    rngs = [replicate_rng(config.seed, r) for r in range(config.replicates)]
+    a replicate leaves the year with no vector to evaluate.
+
+    The replicates are split into ``workers`` contiguous ranges (by default
+    :func:`worker_count`); this process evaluates the first and a forked
+    worker each other one.  The result does not depend on ``workers``.
+    """
+    if workers is None:
+        workers = worker_count(config.replicates)
+    inputs = (triples_per_year, config, medians, years)
+    if workers == 1:
+        return replicate_slice(*inputs, 0, config.replicates)
+    bounds = [config.replicates * k // workers for k in range(workers + 1)]
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    # Forked workers inherit the inputs instead of unpickling a copy, and
+    # the executor forks them all at the first submit, before it starts
+    # any thread of its own.
+    with ProcessPoolExecutor(workers - 1, mp_context=multiprocessing.get_context("fork"),
+                             initializer=_inherit_inputs, initargs=inputs) as pool:
+        slices = [pool.submit(_worker_slice, start, stop)
+                  for start, stop in zip(bounds[1:-1], bounds[2:])]
+        first = replicate_slice(*inputs, 0, bounds[1])
+        return np.concatenate([first] + [s.result() for s in slices], axis=1)
+
+
+# a worker's copy of the arguments of replicate_values; set only in workers
+_worker_inputs: tuple = ()
+
+
+def _inherit_inputs(*inputs) -> None:
+    global _worker_inputs
+    _worker_inputs = inputs
+
+
+def _worker_slice(start: int, stop: int) -> np.ndarray:
+    return replicate_slice(*_worker_inputs, start, stop)
+
+
+def replicate_slice(
+    triples_per_year: Mapping[int, np.ndarray],
+    config: ShuffleConfig,
+    medians: BranchStats | None,
+    years: list[int],
+    start: int,
+    stop: int,
+) -> np.ndarray:
+    """Replicates [start, stop) of :func:`replicate_values`, as a
+    (4, stop - start, len(years)) array, all in this process."""
+    rngs = [replicate_rng(config.seed, r) for r in range(start, stop)]
     column = {year: i for i, year in enumerate(years)}
-    values = np.full((len(TARGETS), config.replicates, len(years)), np.nan)
+    values = np.full((len(TARGETS), len(rngs), len(years)), np.nan)
+    sizes = {year: int(triples.sum()) for year, triples in triples_per_year.items()}
     steps = {
-        year: min(config.replicates,
-                  max(1, BLOCK_LABELS // max(int(triples.sum()), len(triples), 1)))
+        year: max(1, min(len(rngs), BLOCK_LABELS // max(sizes[year], len(triples), 1)))
         for year, triples in triples_per_year.items()
     }
-    # Every block is a view of one buffer, sized for the largest.  Blocks of
-    # varying sizes, freed and allocated again year after year, leave the
-    # allocator keeping heap in a pattern that depends on the process's
-    # memory layout, and peak RSS then differs from one run to the next.
-    buffer = np.empty(
-        max((steps[year] * t.size for year, t in triples_per_year.items()), default=0),
+    # Every block's labels and counts are views of two buffers, sized for
+    # the largest block.  Blocks of varying sizes, freed and allocated again
+    # year after year, leave the allocator keeping heap in a pattern that
+    # depends on the process's memory layout, and peak RSS then differs
+    # from run to run.
+    label_buffer = np.empty(max((steps[y] * sizes[y] for y in sizes), default=0),
+                            dtype=np.int64)
+    count_buffer = np.empty(
+        max((steps[y] * t.size for y, t in triples_per_year.items()), default=0),
         dtype=np.int64,
     )
     for year in sorted(triples_per_year):
         triples = triples_per_year[year]
+        pool, cells = _label_pool(triples)
         step = steps[year]
-        for lo in range(0, config.replicates, step):
+        for lo in range(0, len(rngs), step):
             batch = rngs[lo:lo + step]
-            block = buffer[:len(batch) * triples.size].reshape(len(batch), *triples.shape)
-            # every year is shuffled, evaluated or not, to keep each stream
-            for i, rng in enumerate(batch):
-                block[i] = shuffle_year(triples, rng)
+            labels = label_buffer[:len(batch) * pool.size].reshape(len(batch), pool.size)
+            labels[:] = pool
+            # every year is shuffled, evaluated or not, to keep each stream;
+            # a permutation depends only on the pool's length
+            for row, rng in zip(labels, batch):
+                rng.shuffle(row)
             if year in column:
-                vectors = apply_count_map(block.reshape(-1, 3), config.map_kind, medians)
-                values[:, lo:lo + len(block), column[year]] = stacked_targets(
-                    vectors.reshape(block.shape), config.include_empty
+                counts = count_buffer[:len(batch) * triples.size].reshape(
+                    len(batch), *triples.shape)
+                _deal(labels, cells, counts)
+                vectors = apply_count_map(counts.reshape(-1, 3), config.map_kind, medians)
+                values[:, lo:lo + len(batch), column[year]] = stacked_targets(
+                    vectors.reshape(counts.shape), config.include_empty
                 )
     return values
 
@@ -164,7 +272,11 @@ def null_band_from_triples(
         include_empty=config.include_empty,
     )
     years = observed.years()
-    values = replicate_values(triples_per_year, config, medians, years)[TARGETS.index(target)]
+    workers = worker_count(config.replicates)
+    start = time.perf_counter()
+    values = replicate_values(triples_per_year, config, medians, years, workers)[
+        TARGETS.index(target)]
+    replicate_s = time.perf_counter() - start
 
     p_lo = (1.0 - config.ci_level) / 2.0
     p_hi = 1.0 - p_lo
@@ -175,6 +287,8 @@ def null_band_from_triples(
         ci_level=config.ci_level,
         seed=config.seed,
         dropped_years=sorted(set(triples_per_year) - set(years)),
+        workers=workers,
+        replicate_s=replicate_s,
     )
     for i, record in enumerate(observed.records):
         column = np.sort(values[:, i])

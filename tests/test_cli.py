@@ -4,10 +4,11 @@ import json
 import os
 import subprocess
 import sys
+from types import SimpleNamespace
 
 import pytest
 
-from helixmi import cli
+from helixmi import cli, nullmodel
 from helixmi.cli import main
 
 
@@ -49,6 +50,15 @@ def test_data_errors_exit_two(tmp_path, capsys):
     )
     assert code == 2
     assert "error" in capsys.readouterr().err
+
+
+def test_jsonl_integer_too_long_to_convert_exits_two(synth_dir, tmp_path, capsys):
+    corpus = tmp_path / "long.jsonl"
+    corpus.write_text('{"id": "1", "year": ' + "9" * 5000 + ', "mesh": []}\n',
+                      encoding="utf-8")
+    assert run(["ingest", "--corpus", corpus, "--mesh", synth_dir / "mesh.tsv",
+                "--out", tmp_path / "out"]) == 2
+    assert "line 1" in capsys.readouterr().err
 
 
 def test_unusable_data_exits_two(synth_dir, tmp_path, capsys):
@@ -234,24 +244,42 @@ def test_mi_deterministic_output(synth_dir, tmp_path):
         assert repr(float(row["T_CDE"])) == row["T_CDE"]
 
 
-def test_null_command_and_thread_invariance(synth_dir, tmp_path):
-    csvs = []
-    for name, threads in (("t1", "1"), ("t4", "4")):
-        out = tmp_path / name
+def test_null_command_and_thread_invariance(synth_dir, tmp_path, monkeypatch):
+    outputs = []
+    for threads, cores in (("1", 1), ("4", 1), ("1", 2), ("4", 2)):
+        # the replicates are split across this many processes
+        monkeypatch.setattr(nullmodel, "usable_cores", lambda: cores)
+        out = tmp_path / f"t{threads}c{cores}"
         assert run(
             ["null", "--corpus", synth_dir / "corpus.jsonl", "--mesh",
              synth_dir / "mesh.tsv", "--map", "full", "--target", "T_CDE",
              "--replicates", "40", "--ci", "0.9", "--seed", "42",
              "--threads", threads, "--out", out]
         ) == 0
-        csvs.append((out / "null_band.csv").read_bytes())
+        outputs.append(((out / "null_band.csv").read_bytes(),
+                        (out / "null_manifest.json").read_bytes()))
         null_manifest = json.loads((out / "null_manifest.json").read_text())
         assert null_manifest["seed"] == 42
         assert null_manifest["replicates"] == 40
         assert null_manifest["ci_level"] == 0.9
         # the synth corpus file is already in canonical form
         assert null_manifest["corpus_hash"] == cli.file_sha256(synth_dir / "corpus.jsonl")
-    assert csvs[0] == csvs[1]
+        stages = json.loads((out / "manifest.json").read_text())["stages"]
+        assert set(stages) == {"vocabulary_s", "ingest_s", "null_s", "null_workers",
+                               "command_s", "peak_rss_mb"}
+        assert stages["null_workers"] == cores
+        assert 0 < stages["null_s"] < stages["command_s"]
+    assert all(o == outputs[0] for o in outputs)
+
+
+def test_peak_rss_counts_finished_workers(monkeypatch):
+    mb = 2**20 if sys.platform == "darwin" else 2**10  # ru_maxrss units
+    usage = {cli.resource.RUSAGE_SELF: 100 * mb, cli.resource.RUSAGE_CHILDREN: 300 * mb}
+    monkeypatch.setattr(cli.resource, "getrusage",
+                        lambda who: SimpleNamespace(ru_maxrss=usage[who]))
+    assert cli._peak_rss_mb() == 300
+    usage[cli.resource.RUSAGE_CHILDREN] = 0
+    assert cli._peak_rss_mb() == 100
 
 
 def test_null_manifest_reports_undefined_replicates(synth_dir, tmp_path):

@@ -185,6 +185,20 @@ def test_jsonl_year_beyond_int64_is_a_format_error(tmp_path):
         ingest_jsonl(str(path), VOCAB)
 
 
+def test_jsonl_integer_too_long_to_convert_is_a_format_error(tmp_path):
+    # json.loads refuses an integer of more than 4,300 digits with a plain
+    # ValueError, not a JSONDecodeError
+    path = tmp_path / "c.jsonl"
+    path.write_text('{"id": "1", "year": 2000, "mesh": ["C1"]}\n'
+                    '{"id": "2", "year": 1' + "0" * 5000 + ', "mesh": ["C1"]}\n',
+                    encoding="utf-8")
+    with pytest.raises(CorpusFormatError, match="line 2") as raised:
+        ingest_jsonl(str(path), VOCAB)
+    with pytest.raises(CorpusFormatError) as expected:
+        ingest_jsonl_objects(str(path), VOCAB)
+    assert str(raised.value) == str(expected.value)
+
+
 # ---------------------------------------------------------------------------
 # MEDLINE text
 # ---------------------------------------------------------------------------

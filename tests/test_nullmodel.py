@@ -1,4 +1,5 @@
 import math
+import multiprocessing
 from collections import Counter
 from unittest import mock
 
@@ -245,12 +246,13 @@ class TestReplicateValues:
         null_corpus(),
         st.sampled_from(["binary", "median", "full"]),
         st.booleans(),
-        st.integers(2, 6),
+        st.integers(2, 7),
         st.integers(0, 2**32 - 1),
         st.sampled_from([1, 7, nullmodel.BLOCK_LABELS]),
+        st.sampled_from([1, 2, 3]),
     )
     def test_matches_replicate_by_replicate_loop(
-        self, per_year, map_kind, include_empty, replicates, seed, block_labels
+        self, per_year, map_kind, include_empty, replicates, seed, block_labels, cores
     ):
         medians = None
         if map_kind == "median":
@@ -260,12 +262,46 @@ class TestReplicateValues:
         config = ShuffleConfig(replicates=replicates, seed=seed, map_kind=map_kind,
                                include_empty=include_empty)
         years = mi_from_triples(per_year, map_kind, medians, include_empty).years()
-        with mock.patch.object(nullmodel, "BLOCK_LABELS", block_labels):
+        with mock.patch.object(nullmodel, "BLOCK_LABELS", block_labels), \
+                mock.patch.object(nullmodel, "usable_cores", lambda: cores):
             values = replicate_values(per_year, config, medians, years)
         expected = null_values_loop(per_year, config, medians, years)
         assert values.shape == (4, replicates, len(years))
         # exact equality, NaN where a replicate left the year no vector
         assert np.array_equal(values, expected, equal_nan=True)
+
+
+class TestWorkers:
+    PER_YEAR = synth_triples(SynthConfig(mode="sizemix", pubs_per_year=50, years=3, seed=2))
+
+    def test_one_per_core_and_at_most_one_per_replicate(self, monkeypatch):
+        monkeypatch.setattr(nullmodel, "usable_cores", lambda: 3)
+        assert nullmodel.worker_count(2) == 2
+        assert nullmodel.worker_count(100) == 3
+        # without fork everything runs in the calling process
+        monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+        assert nullmodel.worker_count(100) == 1
+
+    def test_no_worker_outlives_the_band(self, monkeypatch):
+        monkeypatch.setattr(nullmodel, "usable_cores", lambda: 3)
+        band = null_band_from_triples(self.PER_YEAR, ShuffleConfig(replicates=10), "T_CDE")
+        assert band.workers == 3
+        assert multiprocessing.active_children() == []
+
+    def test_a_worker_error_reaches_the_caller(self, monkeypatch):
+        monkeypatch.setattr(nullmodel, "usable_cores", lambda: 3)
+        evaluate = nullmodel.replicate_slice
+
+        def fail_in_workers(*args):
+            # the calling process evaluates the slice that starts at 0
+            if args[-2] > 0:
+                raise RuntimeError(f"slice from {args[-2]}")
+            return evaluate(*args)
+
+        monkeypatch.setattr(nullmodel, "replicate_slice", fail_in_workers)
+        with pytest.raises(RuntimeError, match="slice from 3"):
+            null_band_from_triples(self.PER_YEAR, ShuffleConfig(replicates=10), "T_CDE")
+        assert multiprocessing.active_children() == []
 
 
 def test_null_band_coverage_smoke():
