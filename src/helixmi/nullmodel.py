@@ -14,10 +14,13 @@ cheaper.
 Replicate r draws its generator from (seed, r) alone, so results are
 independent of execution order, and extending the replicate count never
 changes earlier replicates.  The replicates are therefore split into one
-contiguous range per usable core (``taskset`` limits the cores): the
-calling process evaluates the first range and a forked worker each of
-the others, and the ranges are joined in replicate order, so the values
-do not depend on the number of processes.  Within a range every
+contiguous range per usable core (the affinity set, which ``taskset``
+limits, capped by the cgroup's CPU quota), with at least
+:data:`MIN_SLICE_LABELS` shuffled labels per range: the calling process
+evaluates the first range and a forked worker each of the others, and
+the ranges are joined in replicate order, so the values do not depend on
+the number of processes.  Only a single-threaded process on Linux forks;
+each worker is killed with it.  Within a range every
 generator shuffles the years in ascending order.  Each year's label pool
 is built once; the shuffles of one year are dealt together, in blocks of
 replicates, by one ``np.add.at`` and evaluated by one stacked histogram
@@ -28,8 +31,11 @@ from __future__ import annotations
 
 import math
 import os
+import sys
+import threading
 import time
 from dataclasses import dataclass, field
+from pathlib import Path
 from typing import Mapping
 
 import numpy as np
@@ -44,6 +50,17 @@ from .infotheory import TARGETS, mi_from_triples, stacked_targets
 # buffers.  Blocks of 1 << 19 ran no faster, and with the label buffer
 # they raised the null command's peak RSS by about 5 MB.
 BLOCK_LABELS = 1 << 18
+
+# Each process shuffles at least this many labels (replicates times the
+# labels of all years).  On 2 cores, splitting runs of 0.2-0.6M labels in
+# two took 0.8-1.9x their time in one process, as forking and the fixed
+# per-year cost of a range outweighed the work moved; runs of 1.2-12M
+# labels took 0.6-0.8x.
+MIN_SLICE_LABELS = 1 << 19
+
+# Where the cgroup hierarchy is mounted; inside a container, the
+# container's own cgroup.
+CGROUP_ROOT = "/sys/fs/cgroup"
 
 
 @dataclass(frozen=True)
@@ -133,23 +150,42 @@ def percentile(sorted_values, p: float) -> float:
 
 
 def usable_cores() -> int:
-    """The number of cores this process may run on."""
+    """The number of cores this process may run on: its affinity set,
+    capped by the CPU quota of the cgroup at :data:`CGROUP_ROOT`."""
     try:
-        return len(os.sched_getaffinity(0))
+        cores = len(os.sched_getaffinity(0))
     except AttributeError:  # no affinity call on this platform
-        return os.cpu_count() or 1
+        cores = os.cpu_count() or 1
+    quota = cgroup_cpu_quota()
+    return cores if quota is None else max(1, min(cores, quota))
 
 
-def worker_count(replicates: int) -> int:
-    """Processes that evaluate ``replicates``: one per usable core, at most
-    one per replicate, and one where processes cannot be forked."""
-    workers = min(usable_cores(), replicates)
-    if workers > 1:
-        import multiprocessing
+def cgroup_cpu_quota() -> int | None:
+    """Cores the CPU quota of the cgroup at :data:`CGROUP_ROOT` pays for,
+    rounded up; None where there is no quota."""
+    root = Path(CGROUP_ROOT)
+    try:
+        try:
+            quota, period = (root / "cpu.max").read_text().split()  # cgroup v2
+        except FileNotFoundError:  # cgroup v1
+            quota = (root / "cpu" / "cpu.cfs_quota_us").read_text().strip()
+            period = (root / "cpu" / "cpu.cfs_period_us").read_text().strip()
+        if quota in ("max", "-1") or int(period) <= 0:
+            return None
+        return math.ceil(int(quota) / int(period))
+    except (OSError, ValueError):
+        return None
 
-        if "fork" not in multiprocessing.get_all_start_methods():
-            return 1
-    return workers
+
+def worker_count(triples_per_year: Mapping[int, np.ndarray], replicates: int) -> int:
+    """Processes that evaluate ``replicates`` of ``triples_per_year``: one
+    per usable core, at most one per replicate and one per
+    :data:`MIN_SLICE_LABELS` shuffled labels.  Only a single-threaded
+    process on Linux forks, so elsewhere the count is 1."""
+    if sys.platform != "linux" or threading.active_count() > 1:
+        return 1
+    labels = replicates * sum(int(triples.sum()) for triples in triples_per_year.values())
+    return max(1, min(usable_cores(), replicates, labels // MIN_SLICE_LABELS))
 
 
 def replicate_values(
@@ -157,18 +193,16 @@ def replicate_values(
     config: ShuffleConfig,
     medians: BranchStats | None,
     years: list[int],
-    workers: int | None = None,
 ) -> np.ndarray:
     """Every target of every replicate in each of ``years``, as a NaN-filled
     (4, replicates, len(years)) array in :data:`TARGETS` order; NaN where
     a replicate leaves the year with no vector to evaluate.
 
-    The replicates are split into ``workers`` contiguous ranges (by default
-    :func:`worker_count`); this process evaluates the first and a forked
-    worker each other one.  The result does not depend on ``workers``.
+    The replicates are split into :func:`worker_count` contiguous ranges;
+    this process evaluates the first and a forked worker each other one.
+    The result does not depend on the number of ranges.
     """
-    if workers is None:
-        workers = worker_count(config.replicates)
+    workers = worker_count(triples_per_year, config.replicates)
     inputs = (triples_per_year, config, medians, years)
     if workers == 1:
         return replicate_slice(*inputs, 0, config.replicates)
@@ -176,11 +210,12 @@ def replicate_values(
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
 
-    # Forked workers inherit the inputs instead of unpickling a copy, and
-    # the executor forks them all at the first submit, before it starts
-    # any thread of its own.
+    # Forked workers inherit the inputs instead of unpickling a copy: the
+    # pickled inputs raised the synth-null null commands' peak RSS from
+    # 56.0-56.7 to 62.2-62.8 MB.  The executor forks all its workers at the
+    # first submit, before it starts any thread of its own.
     with ProcessPoolExecutor(workers - 1, mp_context=multiprocessing.get_context("fork"),
-                             initializer=_inherit_inputs, initargs=inputs) as pool:
+                             initializer=_start_worker, initargs=(os.getpid(), *inputs)) as pool:
         slices = [pool.submit(_worker_slice, start, stop)
                   for start, stop in zip(bounds[1:-1], bounds[2:])]
         first = replicate_slice(*inputs, 0, bounds[1])
@@ -191,9 +226,22 @@ def replicate_values(
 _worker_inputs: tuple = ()
 
 
-def _inherit_inputs(*inputs) -> None:
+def _start_worker(parent: int, *inputs) -> None:
+    """Worker initializer: keep the inherited ``inputs``, and have the
+    kernel kill this worker when ``parent`` dies.  A worker waiting on the
+    executor's queue would not notice, as every worker holds the queue's
+    write end."""
+    import ctypes
+    import signal
+
     global _worker_inputs
     _worker_inputs = inputs
+    pr_set_pdeathsig = 1
+    libc = ctypes.CDLL(None, use_errno=True)
+    if libc.prctl(pr_set_pdeathsig, signal.SIGKILL) != 0:
+        raise OSError(ctypes.get_errno(), "prctl(PR_SET_PDEATHSIG) failed")
+    if os.getppid() != parent:  # the parent died before the call
+        os._exit(1)
 
 
 def _worker_slice(start: int, stop: int) -> np.ndarray:
@@ -272,10 +320,8 @@ def null_band_from_triples(
         include_empty=config.include_empty,
     )
     years = observed.years()
-    workers = worker_count(config.replicates)
     start = time.perf_counter()
-    values = replicate_values(triples_per_year, config, medians, years, workers)[
-        TARGETS.index(target)]
+    values = replicate_values(triples_per_year, config, medians, years)[TARGETS.index(target)]
     replicate_s = time.perf_counter() - start
 
     p_lo = (1.0 - config.ci_level) / 2.0
@@ -287,7 +333,7 @@ def null_band_from_triples(
         ci_level=config.ci_level,
         seed=config.seed,
         dropped_years=sorted(set(triples_per_year) - set(years)),
-        workers=workers,
+        workers=worker_count(triples_per_year, config.replicates),
         replicate_s=replicate_s,
     )
     for i, record in enumerate(observed.records):

@@ -2,8 +2,11 @@ import codecs
 import csv
 import json
 import os
+import signal
 import subprocess
 import sys
+import time
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
@@ -249,6 +252,7 @@ def test_null_command_and_thread_invariance(synth_dir, tmp_path, monkeypatch):
     for threads, cores in (("1", 1), ("4", 1), ("1", 2), ("4", 2)):
         # the replicates are split across this many processes
         monkeypatch.setattr(nullmodel, "usable_cores", lambda: cores)
+        monkeypatch.setattr(nullmodel, "MIN_SLICE_LABELS", 1)
         out = tmp_path / f"t{threads}c{cores}"
         assert run(
             ["null", "--corpus", synth_dir / "corpus.jsonl", "--mesh",
@@ -267,9 +271,65 @@ def test_null_command_and_thread_invariance(synth_dir, tmp_path, monkeypatch):
         stages = json.loads((out / "manifest.json").read_text())["stages"]
         assert set(stages) == {"vocabulary_s", "ingest_s", "null_s", "null_workers",
                                "command_s", "peak_rss_mb"}
-        assert stages["null_workers"] == cores
+        assert stages["null_workers"] == (cores if sys.platform == "linux" else 1)
         assert 0 < stages["null_s"] < stages["command_s"]
     assert all(o == outputs[0] for o in outputs)
+
+
+def _children(pid):
+    """Processes whose parent is ``pid``."""
+    found = []
+    for stat in Path("/proc").glob("[0-9]*/stat"):
+        try:
+            fields = stat.read_text().rsplit(")", 1)[1].split()
+        except OSError:  # the process has ended
+            continue
+        if int(fields[1]) == pid:
+            found.append(int(stat.parent.name))
+    return found
+
+
+def _running(pid):
+    try:
+        state = Path(f"/proc/{pid}/stat").read_text().rsplit(")", 1)[1].split()[0]
+    except OSError:
+        return False
+    return state != "Z"
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="workers are forked on Linux only")
+def test_null_workers_die_with_a_killed_command(synth_dir, tmp_path):
+    # two processes whatever the host's cores, and replicates enough to
+    # keep the worker busy when the command is killed
+    code = ("import sys; from helixmi import cli, nullmodel; "
+            "nullmodel.usable_cores = lambda: 2; nullmodel.MIN_SLICE_LABELS = 1; "
+            "sys.exit(cli.main(sys.argv[1:]))")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    proc = subprocess.Popen(
+        [sys.executable, "-c", code, "null", "--corpus", str(synth_dir / "corpus.jsonl"),
+         "--mesh", str(synth_dir / "mesh.tsv"), "--replicates", "20000",
+         "--out", str(tmp_path / "out")],
+        env=dict(os.environ, PYTHONPATH=src), stderr=subprocess.PIPE)
+    workers = []
+    try:
+        deadline = time.monotonic() + 60
+        while not workers and proc.poll() is None and time.monotonic() < deadline:
+            time.sleep(0.05)
+            workers = _children(proc.pid)
+        assert workers, proc.stderr.read() if proc.poll() is not None else "no worker"
+        proc.kill()
+        proc.wait()
+        deadline = time.monotonic() + 10
+        while any(map(_running, workers)) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert not any(map(_running, workers))
+    finally:
+        proc.kill()
+        proc.wait()
+        proc.stderr.close()
+        for pid in workers:
+            if _running(pid):
+                os.kill(pid, signal.SIGKILL)
 
 
 def test_peak_rss_counts_finished_workers(monkeypatch):

@@ -1,5 +1,7 @@
 import math
 import multiprocessing
+import sys
+import threading
 from collections import Counter
 from unittest import mock
 
@@ -263,7 +265,8 @@ class TestReplicateValues:
                                include_empty=include_empty)
         years = mi_from_triples(per_year, map_kind, medians, include_empty).years()
         with mock.patch.object(nullmodel, "BLOCK_LABELS", block_labels), \
-                mock.patch.object(nullmodel, "usable_cores", lambda: cores):
+                mock.patch.object(nullmodel, "usable_cores", lambda: cores), \
+                mock.patch.object(nullmodel, "MIN_SLICE_LABELS", 1):
             values = replicate_values(per_year, config, medians, years)
         expected = null_values_loop(per_year, config, medians, years)
         assert values.shape == (4, replicates, len(years))
@@ -273,33 +276,78 @@ class TestReplicateValues:
 
 class TestWorkers:
     PER_YEAR = synth_triples(SynthConfig(mode="sizemix", pubs_per_year=50, years=3, seed=2))
+    LABELS = sum(int(t.sum()) for t in PER_YEAR.values())
 
-    def test_one_per_core_and_at_most_one_per_replicate(self, monkeypatch):
+    @pytest.fixture
+    def three_cores(self, monkeypatch):
         monkeypatch.setattr(nullmodel, "usable_cores", lambda: 3)
-        assert nullmodel.worker_count(2) == 2
-        assert nullmodel.worker_count(100) == 3
-        # without fork everything runs in the calling process
-        monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
-        assert nullmodel.worker_count(100) == 1
+        monkeypatch.setattr(nullmodel, "MIN_SLICE_LABELS", 1)
 
-    def test_no_worker_outlives_the_band(self, monkeypatch):
-        monkeypatch.setattr(nullmodel, "usable_cores", lambda: 3)
+    def test_one_per_core_replicate_and_slice_of_labels(self, three_cores, monkeypatch):
+        monkeypatch.setattr(nullmodel.sys, "platform", "linux")
+        count = nullmodel.worker_count
+        assert count(self.PER_YEAR, 2) == 2
+        assert count(self.PER_YEAR, 100) == 3
+        monkeypatch.setattr(nullmodel, "MIN_SLICE_LABELS", 10 * self.LABELS)
+        assert count(self.PER_YEAR, 9) == 1
+        assert count(self.PER_YEAR, 25) == 2
+        assert count(self.PER_YEAR, 100) == 3
+
+    def test_only_a_single_threaded_linux_process_forks(self, three_cores, monkeypatch):
+        monkeypatch.setattr(nullmodel.sys, "platform", "linux")
+        release = threading.Event()
+        thread = threading.Thread(target=release.wait)
+        thread.start()
+        try:
+            assert nullmodel.worker_count(self.PER_YEAR, 100) == 1
+        finally:
+            release.set()
+            thread.join()
+        assert nullmodel.worker_count(self.PER_YEAR, 100) == 3
+        monkeypatch.setattr(nullmodel.sys, "platform", "darwin")
+        assert nullmodel.worker_count(self.PER_YEAR, 100) == 1
+
+    def test_cgroup_cpu_quota_caps_the_cores(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(nullmodel, "CGROUP_ROOT", str(tmp_path))
+        monkeypatch.setattr(nullmodel.os, "sched_getaffinity", lambda pid: set(range(8)),
+                            raising=False)
+        assert nullmodel.cgroup_cpu_quota() is None
+        assert nullmodel.usable_cores() == 8
+        v1 = tmp_path / "cpu"
+        v1.mkdir()
+        (v1 / "cpu.cfs_period_us").write_text("100000\n")
+        (v1 / "cpu.cfs_quota_us").write_text("-1\n")
+        assert nullmodel.cgroup_cpu_quota() is None
+        (v1 / "cpu.cfs_quota_us").write_text("250000\n")
+        assert nullmodel.cgroup_cpu_quota() == 3
+        # cgroup v2 comes first
+        for limit, cores in (("max 100000", None), ("50000 100000", 1), ("150000 100000", 2)):
+            (tmp_path / "cpu.max").write_text(limit + "\n")
+            assert nullmodel.cgroup_cpu_quota() == cores
+        assert nullmodel.usable_cores() == 2
+        (tmp_path / "cpu.max").write_text("garbled\n")
+        assert nullmodel.cgroup_cpu_quota() is None
+
+    @pytest.mark.skipif(sys.platform != "linux", reason="workers are forked on Linux only")
+    def test_no_worker_outlives_the_band(self, three_cores):
         band = null_band_from_triples(self.PER_YEAR, ShuffleConfig(replicates=10), "T_CDE")
         assert band.workers == 3
         assert multiprocessing.active_children() == []
+        # nor a thread of the executor, so the next band forks again
+        assert threading.active_count() == 1
 
-    def test_a_worker_error_reaches_the_caller(self, monkeypatch):
-        monkeypatch.setattr(nullmodel, "usable_cores", lambda: 3)
-        evaluate = nullmodel.replicate_slice
+    @pytest.mark.skipif(sys.platform != "linux", reason="workers are forked on Linux only")
+    def test_a_worker_error_reaches_the_caller(self, three_cores, monkeypatch):
+        generator = nullmodel.replicate_rng
 
-        def fail_in_workers(*args):
-            # the calling process evaluates the slice that starts at 0
-            if args[-2] > 0:
-                raise RuntimeError(f"slice from {args[-2]}")
-            return evaluate(*args)
+        def fail_in_workers(seed, replicate):
+            # the calling process evaluates replicates 0-2 of 10
+            if replicate >= 3:
+                raise RuntimeError(f"replicate {replicate}")
+            return generator(seed, replicate)
 
-        monkeypatch.setattr(nullmodel, "replicate_slice", fail_in_workers)
-        with pytest.raises(RuntimeError, match="slice from 3"):
+        monkeypatch.setattr(nullmodel, "replicate_rng", fail_in_workers)
+        with pytest.raises(RuntimeError, match="replicate 3"):
             null_band_from_triples(self.PER_YEAR, ShuffleConfig(replicates=10), "T_CDE")
         assert multiprocessing.active_children() == []
 
