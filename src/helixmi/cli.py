@@ -27,7 +27,6 @@ import numpy as np
 from . import __version__
 from .corpus import (
     Corpus,
-    IngestReport,
     corpus_canonical_lines,
     ingest_jsonl,
     ingest_medline_text,
@@ -91,7 +90,8 @@ class RunManifest:
     config: dict = field(default_factory=dict)
     diagnostics: dict = field(default_factory=dict)
     # wall seconds of the vocabulary load, the ingest and the whole command,
-    # and the process's peak resident set size
+    # the process's peak resident set size and, for a JSONL corpus, how many
+    # lines took each of its parser's paths
     stages: dict = field(default_factory=dict)
     tool_version: str = __version__
     timestamp: str = ""
@@ -108,22 +108,23 @@ class RunManifest:
 
 
 def _detect_and_load_mesh(path: str) -> Vocabulary:
+    """The vocabulary of a TSV or NLM ASCII file, reporting a TSV that is
+    not UTF-8 text as a data error."""
     with open(path, "rb") as fh:
         head = fh.read(4096)
     first = head.split(b"\n", 1)[0]
-    if b"\t" in first:
+    if b"\t" not in first:
+        return load_mesh_ascii(path)
+    try:
         return load_mesh_tsv(path)
-    return load_mesh_ascii(path)
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not UTF-8 text ({exc})") from None
 
 
-def _detect_and_ingest(
-    path: str, vocabulary: Vocabulary, year_range, label: str
-) -> tuple[Corpus, IngestReport]:
+def _is_jsonl(path: str) -> bool:
     with open(path, "rb") as fh:
         head = fh.read(4096).removeprefix(codecs.BOM_UTF8).lstrip()
-    if head.startswith(b"{"):
-        return ingest_jsonl(path, vocabulary, year_range, label)
-    return ingest_medline_text(path, vocabulary, year_range, label)
+    return head.startswith(b"{")
 
 
 class UsageError(Exception):
@@ -189,24 +190,20 @@ def _lam_arg(text: str) -> tuple[float, float, float]:
         ) from None
 
 
-def _read(path: str, reader, *args):
-    """``reader(path, *args)``, reporting a file that is not UTF-8 text as a
-    data error."""
-    try:
-        return reader(path, *args)
-    except UnicodeDecodeError as exc:
-        raise DataError(f"{path}: not UTF-8 text ({exc})") from None
-
-
 def _load_inputs(args, manifest: RunManifest):
     start = time.perf_counter()
-    vocabulary = _read(args.mesh, _detect_and_load_mesh)
+    vocabulary = _detect_and_load_mesh(args.mesh)
     manifest.stages["vocabulary_s"] = time.perf_counter() - start
     manifest.vocabulary_sha256 = manifest.add_input(args.mesh)
     label = getattr(args, "label", None) or Path(args.corpus).stem
     start = time.perf_counter()
-    corpus, report = _read(args.corpus, _detect_and_ingest, vocabulary, args.years, label)
+    jsonl = _is_jsonl(args.corpus)
+    ingest = ingest_jsonl if jsonl else ingest_medline_text
+    corpus, report = ingest(args.corpus, vocabulary, args.years, label)
     manifest.stages["ingest_s"] = time.perf_counter() - start
+    if jsonl:
+        manifest.stages["ingest_template_lines"] = report.template_lines
+        manifest.stages["ingest_json_lines"] = report.json_lines
     manifest.add_input(args.corpus)
     manifest.diagnostics["ingest"] = report.summary()
     return vocabulary, corpus, report

@@ -9,9 +9,13 @@ and descriptor names that do not resolve against the vocabulary are
 dropped per-term rather than per-record so that yearly publication
 counts stay unbiased.
 
-Both parsers hand records to one sink a block at a time: the JSONL
-parser in batches of parsed lines, the MEDLINE parser in blocks of the
-file cut after empty lines and parsed with array operations.  The sink
+Both parsers read the file in blocks, of about 128 KiB cut after a line
+end (JSONL) or of about 256 KiB cut after an empty line (MEDLINE), and
+hand the records of each block to one sink.  A JSONL block's canonical lines, the bytes the
+writer gives, are parsed with array operations; every other line goes to
+``json.loads``, and the first line in file order that is not UTF-8, not
+JSON or not a record is reported by its number.  MEDLINE lines are
+classified from their first bytes with array operations.  The sink
 resolves every distinct term once and appends the kept records to flat
 arrays: ids, years and the descriptor columns of each.  The corpus is
 those arrays, sorted once; ``Publication`` objects are built only when
@@ -27,6 +31,7 @@ from array import array
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import compress
 from typing import Iterator, NamedTuple
 
 import numpy as np
@@ -55,6 +60,10 @@ class IngestReport:
     excluded_duplicate: int = 0
     skipped_malformed: int = 0
     unresolved_terms: Counter = field(default_factory=Counter)
+    # JSONL lines parsed as canonical lines and with ``json.loads``; not
+    # part of the summary or the JSON form
+    template_lines: int = 0
+    json_lines: int = 0
 
     def _counts(self) -> dict:
         return {
@@ -327,23 +336,31 @@ class _RecordSink:
 
     def corpus(self, query_label: str) -> Corpus:
         report = self.report
-        seen: set[str] = set()
-        admitted: list[str] = []
+        seen = set(self.ids)
         dropped: list[int] = []
-        row = 0
-        for pub_id, verdict in zip(self.ids, self.verdicts):
-            if pub_id in seen:
-                report.excluded_duplicate += 1
-                if verdict == _ADMISSIBLE:
-                    dropped.append(row)
-            elif verdict == _OUT_OF_WINDOW:
-                report.excluded_year += 1
-            elif verdict == _NO_MESH:
-                report.excluded_no_mesh += 1
-            else:
-                seen.add(pub_id)
-                admitted.append(pub_id)
-            row += verdict == _ADMISSIBLE
+        if len(seen) == len(self.ids):
+            # no id repeats, so no record is a duplicate
+            verdicts = np.frombuffer(self.verdicts, dtype=np.int8)
+            report.excluded_year += int(np.count_nonzero(verdicts == _OUT_OF_WINDOW))
+            report.excluded_no_mesh += int(np.count_nonzero(verdicts == _NO_MESH))
+            admitted = list(compress(self.ids, (verdicts == _ADMISSIBLE).tolist()))
+        else:
+            seen.clear()
+            admitted = []
+            row = 0
+            for pub_id, verdict in zip(self.ids, self.verdicts):
+                if pub_id in seen:
+                    report.excluded_duplicate += 1
+                    if verdict == _ADMISSIBLE:
+                        dropped.append(row)
+                elif verdict == _OUT_OF_WINDOW:
+                    report.excluded_year += 1
+                elif verdict == _NO_MESH:
+                    report.excluded_no_mesh += 1
+                else:
+                    seen.add(pub_id)
+                    admitted.append(pub_id)
+                row += verdict == _ADMISSIBLE
         # the ids and the set go before the rows are sorted
         del seen, self.ids
         years = np.asarray(self.years, dtype=np.int64)
@@ -360,11 +377,370 @@ class _RecordSink:
         return Corpus.from_arrays(query_label, self.vocabulary, admitted, years, indptr, indices)
 
 
+# bytes per read of the block reader, for MEDLINE text and for JSONL; a
+# block that holds no place to cut grows until it does.  Larger blocks
+# parse a little faster, but their arrays leave more of the heap resident
+# once the ingest is done: the later commands of a 62k-publication JSONL
+# run peaked 1 MB higher with 256 KiB blocks than with 128 KiB ones, which
+# parse as fast.
+_BLOCK_BYTES = 1 << 18
+_JSONL_BLOCK_BYTES = 1 << 17
+
+
+def _line_blocks(fh, block_bytes: int, after_empty_line: bool) -> Iterator[tuple[np.ndarray, ...]]:
+    """The lines of a binary file, a block of about ``block_bytes`` at a
+    time: ``(data, starts, ends, windows, marks)``, line i being the bytes
+    ``data[starts[i]:ends[i]]`` (its LF, CRLF or CR left out) and
+    ``windows[p]`` the eight bytes from
+    ``data[p]`` as a little-endian uint64, bytes past the end of ``data``
+    included; ``marks`` is scratch space of one bool per byte of ``data``.
+    Every block but the last ends with a line end, or with an empty line
+    when ``after_empty_line``, so that each block starts a record afresh.
+    Only the last line of the last block can lack its line end, which
+    then is ``len(data)``.  ``data``, ``windows`` and ``marks`` view
+    buffers that are reused, valid until the next block is asked for.
+    One UTF-8 byte order mark at the start of the file is skipped.
+    """
+    if fh.peek(3)[:3] == codecs.BOM_UTF8:
+        fh.read(3)
+    size = 0
+    filled = 0
+    while True:
+        if filled == size:
+            # a full buffer with no place to cut (or none yet): read on into
+            # one twice the size, with eight bytes to spare for the windows
+            size = max(2 * size, block_bytes)
+            buf = bytearray(buf[:filled] if filled else b"") + bytes(size + 8 - filled)
+            windows = np.ndarray((size + 1,), dtype="<u8", buffer=buf, strides=(1,))
+            marks = np.empty(size, dtype=bool)
+        got = fh.readinto(memoryview(buf)[filled:size])
+        filled += got
+        final = not got
+        data = np.frombuffer(buf, dtype=np.uint8, count=filled)
+        if buf.find(b"\r", 0, filled) < 0:
+            ends = np.flatnonzero(np.equal(data, 10, out=marks[:filled]))
+            nexts = ends + 1
+        else:
+            found = np.equal(data, 10, out=marks[:filled])
+            found |= data == 13
+            found = np.flatnonzero(found)
+            if not final and buf[filled - 1] == 13:
+                # a CR that ends the buffer may open a CRLF: the line it
+                # ends waits for the next read
+                found = found[:-1]
+            crlf = (data[found] == 13) & (data[np.minimum(found + 1, filled - 1)] == 10)
+            # the LF of a CRLF ends no line of its own
+            lone = np.ones(len(found), dtype=bool)
+            lone[1:] = ~crlf[:-1]
+            ends = found[lone]
+            nexts = ends + 1 + crlf[lone]
+        starts = np.zeros(len(ends), dtype=np.int64)
+        starts[1:] = nexts[:-1]
+        if final:
+            tail = int(nexts[-1]) if len(nexts) else 0
+            if tail < filled:
+                starts = np.append(starts, tail)
+                ends = np.append(ends, filled)
+            yield data, starts, ends, windows, marks[:filled]
+            return
+        if after_empty_line:
+            empty = np.flatnonzero(starts == ends)
+            last = int(empty[-1]) + 1 if len(empty) else 0
+        else:
+            last = len(ends)
+        if not last:
+            continue
+        yield data, starts[:last], ends[:last], windows, marks[:filled]
+        cut = int(nexts[last - 1])
+        buf[: filled - cut] = buf[cut:filled]
+        filled -= cut
+
+
+def _spans_text(data: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> list[str]:
+    """The bytes ``data[lo[i]:hi[i]]`` of each span, decoded as UTF-8 with
+    U+FFFD for what is not: gathered with an LF after each and decoded at
+    once.  No span may hold an LF."""
+    spans = hi - lo + 1
+    offsets = np.zeros(len(spans) + 1, dtype=np.int64)
+    np.cumsum(spans, out=offsets[1:])
+    gather = _row_runs(lo, spans, offsets)
+    np.minimum(gather, len(data) - 1, out=gather)
+    text = data[gather]
+    text[offsets[1:] - 1] = 10
+    values = text.tobytes().decode("utf-8", "replace").split("\n")
+    del values[-1]
+    return values
+
+
 # years are kept as int64
 _YEAR_LIMIT = 2**63
 
-# records per batch that ``ingest_jsonl`` hands the sink
-_JSONL_BATCH = 1 << 10
+# the fixed bytes of a canonical line, '{"id":"…","mesh":["…",…],"year":N}',
+# as little-endian uint64 words: its first seven bytes, the eight after the
+# id and the eight from the "]" that closes the mesh list
+_ID_OPEN = int.from_bytes(b'{"id":"', "little")
+_MESH_KEY = int.from_bytes(b',"mesh":', "little")
+_YEAR_KEY = int.from_bytes(b'],"year"', "little")
+
+# the shortest canonical line: '{"id":"","mesh":[],"year":0}'
+_TEMPLATE_MIN = 28
+
+# the most digits of a year read without json: 10**18 - 1 < 2**63
+_YEAR_DIGITS = 18
+
+# the low i bytes of a uint64, for i = 0..8
+_LOW_BYTES = np.array([(1 << 8 * i) - 1 for i in range(9)], dtype=np.uint64)
+
+# a key no term has, as a term's bytes are below 0x7F; it marks a free slot
+_FREE = np.uint64(2**64 - 1)
+
+# 2**64 over the golden ratio: multiplied by it, the high bits of a key
+# scatter neighbouring keys across the table
+_SCATTER = np.uint64(0x9E3779B97F4A7C15)
+
+
+class _TermKeys:
+    """Codes of terms of at most eight bytes, looked up by key: the term's
+    bytes as a little-endian uint64, zero bytes after them (a term of a
+    canonical line holds no zero byte).  A key met for the first time is
+    decoded and resolved through ``columns`` once.
+
+    The keys live in a hash table of arrays, open addressing with linear
+    probing, at most half full: a batch of keys is looked up a probe step
+    at a time for all of them.
+    """
+
+    def __init__(self, columns: _TermColumns) -> None:
+        self.columns = columns
+        self.count = 0
+        # room for every descriptor id, so that a corpus of ids never grows it
+        self._allocate(1 << (2 * len(columns.vocabulary) + 1).bit_length())
+
+    def _allocate(self, capacity: int) -> None:
+        self.slot_keys = np.full(capacity, _FREE, dtype=np.uint64)
+        self.slot_codes = np.zeros(capacity, dtype=np.int32)
+        self.shift = np.uint64(65 - capacity.bit_length())
+
+    def _probe(self, keys: np.ndarray) -> np.ndarray:
+        """The slot of each key, or the free slot its probe ends at."""
+        slots = keys * _SCATTER
+        slots >>= self.shift
+        slots = slots.view(np.int64)
+        mask = len(self.slot_keys) - 1
+        held = self.slot_keys[slots]
+        pending = np.flatnonzero((held != keys) & (held != _FREE))
+        while len(pending):
+            slots[pending] = (slots[pending] + 1) & mask
+            held = self.slot_keys[slots[pending]]
+            pending = pending[(held != keys[pending]) & (held != _FREE)]
+        return slots
+
+    def _insert(self, keys: np.ndarray, codes: np.ndarray) -> None:
+        """Add distinct keys that are absent, growing the table first when
+        they would fill more than half of it."""
+        self.count += len(keys)
+        if 2 * self.count > len(self.slot_keys):
+            held = self.slot_keys != _FREE
+            keys = np.concatenate((self.slot_keys[held], keys))
+            codes = np.concatenate((self.slot_codes[held], codes))
+            self._allocate(1 << (2 * self.count).bit_length())
+        while len(keys):
+            # keys whose probes end at one free slot each write their index
+            # there, and the one whose index stays takes the slot
+            slots = self._probe(keys)
+            index = np.arange(len(keys))
+            self.slot_codes[slots] = index
+            won = self.slot_codes[slots] == index
+            self.slot_keys[slots[won]] = keys[won]
+            self.slot_codes[slots[won]] = codes[won]
+            keys, codes = keys[~won], codes[~won]
+
+    def __getitem__(self, keys: np.ndarray) -> np.ndarray:
+        slots = self._probe(keys)
+        codes = self.slot_codes[slots]
+        new = self.slot_keys[slots] != keys
+        if new.any():
+            # sorted, then each repeat dropped (np.unique would hash them,
+            # which leaves more memory resident)
+            added = np.sort(keys[new])
+            added = added[_firsts(added)]
+            names = [term.decode("ascii") for term in added.astype("<u8").view("S8").tolist()]
+            self._insert(added, np.fromiter(map(self.columns.__getitem__, names),
+                                            dtype=np.int64, count=len(names)))
+            codes[new] = self.slot_codes[self._probe(keys[new])]
+        return codes
+
+
+def _template_records(data, starts, ends, windows, marks, terms: _TermKeys):
+    """The lines of a block that are canonical lines, and their records:
+    ``(lines, ids, years, codes, lengths)`` as ``_RecordSink.add_block``
+    takes them, ``lines`` ascending.
+
+    A canonical line is the bytes ``{"id":"…","mesh":["…",…],"year":N}``
+    the writer gives: printable ASCII without a backslash, so every quote
+    opens or closes a string, and a year matching ``-?(0|[1-9][0-9]*)`` of
+    at most ``_YEAR_DIGITS`` digits.  ``json.loads`` reads such a line as
+    the id, terms and year sliced here from the quote positions.
+    """
+    none = (np.empty(0, dtype=np.int64), [], np.empty(0, dtype=np.int64),
+            np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64))
+    last = len(data) - 1
+    ok = ends - starts >= _TEMPLATE_MIN
+    ok &= (windows[starts] & _LOW_BYTES[7]) == _ID_OPEN
+    ok &= data[ends - 1] == ord("}")
+    # bytes outside printable ASCII, and backslashes; a line end is one of
+    # the former but lies outside every line
+    u8 = marks.view(np.uint8)
+    np.subtract(data, 0x20, out=u8)
+    np.greater(u8, 0x7E - 0x20, out=marks)
+    flagged = np.flatnonzero(marks)
+    np.equal(data, ord("\\"), out=marks)
+    for pos in (flagged, np.flatnonzero(marks)):
+        line = np.searchsorted(starts, pos, side="right") - 1
+        ok[line[pos < ends[line]]] = False
+    lines = np.flatnonzero(ok)
+    if not len(lines):
+        return none
+    np.equal(data, ord('"'), out=marks)
+    # block positions fit in int32, which halves the arrays of the terms
+    quotes = np.flatnonzero(marks).astype(np.int32)
+    lo = np.searchsorted(quotes, starts[lines])
+    hi = np.searchsorted(quotes, ends[lines])
+    end = ends[lines]
+    # the id closes at the line's fourth quote, and ',"mesh":[' follows;
+    # a line with quotes to spare fails a later check
+    ok = hi - lo >= 8
+    close = quotes[np.minimum(lo + 3, len(quotes) - 1)]
+    ok &= close + 10 < end
+    ok &= windows[close + 1] == _MESH_KEY
+    ok &= data[np.minimum(close + 9, last)] == ord("[")
+    lines, lo, hi, end, close = lines[ok], lo[ok], hi[ok], end[ok], close[ok]
+
+    # the terms: the quotes between those of the mesh key and the year key,
+    # in pairs; the first opens just after the "[", each next one just
+    # after a "," that follows the one before
+    k = (hi - lo - 8) // 2
+    bounds = np.zeros(len(k) + 1, dtype=np.int64)
+    np.cumsum(k, out=bounds[1:])
+    pairs = quotes[_row_runs(lo + 6, 2 * k, 2 * bounds)]
+    del quotes
+    opens, shuts = pairs[0::2], pairs[1::2]
+    has = k > 0
+    first, final = bounds[:-1][has], bounds[1:][has] - 1
+    wrong = np.empty(len(opens), dtype=bool)
+    np.not_equal(opens[1:], shuts[:-1] + 2, out=wrong[1:])
+    wrong[first] = opens[first] != close[has] + 10
+    comma = data[shuts + 1] != ord(",")
+    comma[final] = False
+    wrong |= comma
+    ok = np.ones(len(k), dtype=bool)
+    ok[np.searchsorted(bounds, np.flatnonzero(wrong), side="right") - 1] = False
+    # '],"year":' after the list, then the year, then the closing "}"
+    after = close + 10
+    after[has] = shuts[final] + 1
+    ok &= windows[after] == _YEAR_KEY
+    ok &= data[np.minimum(after + 8, last)] == ord(":")
+    year_lo = np.minimum(after + 9, last)
+    negative = data[year_lo] == ord("-")
+    digit_lo = year_lo + negative
+    digits = end - 1 - digit_lo
+    ok &= (digits >= 1) & (digits <= _YEAR_DIGITS)
+    ok &= (digits == 1) | (data[np.minimum(digit_lo, last)] != ord("0"))
+    value = np.zeros(len(k), dtype=np.int64)
+    for j in range(int(digits[ok].max()) if ok.any() else 0):
+        live = j < digits
+        digit = data[np.minimum(digit_lo + j, last)].astype(np.int64) - ord("0")
+        ok &= ~live | ((digit >= 0) & (digit <= 9))
+        value = np.where(live, value * 10 + digit, value)
+    if not ok.any():
+        return none
+    years = np.where(negative, -value, value)[ok]
+
+    lines, close = lines[ok], close[ok]
+    ids = _spans_text(data, starts[lines] + 7, close)
+    kept = np.repeat(ok, k)
+    term_lo, term_hi = opens[kept], shuts[kept]
+    del pairs, opens, shuts
+    term_lo += 1
+    size = term_hi - term_lo
+    codes = np.empty(len(size), dtype=np.int64)
+    short = size <= 8
+    keys = windows[term_lo[short]]
+    keys &= _LOW_BYTES[size[short]]
+    codes[short] = terms[keys]
+    if not short.all():
+        long = ~short
+        names = _spans_text(data, term_lo[long], term_hi[long])
+        codes[long] = np.fromiter(map(terms.columns.__getitem__, names), dtype=np.int64,
+                                  count=len(names))
+    return lines, ids, years, codes, k[ok]
+
+
+def _json_records(path: str, data, starts, ends, lines, line_base: int, code_of):
+    """The records of the given lines of a block, each parsed with
+    ``json.loads`` as ``(lines, ids, years, codes, lengths)``; lines of
+    whitespace are skipped.  A line reads as text mode read it: decoded as
+    UTF-8, with one LF for its line end."""
+    size = len(data)
+    raw = data.tobytes()
+    read: list[int] = []
+    ids: list[str] = []
+    years: list[int] = []
+    codes: list[int] = []
+    lengths: list[int] = []
+
+    def error(i: int, what) -> CorpusFormatError:
+        return CorpusFormatError(f"{path}: line {line_base + i + 1}: {what}")
+
+    for i, lo, hi in zip(lines.tolist(), starts[lines].tolist(), ends[lines].tolist()):
+        try:
+            line = raw[lo:hi].decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise error(i, f"not UTF-8 text ({exc})") from None
+        if line.isspace():
+            continue
+        if hi < size:
+            line += "\n"
+        try:
+            obj = json.loads(line)
+        except (ValueError, RecursionError) as exc:
+            # a JSONDecodeError, an integer too long to convert, or nesting
+            # too deep to decode
+            raise error(i, exc) from None
+        try:
+            pub_id = str(obj["id"])
+            year = int(obj["year"])
+            if not -_YEAR_LIMIT <= year < _YEAR_LIMIT:
+                raise ValueError(f"year {year} out of range")
+            mesh_field = obj["mesh"]
+            if not isinstance(mesh_field, list):
+                raise TypeError("mesh must be a list")
+            terms = [str(t) for t in mesh_field]
+        except (KeyError, TypeError, ValueError, OverflowError, RecursionError) as exc:
+            raise error(i, f"bad record ({exc})") from None
+        read.append(i)
+        ids.append(pub_id)
+        years.append(year)
+        codes += map(code_of, terms)
+        lengths.append(len(terms))
+    return (np.array(read, dtype=np.int64), ids, np.array(years, dtype=np.int64),
+            np.array(codes, dtype=np.int64), np.array(lengths, dtype=np.int64))
+
+
+def _in_line_order(lines, records, more_lines, more):
+    """The records ``(ids, years, codes, lengths)`` of two sets of lines
+    as one set, in line order."""
+    order = np.argsort(np.concatenate((lines, more_lines)))
+    ids = np.array(records[0] + more[0], dtype=object)[order].tolist()
+    years = np.concatenate((records[1], more[1]))[order]
+    lengths = np.concatenate((records[3], more[3]))
+    bounds = np.zeros(len(lengths) + 1, dtype=np.int64)
+    np.cumsum(lengths, out=bounds[1:])
+    lengths = lengths[order]
+    ordered = np.zeros(len(lengths) + 1, dtype=np.int64)
+    np.cumsum(lengths, out=ordered[1:])
+    codes = np.concatenate((records[2], more[2]))[_row_runs(bounds[:-1][order], lengths, ordered)]
+    return ids, years, codes, lengths
 
 
 def ingest_jsonl(
@@ -373,58 +749,49 @@ def ingest_jsonl(
     year_range: tuple[int, int] | None = None,
     query_label: str = "",
 ) -> tuple[Corpus, IngestReport]:
-    """Ingest canonical JSONL: one ``{"id","year","mesh"}`` object per line.
+    """Ingest JSONL: one ``{"id","year","mesh"}`` object per line.
 
-    One UTF-8 byte order mark at the start of the file is skipped.
+    The file is read in blocks of about ``_JSONL_BLOCK_BYTES``, each cut
+    just after a line end.  The canonical lines of a block, the bytes the
+    writer gives, are parsed with array operations and each distinct term
+    of eight bytes or fewer is decoded once per ingest
+    (``_template_records``).  Every other line is decoded as UTF-8 and
+    parsed with ``json.loads``: whitespace, other key orders, escapes,
+    non-ASCII text, numeric ids, float or string years.  Lines end with
+    LF, CRLF or CR; lines of whitespace are skipped, and one UTF-8 byte
+    order mark at the start of the file is skipped.
+
+    The first line in file order that is not UTF-8, not JSON or not a
+    record with an ``id``, an integral ``year`` that fits in 64 bits and
+    a ``mesh`` list raises ``CorpusFormatError`` naming that line.  The
+    report counts the lines each path took (``template_lines``,
+    ``json_lines``).
     """
     report = IngestReport()
-    sink = _RecordSink(_TermColumns(vocabulary), year_range, report)
-    code_of = sink.columns.__getitem__
-    ids: list[str] = []
-    years: list[int] = []
-    codes: list[int] = []
-    lengths: list[int] = []
-
-    def flush() -> None:
-        sink.add_block(ids, np.array(years, dtype=np.int64), codes, lengths)
-        for column in (ids, years, codes, lengths):
-            column.clear()
-
-    with open(path, encoding="utf-8-sig") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if line.isspace():
-                continue
-            try:
-                obj = json.loads(line)
-            except ValueError as exc:  # JSONDecodeError, or an integer too long to convert
-                raise CorpusFormatError(f"{path}: line {lineno}: {exc}") from None
-            try:
-                pub_id = str(obj["id"])
-                year = int(obj["year"])
-                if not -_YEAR_LIMIT <= year < _YEAR_LIMIT:
-                    raise ValueError(f"year {year} out of range")
-                mesh_field = obj["mesh"]
-                if not isinstance(mesh_field, list):
-                    raise TypeError("mesh must be a list")
-                terms = [str(t) for t in mesh_field]
-            except (KeyError, TypeError, ValueError, OverflowError) as exc:
-                raise CorpusFormatError(
-                    f"{path}: line {lineno}: bad record ({exc})"
-                ) from None
-            ids.append(pub_id)
-            years.append(year)
-            codes += map(code_of, terms)
-            lengths.append(len(terms))
-            if len(ids) == _JSONL_BATCH:
-                flush()
-    flush()
+    columns = _TermColumns(vocabulary)
+    sink = _RecordSink(columns, year_range, report)
+    terms = _TermKeys(columns)
+    line_base = 0
+    with open(path, "rb") as fh:
+        blocks = _line_blocks(fh, _JSONL_BLOCK_BYTES, after_empty_line=False)
+        for data, starts, ends, windows, marks in blocks:
+            lines, *records = _template_records(data, starts, ends, windows, marks, terms)
+            report.template_lines += len(lines)
+            # every other line but the empty ones, which hold no record
+            rest = np.ones(len(starts), dtype=bool)
+            rest[lines] = False
+            rest &= ends > starts
+            rest = np.flatnonzero(rest)
+            if len(rest):
+                parsed, *more = _json_records(path, data, starts, ends, rest, line_base,
+                                              columns.__getitem__)
+                report.json_lines += len(parsed)
+                records = _in_line_order(lines, records, parsed, more) if len(lines) else more
+            if len(records[0]):
+                sink.add_block(*records)
+            line_base += len(starts)
     return sink.corpus(query_label or path), report
 
-
-# bytes per read of the MEDLINE reader; a block that holds no empty line
-# grows until it does.  Larger blocks parse a little faster, but their
-# arrays leave more of the heap resident once the ingest is done.
-_BLOCK_BYTES = 1 << 18
 
 # line classes, in this order: a class from _SKIP up is a field line
 _JUNK, _BLANK, _CONT, _SKIP, _PMID, _DP, _MH = range(7)
@@ -471,67 +838,6 @@ class _MeshColumns(_TermColumns):
         code = self[term] if term else _NO_TERM
         self[value] = code
         return code
-
-
-def _medline_blocks(fh) -> Iterator[tuple[np.ndarray, ...]]:
-    """The lines of a binary file, a block at a time: ``(data, starts, ends,
-    heads, marks)``, line i being the bytes ``data[starts[i]:ends[i]]`` (its
-    LF, CRLF or CR left out) and ``heads[i]`` the eight bytes from its start
-    as a little-endian uint64, bytes past its end included; ``marks`` is
-    scratch space of one bool per byte of ``data``.  Every block but the
-    last ends with an empty line, so each starts a record afresh.  ``data``
-    and ``marks`` view buffers that are reused, valid until the next block
-    is asked for.
-    """
-    if fh.peek(3)[:3] == codecs.BOM_UTF8:
-        fh.read(3)
-    size = 0
-    filled = 0
-    while True:
-        if filled == size:
-            # a full buffer with no empty line (or none yet): read on into
-            # one twice the size, with eight bytes to spare for the heads
-            size = max(2 * size, _BLOCK_BYTES)
-            buf = bytearray(buf[:filled] if filled else b"") + bytes(size + 8 - filled)
-            windows = np.ndarray((size + 1,), dtype="<u8", buffer=buf, strides=(1,))
-            marks = np.empty(size, dtype=bool)
-        got = fh.readinto(memoryview(buf)[filled:size])
-        filled += got
-        final = not got
-        data = np.frombuffer(buf, dtype=np.uint8, count=filled)
-        if buf.find(b"\r", 0, filled) < 0:
-            ends = np.flatnonzero(np.equal(data, 10, out=marks[:filled]))
-            nexts = ends + 1
-        else:
-            found = np.equal(data, 10, out=marks[:filled])
-            found |= data == 13
-            found = np.flatnonzero(found)
-            crlf = (data[found] == 13) & (data[np.minimum(found + 1, filled - 1)] == 10)
-            crlf &= found + 1 < filled
-            # the LF of a CRLF ends no line of its own; a CRLF split by the
-            # end of the buffer reads as a CR and an empty line, which
-            # changes nothing, as a block ends with an empty line anyway
-            lone = np.ones(len(found), dtype=bool)
-            lone[1:] = ~crlf[:-1]
-            ends = found[lone]
-            nexts = ends + 1 + crlf[lone]
-        starts = np.zeros(len(ends), dtype=np.int64)
-        starts[1:] = nexts[:-1]
-        if final:
-            tail = int(nexts[-1]) if len(nexts) else 0
-            if tail < filled:
-                starts = np.append(starts, tail)
-                ends = np.append(ends, filled)
-            yield data, starts, ends, windows[starts], marks[:filled]
-            return
-        empty = np.flatnonzero(starts == ends)
-        if not len(empty):
-            continue
-        last = int(empty[-1]) + 1
-        yield data, starts[:last], ends[:last], windows[starts[:last]], marks[:filled]
-        cut = int(nexts[last - 1])
-        buf[: filled - cut] = buf[cut:filled]
-        filled -= cut
 
 
 def _medline_block(data, starts, ends, heads, marks, sink: _RecordSink) -> None:
@@ -637,16 +943,7 @@ def _medline_block(data, starts, ends, heads, marks, sink: _RecordSink) -> None:
     # values on one line of their own are gathered with an LF after each
     # and decoded at once
     slow = by_text[lines] | continued[read]
-    lo, hi = lo[~slow], hi[~slow]
-    spans = hi - lo + 1
-    offsets = np.zeros(len(spans) + 1, dtype=np.int64)
-    np.cumsum(spans, out=offsets[1:])
-    gather = _row_runs(lo, spans, offsets)
-    np.minimum(gather, len(data) - 1, out=gather)
-    text = data[gather]
-    text[offsets[1:] - 1] = 10
-    values = text.tobytes().decode("utf-8", "replace").split("\n")
-    del values[-1]
+    values = _spans_text(data, lo[~slow], hi[~slow])
     if slow.any():
         pieces: dict[int, list[str]] = {}
         for line, field_pos in zip(conts.tolist(), owner.tolist()):
@@ -713,9 +1010,10 @@ def ingest_medline_text(
     report = IngestReport()
     sink = _RecordSink(_MeshColumns(vocabulary), year_range, report)
     with open(path, "rb") as fh:
-        for data, starts, ends, heads, marks in _medline_blocks(fh):
+        blocks = _line_blocks(fh, _BLOCK_BYTES, after_empty_line=True)
+        for data, starts, ends, windows, marks in blocks:
             if len(starts):
-                _medline_block(data, starts, ends, heads, marks, sink)
+                _medline_block(data, starts, ends, windows[starts], marks, sink)
     return sink.corpus(query_label or path), report
 
 

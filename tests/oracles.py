@@ -273,33 +273,46 @@ def _in_corpus_order(publications):
 
 
 def ingest_jsonl_objects(path, vocabulary, year_range=None):
-    """(publications in (year, id) order, report) of a JSONL corpus."""
+    """(publications in (year, id) order, report) of a JSONL corpus: each
+    line of ``bytes.splitlines`` (LF, CRLF or CR) decoded as UTF-8 and,
+    with one LF for its line end as text mode reads it, parsed by
+    ``json.loads``."""
     from helixmi.corpus import CorpusFormatError, IngestReport
 
     report = IngestReport()
     out = []
     seen = set()
-    with open(path, encoding="utf-8-sig") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                obj = json.loads(line)
-            except ValueError as exc:  # JSONDecodeError, or an integer too long to convert
-                raise CorpusFormatError(f"{path}: line {lineno}: {exc}") from None
-            try:
-                pub_id = str(obj["id"])
-                year = int(obj["year"])
-                mesh_field = obj["mesh"]
-                if not isinstance(mesh_field, list):
-                    raise TypeError("mesh must be a list")
-                tokens = [str(t) for t in mesh_field]
-            except (KeyError, TypeError, ValueError) as exc:
-                raise CorpusFormatError(
-                    f"{path}: line {lineno}: bad record ({exc})"
-                ) from None
-            mesh_ids = _resolve_terms(tokens, vocabulary, report)
-            _admit(pub_id, year, mesh_ids, year_range, seen, out, report)
+    with open(path, "rb") as fh:
+        data = fh.read().removeprefix(b"\xef\xbb\xbf")
+    for lineno, raw in enumerate(data.splitlines(keepends=True), start=1):
+        body = raw.rstrip(b"\r\n")
+        try:
+            line = body.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise CorpusFormatError(f"{path}: line {lineno}: not UTF-8 text ({exc})") from None
+        if not line.strip():
+            continue
+        if body != raw:
+            line += "\n"
+        try:
+            obj = json.loads(line)
+        except (ValueError, RecursionError) as exc:
+            raise CorpusFormatError(f"{path}: line {lineno}: {exc}") from None
+        try:
+            pub_id = str(obj["id"])
+            year = int(obj["year"])
+            if not -(2**63) <= year < 2**63:
+                raise ValueError(f"year {year} out of range")
+            mesh_field = obj["mesh"]
+            if not isinstance(mesh_field, list):
+                raise TypeError("mesh must be a list")
+            tokens = [str(t) for t in mesh_field]
+        except (KeyError, TypeError, ValueError, OverflowError, RecursionError) as exc:
+            raise CorpusFormatError(
+                f"{path}: line {lineno}: bad record ({exc})"
+            ) from None
+        mesh_ids = _resolve_terms(tokens, vocabulary, report)
+        _admit(pub_id, year, mesh_ids, year_range, seen, out, report)
     return _in_corpus_order(out), report
 
 

@@ -64,6 +64,16 @@ def test_jsonl_integer_too_long_to_convert_exits_two(synth_dir, tmp_path, capsys
     assert "line 1" in capsys.readouterr().err
 
 
+def test_jsonl_nesting_too_deep_exits_two(synth_dir, tmp_path, capsys):
+    corpus = tmp_path / "deep.jsonl"
+    corpus.write_text('{"id": "1", "year": 2000, "mesh": ["C000000"]}\n'
+                      '{"id": "2", "year": 2000, "mesh": ' + "[" * 100_000 + "\n",
+                      encoding="utf-8")
+    assert run(["ingest", "--corpus", corpus, "--mesh", synth_dir / "mesh.tsv",
+                "--out", tmp_path / "out"]) == 2
+    assert "line 2: maximum recursion depth" in capsys.readouterr().err
+
+
 def test_unusable_data_exits_two(synth_dir, tmp_path, capsys):
     io = ["--corpus", synth_dir / "corpus.jsonl", "--mesh", synth_dir / "mesh.tsv"]
     # a year window without publications leaves no branch statistics
@@ -90,7 +100,12 @@ def test_unusable_data_exits_two(synth_dir, tmp_path, capsys):
     latin.write_bytes(b'{"id": "1", "year": 2000, "mesh": ["Caf\xe9"]}\n')
     assert run(["mi", "--corpus", latin, "--mesh", synth_dir / "mesh.tsv",
                 "--out", tmp_path / "d"]) == 2
-    assert "not UTF-8" in capsys.readouterr().err
+    assert "line 1: not UTF-8" in capsys.readouterr().err
+    latin_mesh = tmp_path / "latin.tsv"
+    latin_mesh.write_bytes((synth_dir / "mesh.tsv").read_bytes() + b"X1\tCaf\xe9\tC01\n")
+    assert run(["mi", "--corpus", synth_dir / "corpus.jsonl", "--mesh", latin_mesh,
+                "--out", tmp_path / "f"]) == 2
+    assert "latin.tsv: not UTF-8" in capsys.readouterr().err
 
 
 def test_internal_value_error_is_a_traceback(synth_dir, tmp_path, monkeypatch):
@@ -184,7 +199,11 @@ def test_manifest_records_stage_times(synth_dir, tmp_path):
     assert run(["stats", *io, "--out", tmp_path / "stats"]) == 0
     manifest = json.loads((tmp_path / "stats" / "manifest.json").read_text())
     stages = manifest["stages"]
-    assert set(stages) == {"vocabulary_s", "ingest_s", "command_s", "peak_rss_mb"}
+    assert set(stages) == {"vocabulary_s", "ingest_s", "command_s", "peak_rss_mb",
+                           "ingest_template_lines", "ingest_json_lines"}
+    # synth writes canonical lines, which all take the template path
+    lines = len((synth_dir / "corpus.jsonl").read_bytes().splitlines())
+    assert (stages["ingest_template_lines"], stages["ingest_json_lines"]) == (lines, 0)
     assert 0 < stages["vocabulary_s"] + stages["ingest_s"] < stages["command_s"]
     assert stages["peak_rss_mb"] > 1
     assert "stages" not in manifest["diagnostics"]
@@ -270,7 +289,8 @@ def test_null_command_and_thread_invariance(synth_dir, tmp_path, monkeypatch):
         assert null_manifest["corpus_hash"] == cli.file_sha256(synth_dir / "corpus.jsonl")
         stages = json.loads((out / "manifest.json").read_text())["stages"]
         assert set(stages) == {"vocabulary_s", "ingest_s", "null_s", "null_workers",
-                               "command_s", "peak_rss_mb"}
+                               "command_s", "peak_rss_mb", "ingest_template_lines",
+                               "ingest_json_lines"}
         assert stages["null_workers"] == (cores if sys.platform == "linux" else 1)
         assert 0 < stages["null_s"] < stages["command_s"]
     assert all(o == outputs[0] for o in outputs)
@@ -470,3 +490,6 @@ def test_medline_ingest_through_cli(tmp_path, synth_dir):
     assert lines[0]["id"] == "1"
     assert lines[0]["mesh"] == ["C000000", "Z000000"]
     assert lines[1]["mesh"] == ["D000000"]
+    # the JSONL parser's line counts are recorded only for a JSONL corpus
+    stages = json.loads((out / "manifest.json").read_text())["stages"]
+    assert "ingest_template_lines" not in stages

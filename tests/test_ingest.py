@@ -1,15 +1,17 @@
 """The array parsers against the object parsers they replaced.
 
-``ingest_jsonl`` hands records to the sink in batches and
-``ingest_medline_text`` parses the file in blocks cut after empty
+``ingest_jsonl`` parses the file in blocks cut after line ends, its
+canonical lines with array operations and the rest with ``json.loads``,
+and ``ingest_medline_text`` parses the file in blocks cut after empty
 lines; ``oracles.ingest_jsonl_objects`` and
 ``oracles.ingest_medline_objects`` build one ``Publication`` per record
 and apply the rules to those.  Generated inputs must give equal rows,
-equal reports and equal canonical bytes, with and without a year
-window, at any batch or block size.  Named MEDLINE fixtures pin the
-parser's edge cases.  The canonical writer must give the bytes of
-``json.JSONEncoder`` (``oracles.canonical_lines_encoder``) for any id
-text and year, and its output must ingest back to the same corpus.
+equal reports and equal canonical bytes, or the same error message,
+with and without a year window, at any block size.  Named JSONL lines
+and MEDLINE fixtures pin the parsers' edge cases.  The canonical writer
+must give the bytes of ``json.JSONEncoder``
+(``oracles.canonical_lines_encoder``) for any id text and year, and its
+output must ingest back to the same corpus.
 """
 
 import gc
@@ -46,6 +48,8 @@ from oracles import (
 VOCAB = make_vocab(
     {
         "C1": ["C04.100"],
+        "D000076222": ["D27.100"],
+        "LONGDESCRIPTOR0001": ["E01.100"],
         "C2": ["C08.200"],
         "D1": ["D02.300"],
         "E1": ["E05.500"],
@@ -63,8 +67,8 @@ BOM = "\ufeff".encode("utf-8")
 
 @contextmanager
 def with_size(name, size):
-    """``helixmi.corpus.<name>`` (a batch or block size) set to ``size``
-    inside the block; None keeps the default."""
+    """``helixmi.corpus.<name>`` (a block size) set to ``size`` inside the
+    block; None keeps the default."""
     with pytest.MonkeyPatch.context() as mp:
         if size is not None:
             mp.setattr(corpus_module, name, size)
@@ -86,62 +90,113 @@ def assert_same_ingest(corpus, report, publications, expected_report):
 # JSONL
 # ---------------------------------------------------------------------------
 
-# ids, names in any case and spacing, unknown terms and non-string values
+# ids, names in any case and spacing, terms of more than 8 and more than
+# 16 bytes, unknown terms, text JSON escapes or that is not ASCII, and
+# non-string values
 jsonl_terms = st.sampled_from(
     ["C1", "C2", "D1", "E1", "CE1", "Z1", "Term C1", "term d1", "  TERM E1 ", "Term CE1",
-     "c1", "No Such Term", "", "C9", 7, None, 2.5]
+     "c1", "No Such Term", "", "C9", "D000076222", "term d000076222", "LONGDESCRIPTOR0001",
+     "Term LONGDESCRIPTOR0001", "An Unknown Term Of Many Bytes", "Caf\u00e9", 'Quote " C1',
+     "Back\\slash", "Tab\tC1", 7, None, 2.5]
 )
 
 jsonl_records = st.fixed_dictionaries(
     {
-        # a small id pool, so duplicates whose first copy is excluded occur
-        "id": st.sampled_from(["1", "2", "3", "10", "a", 4]),
+        # a small id pool, so duplicates whose first copy is excluded occur,
+        # in the same block or another one
+        "id": st.sampled_from(["1", "2", "3", "10", "a", "D000076222", 4]),
         "year": st.integers(1997, 2003) | st.sampled_from(["2000", 2001.0]),
         "mesh": st.lists(jsonl_terms, max_size=5),
     }
 )
 
+# the year of a canonical line: ints the template path reads, and tokens it
+# leaves to json.loads (a leading zero, 19 digits, a lone "-", a fraction)
+ODD_YEARS = (
+    ["0", "-0", "-7", "01", "-01", "-", "2000.0", "2e3", "999999999999999999",
+     "-999999999999999999", "1000000000000000000", "9223372036854775807",
+     "9999999999999999999", "-9223372036854775808"])
+odd_years = st.sampled_from(ODD_YEARS)
+
+
+@st.composite
+def canonical_lines(draw):
+    """A record as the canonical writer lays it out, with or without
+    non-ASCII text left unescaped, sometimes with an odd year token."""
+    record = draw(jsonl_records)
+    line = json.dumps(record, sort_keys=True, separators=(",", ":"),
+                      ensure_ascii=draw(st.booleans()))
+    if isinstance(record["year"], int) and not draw(st.integers(0, 5)):
+        line = line.rpartition('"year":')[0] + '"year":' + draw(odd_years) + "}"
+    return line
+
+
 blank_lines = st.sampled_from(["", " ", "\t", "  \t ", "\u00a0", "\x0c"])
 
-malformed_lines = st.sampled_from(
-    ["{oops", "[1, 2]", '"text"', '{"id": "1", "year": 2000}',
-     '{"id": "1", "year": 2000, "mesh": "C1"}', '{"id": "1", "year": "about", "mesh": []}',
-     '{"id": "1", "year": null, "mesh": []}']
-)
+# lines that are not canonical: most are a canonical line with a byte
+# changed, which json.loads or the record rules refuse, some only add
+# whitespace, and one is not UTF-8
+OFF_TEMPLATE_LINES = [line.encode("utf-8") for line in [
+    "{oops", "[1, 2]", '"text"', '{"id": "1", "year": 2000}',
+    '{"id": "1", "year": 2000, "mesh": "C1"}', '{"id": "1", "year": "about", "mesh": []}',
+    '{"id": "1", "year": null, "mesh": []}', '{"id":"1","mesh":["C1"],"year":2000',
+    '{"id":"1","mesh":["C1"],"year":2000}}', '{"id":"1","mesh":["C1"]"year":2000}',
+    '{"id":"1","mesh":["C1",],"year":2000}', '{"id":"1","mesh":["C1""D1"],"year":2000}',
+    '{"id":"1","mesh":["C1";"D1"],"year":2000}', '{"id":"1","mesh":["C1"] ,"year":2000}',
+    '{"id":"1" ,"mesh":[],"year":2000}', '{"id":"1","mesh":[],"year":2000 }',
+    '{"id":"1","mesh":[],"year";2000}', '{"id":"1","mesh":[],"yeaR":2000}',
+    '{"id":"1","mesh":[,"C1"],"year":2000}', '{"id":"1","mesh":["C1"],"year":2000]',
+    '{"id":"1","mash":["C1"],"year":2000}', '{"id":"1","mesh":{"C1"],"year":2000}',
+    '{"ID":"1","mesh":["C1"],"year":2000}', ' {"id":"1","mesh":["C1"],"year":2000}',
+]] + [b'{"id":"1","mesh":["Caf\xe9"],"year":2000}']
+off_template_lines = st.sampled_from(OFF_TEMPLATE_LINES)
 
 
 @st.composite
 def jsonl_files(draw):
-    lines = draw(
-        st.lists(jsonl_records.map(json.dumps) | blank_lines, min_size=0, max_size=25)
-    )
+    lines = draw(st.lists(
+        jsonl_records.map(json.dumps) | canonical_lines() | blank_lines, max_size=25))
+    lines = [line.encode("utf-8") for line in lines]
     if draw(st.integers(0, 5)) == 0:
-        lines.insert(draw(st.integers(0, len(lines))), draw(malformed_lines))
-    ending = draw(st.sampled_from(["\n", "\r\n"]))
-    return "".join(line + ending for line in lines)
+        lines.insert(draw(st.integers(0, len(lines))), draw(off_template_lines))
+    endings = st.sampled_from([b"\n", b"\r\n", b"\r"])
+    data = b"".join(line + draw(endings) for line in lines)
+    if lines and draw(st.booleans()):
+        data = data.rstrip(b"\r\n")
+    return BOM + data if draw(st.booleans()) else data
+
+
+# bytes per block: smaller than one line (so a block grows), a few lines,
+# and the default
+BLOCK_SIZES = [1, 2, 3, 7, 64, None]
+
+
+def assert_same_outcome(path, year_range=None):
+    """``ingest_jsonl`` gives the object parser's corpus and report, or
+    raises its error with the same message."""
+    try:
+        expected = ingest_jsonl_objects(str(path), VOCAB, year_range)
+    except CorpusFormatError as exc:
+        with pytest.raises(CorpusFormatError) as raised:
+            ingest_jsonl(str(path), VOCAB, year_range)
+        assert str(raised.value) == str(exc)
+        return
+    assert_same_ingest(*ingest_jsonl(str(path), VOCAB, year_range), *expected)
 
 
 @examples
-@given(jsonl_files(), year_windows, st.sampled_from([1, 3, None]))
-def test_jsonl_matches_object_parser(tmp_path_factory, text, year_range, batch):
+@given(jsonl_files(), year_windows, st.sampled_from(BLOCK_SIZES))
+def test_jsonl_matches_object_parser(tmp_path_factory, data, year_range, block):
     path = tmp_path_factory.mktemp("jsonl") / "c.jsonl"
-    path.write_bytes(text.encode("utf-8"))
-    with with_size("_JSONL_BATCH", batch):
-        try:
-            expected = ingest_jsonl_objects(str(path), VOCAB, year_range)
-        except CorpusFormatError as exc:
-            with pytest.raises(CorpusFormatError) as raised:
-                ingest_jsonl(str(path), VOCAB, year_range)
-            assert str(raised.value) == str(exc)
-            return
-        corpus, report = ingest_jsonl(str(path), VOCAB, year_range)
-    assert_same_ingest(corpus, report, *expected)
+    path.write_bytes(data)
+    with with_size("_JSONL_BLOCK_BYTES", block):
+        assert_same_outcome(path, year_range)
 
 
-@pytest.mark.parametrize("batch", [1, 3])
-def test_jsonl_rules_span_batches(tmp_path, batch):
+@pytest.mark.parametrize("block", [1, 3])
+def test_jsonl_rules_span_batches(tmp_path, block):
     # "1" is first excluded for its year, then admitted, then a duplicate;
-    # the unresolved terms of excluded records land in other batches
+    # the unresolved terms of excluded records land in other blocks
     records = [
         {"id": "1", "year": 1990, "mesh": ["C1", "Nowhere"]},
         {"id": "2", "year": 2000, "mesh": ["Nowhere"]},
@@ -151,7 +206,7 @@ def test_jsonl_rules_span_batches(tmp_path, batch):
     ]
     path = tmp_path / "c.jsonl"
     path.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
-    with with_size("_JSONL_BATCH", batch):
+    with with_size("_JSONL_BLOCK_BYTES", block):
         corpus, report = ingest_jsonl(str(path), VOCAB, (1995, 2005))
     assert [(p.id, p.year, p.mesh_ids) for p in corpus.publications] == [
         ("1", 2000, ("D1",)), ("3", 2001, ("E1",))]
@@ -161,6 +216,117 @@ def test_jsonl_rules_span_batches(tmp_path, batch):
         "unresolved_terms": [{"name": "Nowhere", "count": 3},
                              {"name": "Elsewhere", "count": 1}],
     }
+
+
+def test_jsonl_lines_take_the_template_path_or_json(tmp_path):
+    records = [
+        {"id": "1", "year": 2000, "mesh": ["C1", "Term D000076222"]},
+        {"id": "2", "year": -0, "mesh": []},
+        {"id": "3", "year": 2001, "mesh": ["Term LONGDESCRIPTOR0001", "Nowhere"]},
+    ]
+    canonical = [json.dumps(r, sort_keys=True, separators=(",", ":")) for r in records]
+    path = tmp_path / "c.jsonl"
+    path.write_text("\n".join(canonical) + "\n", encoding="utf-8")
+    corpus, report = ingest_jsonl(str(path), VOCAB)
+    assert (report.template_lines, report.json_lines) == (3, 0)
+    assert [(p.id, p.year, p.mesh_ids) for p in corpus.publications] == [
+        ("1", 2000, ("C1", "D000076222")), ("3", 2001, ("LONGDESCRIPTOR0001",))]
+    # other separators, an escape, a CRLF and a year with a leading zero
+    # all go to json.loads, which must give the same records
+    path.write_text(
+        "\n".join(json.dumps(r) for r in records[:2]) + "\r\n"
+        + canonical[2].replace("Nowhere", "Nowh\\u0065re") + "\n  \n", encoding="utf-8")
+    again, report = ingest_jsonl(str(path), VOCAB)
+    assert (report.template_lines, report.json_lines) == (0, 3)
+    assert corpus_canonical_bytes(again) == corpus_canonical_bytes(corpus)
+    path.write_text(canonical[0] + "\n" + canonical[2].replace("2001", "02001") + "\n",
+                    encoding="utf-8")
+    with pytest.raises(CorpusFormatError, match="line 2: Expecting ',' delimiter"):
+        ingest_jsonl(str(path), VOCAB)
+
+
+@pytest.mark.parametrize("year", ODD_YEARS)
+def test_jsonl_canonical_line_years_match_object_parser(tmp_path, year):
+    path = tmp_path / "c.jsonl"
+    path.write_text('{"id":"1","mesh":["C1"],"year":2000}\n'
+                    f'{{"id":"2","mesh":["D1"],"year":{year}}}\n', encoding="utf-8")
+    assert_same_outcome(path)
+
+
+@pytest.mark.parametrize("ending", [b"", b"\n", b"\r", b"\r\n"])
+def test_jsonl_error_message_sees_the_line_end(tmp_path, ending):
+    # json.loads reports the position after trailing whitespace, so a line
+    # keeps its line end, as one LF, when it has one
+    path = tmp_path / "c.jsonl"
+    path.write_bytes(b'{"id":"1","mesh":["C1"],"year":2000}\n{"id":"2","mesh":["C1"]' + ending)
+    with pytest.raises(CorpusFormatError) as raised:
+        ingest_jsonl(str(path), VOCAB)
+    with pytest.raises(CorpusFormatError) as expected:
+        ingest_jsonl_objects(str(path), VOCAB)
+    assert str(raised.value) == str(expected.value)
+    assert ("line 2 column 1" in str(raised.value)) == bool(ending)
+
+
+@pytest.mark.parametrize("line", OFF_TEMPLATE_LINES)
+def test_jsonl_off_template_line_matches_object_parser(tmp_path, line):
+    path = tmp_path / "c.jsonl"
+    path.write_bytes(b'{"id":"1","mesh":["C1"],"year":2000}\n' + line + b"\n")
+    assert_same_outcome(path)
+
+
+def test_jsonl_line_numbers_with_crlf_cut_by_any_block(tmp_path):
+    # some block size ends a buffer between the CR and the LF of a line end,
+    # which must not count as two line ends
+    path = tmp_path / "c.jsonl"
+    path.write_bytes(b'{"id":"1","mesh":["C1"],"year":2000}\r\n' * 3 + b"\r\n{oops\r\n")
+    for block in range(1, 48):
+        with with_size("_JSONL_BLOCK_BYTES", block):
+            with pytest.raises(CorpusFormatError, match="line 5: Expecting"):
+                ingest_jsonl(str(path), VOCAB)
+
+
+def test_jsonl_many_distinct_terms_match_object_parser(tmp_path):
+    # hundreds of new terms in one block collide in the term table and make
+    # it grow; ids of seven bytes, names of more than eight and unknowns
+    vocab = make_vocab({f"D{i:06d}": ["D01.100"] for i in range(400)})
+    rng = np.random.default_rng(5)
+    terms = ([f"D{i:06d}" for i in range(400)] + [f"term d{i:06d}" for i in range(400)]
+             + [f"U{i:06d}" for i in range(100)])
+    records = [{"id": str(i), "year": 2000 + i % 3,
+                "mesh": [terms[j] for j in rng.choice(len(terms), 12, replace=False)]}
+               for i in range(300)]
+    path = tmp_path / "c.jsonl"
+    path.write_text("".join(json.dumps(r, sort_keys=True, separators=(",", ":")) + "\n"
+                            for r in records), encoding="utf-8")
+    corpus, report = ingest_jsonl(str(path), vocab)
+    assert report.template_lines == 300
+    publications, expected = ingest_jsonl_objects(str(path), vocab)
+    assert [(p.id, p.year, p.mesh_ids) for p in corpus.publications] == [
+        (p.id, p.year, p.mesh_ids) for p in publications]
+    assert report.to_json_dict() == expected.to_json_dict()
+
+
+def test_jsonl_first_bad_line_wins_whatever_its_error(tmp_path):
+    path = tmp_path / "c.jsonl"
+    good = b'{"id":"1","mesh":["C1"],"year":2000}\n'
+    path.write_bytes(good * 3 + b"{oops\n" + good + b'{"id":"2","mesh":["Caf\xe9"],"year":1}\n')
+    with pytest.raises(CorpusFormatError, match=r"line 4: Expecting"):
+        ingest_jsonl(str(path), VOCAB)
+    path.write_bytes(good + b'{"id":"2","mesh":["Caf\xe9"],"year":1}\n' + b"{oops\n")
+    with pytest.raises(CorpusFormatError, match=r"line 2: not UTF-8 text \(.*position 22"):
+        ingest_jsonl(str(path), VOCAB)
+
+
+def test_jsonl_nesting_too_deep_is_a_format_error(tmp_path):
+    path = tmp_path / "c.jsonl"
+    path.write_text('{"id": "1", "year": 2000, "mesh": ["C1"]}\n'
+                    '{"id": "2", "year": 2000, "mesh": ' + "[" * 100_000 + "\n",
+                    encoding="utf-8")
+    with pytest.raises(CorpusFormatError, match="line 2: maximum recursion depth") as raised:
+        ingest_jsonl(str(path), VOCAB)
+    with pytest.raises(CorpusFormatError) as expected:
+        ingest_jsonl_objects(str(path), VOCAB)
+    assert str(raised.value) == str(expected.value)
 
 
 def test_jsonl_byte_order_mark_is_skipped(tmp_path):
@@ -251,9 +417,6 @@ def medline_files(draw):
     # lone surrogates stand in for bytes that are not UTF-8
     text = ending.join(lines) + draw(st.sampled_from(["", ending]))
     return text.encode("utf-8", errors="surrogateescape")
-
-
-BLOCK_SIZES = [1, 2, 3, 7, 64, None]
 
 
 @examples
