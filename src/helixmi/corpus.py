@@ -93,7 +93,8 @@ class IngestReport:
 class Incidence(NamedTuple):
     """The (publications x descriptors) 0/1 matrix in CSR form: the
     descriptor columns of row i are ``indices[indptr[i]:indptr[i + 1]]``,
-    ascending (``Corpus.build`` keeps each publication's own order)."""
+    ascending in every corpus that ingest and synth build
+    (``Corpus.from_arrays`` keeps the order it is given)."""
 
     indptr: np.ndarray  # int64, one more entry than there are rows
     indices: np.ndarray  # int32 column positions
@@ -123,6 +124,15 @@ def _row_runs(starts: np.ndarray, lengths: np.ndarray, offsets: np.ndarray) -> n
     return runs
 
 
+def _take_rows(indptr: np.ndarray, values: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The CSR rows ``rows`` of ``(indptr, values)``, in that order: their
+    int64 indptr and their values, each row's run gathered at once."""
+    lengths = np.diff(indptr)[rows]
+    taken = np.zeros(len(lengths) + 1, dtype=np.int64)
+    np.cumsum(lengths, out=taken[1:])
+    return taken, values[_row_runs(indptr[:-1][rows], lengths, taken)]
+
+
 @dataclass(eq=False)
 class Corpus:
     """Immutable per-query corpus with yearly partitions, held as arrays.
@@ -134,9 +144,12 @@ class Corpus:
     derivations are deterministic; each year is then one contiguous run
     of rows, and ``by_year`` maps it to that ``range``.
 
-    Count-based analyses read ``incidence`` and its per-year sums
-    ``year_counts`` (built on first use and cached).  ``publications``
-    gives the rows as :class:`Publication` objects, built on first read.
+    A corpus is built from flat arrays by :meth:`from_arrays`, which the
+    parsers and the synthetic generator call.  Count-based analyses read
+    ``incidence`` and its per-year sums ``year_counts`` (built on first
+    use and cached).  ``publications`` gives the rows as
+    :class:`Publication` objects, built on first read; no command reads
+    it.
     """
 
     query_label: str
@@ -169,12 +182,9 @@ class Corpus:
         # in order (the canonical JSONL that ``ingest`` writes) keep their
         # arrays, as the gather holds one more index per entry
         if (np.diff(order) != 1).any():
-            lengths = np.diff(indptr)[order]
-            sorted_ptr = np.zeros(n + 1, dtype=np.int64)
-            np.cumsum(lengths, out=sorted_ptr[1:])
-            gather = _row_runs(indptr[:-1][order], lengths, sorted_ptr)
             pub_ids = [pub_ids[i] for i in order.tolist()]
-            years, indptr, indices = years[order], sorted_ptr, indices[gather]
+            years = years[order]
+            indptr, indices = _take_rows(indptr, indices, order)
         cuts = [0, *(np.flatnonzero(np.diff(years)) + 1).tolist(), n] if n else []
         firsts = years[cuts[:-1]].tolist()
         return cls(
@@ -186,54 +196,20 @@ class Corpus:
             by_year={y: range(a, b) for y, a, b in zip(firsts, cuts, cuts[1:])},
         )
 
-    @classmethod
-    def build(
-        cls, query_label: str, publications: list[Publication], vocabulary: Vocabulary
-    ) -> "Corpus":
-        """The corpus of ``Publication`` objects; each keeps its descriptor
-        ids in the order given.
-
-        Raises ``KeyError`` for an id missing from the vocabulary:
-        ingestion is expected to have cleaned those.
-        """
-        column_of = vocabulary.column_of
-        n = len(publications)
-        indptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(
-            np.fromiter((len(p.mesh_ids) for p in publications), dtype=np.int64, count=n),
-            out=indptr[1:],
-        )
-        indices = np.fromiter(
-            (column_of[uid] for p in publications for uid in p.mesh_ids),
-            dtype=np.int32,
-            count=int(indptr[-1]),
-        )
-        years = np.fromiter((p.year for p in publications), dtype=np.int64, count=n)
-        ids = [p.id for p in publications]
-        return cls.from_arrays(query_label, vocabulary, ids, years, indptr, indices)
-
     def __len__(self) -> int:
         return len(self.pub_ids)
 
     def years(self) -> list[int]:
         return sorted(self.by_year)
 
-    def rows(self) -> Iterator[tuple[str, int, list[str]]]:
-        """Each row's id, year and descriptor ids, in corpus order."""
-        indptr, indices = self.incidence
-        names = np.array(self.vocabulary.column_ids, dtype=object)[indices].tolist()
-        bounds = indptr.tolist()
-        for pub_id, year, lo, hi in zip(self.pub_ids, self.pub_years.tolist(), bounds, bounds[1:]):
-            yield pub_id, year, names[lo:hi]
-
     @cached_property
     def publications(self) -> tuple[Publication, ...]:
         """The rows as ``Publication`` objects, built on first read."""
-        return tuple(Publication(i, y, tuple(mesh)) for i, y, mesh in self.rows())
-
-    def publications_in(self, year: int) -> list[Publication]:
-        rows = self.by_year.get(year, range(0))
-        return list(self.publications[rows.start:rows.stop])
+        indptr, indices = self.incidence
+        names = np.array(self.vocabulary.column_ids, dtype=object)[indices].tolist()
+        bounds = indptr.tolist()
+        rows = zip(self.pub_ids, self.pub_years.tolist(), bounds, bounds[1:])
+        return tuple(Publication(i, y, tuple(names[lo:hi])) for i, y, lo, hi in rows)
 
     @cached_property
     def year_counts(self) -> np.ndarray:
@@ -367,13 +343,9 @@ class _RecordSink:
         indptr = np.asarray(self.indptr, dtype=np.int64)
         indices = np.asarray(self.indices, dtype=np.int32)
         if dropped:
-            keep = np.ones(len(years), dtype=bool)
-            keep[dropped] = False
-            lengths = np.diff(indptr)[keep]
-            kept_ptr = np.zeros(len(lengths) + 1, dtype=np.int64)
-            np.cumsum(lengths, out=kept_ptr[1:])
-            indices = indices[_row_runs(indptr[:-1][keep], lengths, kept_ptr)]
-            years, indptr = years[keep], kept_ptr
+            keep = np.delete(np.arange(len(years)), dropped)
+            years = years[keep]
+            indptr, indices = _take_rows(indptr, indices, keep)
         return Corpus.from_arrays(query_label, self.vocabulary, admitted, years, indptr, indices)
 
 
@@ -733,14 +705,10 @@ def _in_line_order(lines, records, more_lines, more):
     order = np.argsort(np.concatenate((lines, more_lines)))
     ids = np.array(records[0] + more[0], dtype=object)[order].tolist()
     years = np.concatenate((records[1], more[1]))[order]
-    lengths = np.concatenate((records[3], more[3]))
-    bounds = np.zeros(len(lengths) + 1, dtype=np.int64)
-    np.cumsum(lengths, out=bounds[1:])
-    lengths = lengths[order]
-    ordered = np.zeros(len(lengths) + 1, dtype=np.int64)
-    np.cumsum(lengths, out=ordered[1:])
-    codes = np.concatenate((records[2], more[2]))[_row_runs(bounds[:-1][order], lengths, ordered)]
-    return ids, years, codes, lengths
+    bounds = np.zeros(len(order) + 1, dtype=np.int64)
+    np.cumsum(np.concatenate((records[3], more[3])), out=bounds[1:])
+    bounds, codes = _take_rows(bounds, np.concatenate((records[2], more[2])), order)
+    return ids, years, codes, np.diff(bounds)
 
 
 def ingest_jsonl(

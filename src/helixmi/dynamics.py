@@ -33,18 +33,6 @@ def sextile_sizes(k: int) -> list[int]:
     return [q + 1] * rem + [q] * (6 - rem)
 
 
-def sextile_of(rank: int, k: int) -> int:
-    """1-based band index of a rank in 1..k."""
-    if not 1 <= rank <= k:
-        raise ValueError(f"rank {rank} outside 1..{k}")
-    upper = 0
-    for i, size in enumerate(sextile_sizes(k), start=1):
-        upper += size
-        if rank <= upper:
-            return i
-    raise AssertionError("unreachable")
-
-
 @dataclass
 class RankTrajectoryMatrix:
     """Rows: top-K descriptors by all-years usage; columns: years.
@@ -76,7 +64,7 @@ def rank_trajectories(corpus: Corpus, k: int = 200) -> RankTrajectoryMatrix:
         order = ranked_columns(year_counts)
         ranks[order] = np.arange(1, len(order) + 1)
         r = ranks[top]
-        # the first band whose end reaches the rank, as in sextile_of
+        # the 1-based band of the rank: the first band whose end reaches it
         sextile = np.searchsorted(band_ends, r) + 1
         cells[:, j] = np.where(r == 0, ABSENT, np.where(r > k, OUT_OF_TOPK, sextile))
     ids = corpus.vocabulary.column_ids

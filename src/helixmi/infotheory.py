@@ -192,10 +192,6 @@ class JointTable:
         if abs(total - 1.0) > PROB_TOLERANCE:
             raise ValueError(f"probabilities sum to {total!r}, not 1")
 
-    @property
-    def support_size(self) -> int:
-        return len(self.cells)
-
     @classmethod
     def from_observations(
         cls, dims: Sequence[str], rows: Iterable[tuple[int, ...]]
@@ -429,8 +425,3 @@ def yearly_mi(
         raise DataError("empty corpus")
     per_year = triples_by_year(corpus, counting)
     return mi_from_triples(per_year, map_kind=map_kind, include_empty=include_empty)
-
-
-def year_joint_table(vectors: np.ndarray) -> JointTable:
-    """Explicit three-axis joint table for one year's count vectors."""
-    return JointTable.from_observations(BRANCHES, (tuple(v) for v in vectors))

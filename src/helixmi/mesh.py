@@ -97,12 +97,6 @@ class Vocabulary:
     def __len__(self) -> int:
         return len(self.descriptors)
 
-    def __contains__(self, descriptor_id: str) -> bool:
-        return descriptor_id in self.descriptors
-
-    def get(self, descriptor_id: str) -> MeshDescriptor | None:
-        return self.descriptors.get(descriptor_id)
-
     @cached_property
     def column_ids(self) -> tuple[str, ...]:
         """Descriptor ids in column order of every array view: sorted by id,

@@ -77,6 +77,8 @@ class ShuffleConfig:
             raise ValueError("need at least 2 replicates")
         if not 0.0 < self.ci_level < 1.0:
             raise ValueError("ci_level must be in (0, 1)")
+        if self.seed < 0:
+            raise ValueError("seed must be non-negative")
 
 
 @dataclass(frozen=True)
@@ -181,7 +183,13 @@ def worker_count(triples_per_year: Mapping[int, np.ndarray], replicates: int) ->
     """Processes that evaluate ``replicates`` of ``triples_per_year``: one
     per usable core, at most one per replicate and one per
     :data:`MIN_SLICE_LABELS` shuffled labels.  Only a single-threaded
-    process on Linux forks, so elsewhere the count is 1."""
+    process on Linux forks, so elsewhere the count is 1.
+
+    Single-threaded counts Python threads only: numpy's bundled OpenBLAS
+    keeps a native thread pool, but the library registers its own fork
+    handler (numpy 2.4.6's ``libscipy_openblas64_`` defines
+    ``openblas_fork_handler`` and imports ``__register_atfork``), which
+    shuts the pool down around a fork."""
     if sys.platform != "linux" or threading.active_count() > 1:
         return 1
     labels = replicates * sum(int(triples.sum()) for triples in triples_per_year.values())
@@ -193,19 +201,20 @@ def replicate_values(
     config: ShuffleConfig,
     medians: BranchStats | None,
     years: list[int],
-) -> np.ndarray:
+) -> tuple[np.ndarray, int]:
     """Every target of every replicate in each of ``years``, as a NaN-filled
     (4, replicates, len(years)) array in :data:`TARGETS` order; NaN where
-    a replicate leaves the year with no vector to evaluate.
+    a replicate leaves the year with no vector to evaluate.  Also the
+    number of processes that evaluated them.
 
     The replicates are split into :func:`worker_count` contiguous ranges;
     this process evaluates the first and a forked worker each other one.
-    The result does not depend on the number of ranges.
+    The values do not depend on the number of ranges.
     """
     workers = worker_count(triples_per_year, config.replicates)
     inputs = (triples_per_year, config, medians, years)
     if workers == 1:
-        return replicate_slice(*inputs, 0, config.replicates)
+        return replicate_slice(*inputs, 0, config.replicates), workers
     bounds = [config.replicates * k // workers for k in range(workers + 1)]
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
@@ -219,7 +228,7 @@ def replicate_values(
         slices = [pool.submit(_worker_slice, start, stop)
                   for start, stop in zip(bounds[1:-1], bounds[2:])]
         first = replicate_slice(*inputs, 0, bounds[1])
-        return np.concatenate([first] + [s.result() for s in slices], axis=1)
+        return np.concatenate([first] + [s.result() for s in slices], axis=1), workers
 
 
 # a worker's copy of the arguments of replicate_values; set only in workers
@@ -321,7 +330,8 @@ def null_band_from_triples(
     )
     years = observed.years()
     start = time.perf_counter()
-    values = replicate_values(triples_per_year, config, medians, years)[TARGETS.index(target)]
+    values, workers = replicate_values(triples_per_year, config, medians, years)
+    values = values[TARGETS.index(target)]
     replicate_s = time.perf_counter() - start
 
     p_lo = (1.0 - config.ci_level) / 2.0
@@ -333,7 +343,7 @@ def null_band_from_triples(
         ci_level=config.ci_level,
         seed=config.seed,
         dropped_years=sorted(set(triples_per_year) - set(years)),
-        workers=worker_count(triples_per_year, config.replicates),
+        workers=workers,
         replicate_s=replicate_s,
     )
     for i, record in enumerate(observed.records):

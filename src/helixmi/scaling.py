@@ -33,9 +33,6 @@ class RankTable:
     scope: str
     entries: list[RankEntry]
 
-    def counts(self) -> list[int]:
-        return [e.count for e in self.entries]
-
 
 @dataclass(frozen=True)
 class ScalingFit:

@@ -26,6 +26,7 @@ them, do not depend on how the descriptors are picked.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -55,10 +56,15 @@ class SynthConfig:
             raise ValueError(f"mode must be one of {MODES}")
         if self.pubs_per_year < 1 or self.years < 1:
             raise ValueError("need at least one publication and one year")
+        if self.seed < 0:
+            raise ValueError("seed must be non-negative")
         if not 0.0 <= self.rho <= 1.0:
             raise ValueError("rho must be in [0, 1]")
-        if self.sigma < 0.0:
-            raise ValueError("sigma must be non-negative")
+        # NaN fails every comparison, so these reject it too
+        if not all(0.0 <= rate < math.inf for rate in self.lam):
+            raise ValueError("rates must be finite and non-negative")
+        if not 0.0 <= self.sigma < math.inf:
+            raise ValueError("sigma must be finite and non-negative")
 
 
 def _draw_triples(config: SynthConfig, n: int, rng: np.random.Generator) -> np.ndarray:

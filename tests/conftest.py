@@ -3,6 +3,8 @@ import pytest
 from helixmi.corpus import Corpus, Publication
 from helixmi.mesh import MeshDescriptor, TreeNumber, Vocabulary
 
+from oracles import csr_of
+
 
 def make_vocab(specs):
     """specs: mapping id -> list of tree-number strings."""
@@ -23,7 +25,7 @@ def make_corpus(vocab, rows, label="test"):
         Publication(id=pid, year=year, mesh_ids=tuple(sorted(set(ids))))
         for pid, year, ids in rows
     ]
-    return Corpus.build(label, pubs, vocab)
+    return Corpus.from_arrays(label, vocab, *csr_of(pubs, vocab))
 
 
 @pytest.fixture

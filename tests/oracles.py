@@ -396,8 +396,9 @@ def canonical_lines_encoder(corpus):
     """The canonical lines of a corpus, each row a dict passed to one
     ``json.JSONEncoder(sort_keys=True, separators=(",", ":"))``."""
     encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
-    for pub_id, year, mesh in corpus.rows():
-        yield (encode({"id": pub_id, "year": year, "mesh": mesh}) + "\n").encode("utf-8")
+    for p in corpus.publications:
+        row = {"id": p.id, "year": p.year, "mesh": list(p.mesh_ids)}
+        yield (encode(row) + "\n").encode("utf-8")
 
 
 # ---------------------------------------------------------------------------
@@ -439,4 +440,4 @@ def synth_corpus_objects(config):
             )
             serial += 1
     label = f"synthetic-{config.mode}-seed{config.seed}"
-    return Corpus.build(label, publications, vocabulary)
+    return Corpus.from_arrays(label, vocabulary, *csr_of(publications, vocabulary))

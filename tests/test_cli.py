@@ -12,6 +12,7 @@ from types import SimpleNamespace
 import pytest
 
 from helixmi import cli, nullmodel
+from helixmi import corpus as corpus_module
 from helixmi.cli import main
 
 
@@ -137,6 +138,12 @@ def test_malformed_flag_values_exit_one(tmp_path):
     assert run(["dynamics", *io, "--pair-branches", "E,E"]) == 1
     assert run(["null", *io, "--threads", "0"]) == 1
     assert run(["null", *io, "--threads", "-3"]) == 1
+    # values numpy's generators would reject mid-run
+    assert run(["null", *io, "--seed", "-1"]) == 1
+    synth = ["synth", "--mode", "sizemix", "--pubs", "5", "--years", "2", "--out", tmp_path]
+    for flag in (["--seed", "-1"], ["--lam=-1,1,1"], ["--lam=nan,1,1"], ["--lam=1,inf,1"],
+                 ["--sigma", "nan"], ["--sigma", "inf"]):
+        assert run(synth + flag) == 1, flag
 
 
 def test_synth_outputs(synth_dir):
@@ -449,6 +456,38 @@ def test_outputs_stable_across_fresh_processes(synth_dir, tmp_path):
         assert proc.returncode == 0, proc.stderr
         outputs.append((out / "null_band.csv").read_bytes())
     assert outputs[0] == outputs[1]
+
+
+class _NoPublication:
+    def __init__(self, *args, **kwargs):
+        raise AssertionError("a command built a Publication")
+
+
+def test_commands_build_no_publication(synth_dir, tmp_path, monkeypatch):
+    # the commands read the corpus arrays only, and write the same bytes
+    # when building a Publication fails
+    io = ["--corpus", synth_dir / "corpus.jsonl", "--mesh", synth_dir / "mesh.tsv"]
+    commands = {
+        "ingest": ["ingest", *io],
+        "stats": ["stats", *io],
+        **{f"mi-{m}": ["mi", *io, "--map", m] for m in ("binary", "median", "full")},
+        "null": ["null", *io, "--replicates", "20"],
+        "scaling": ["scaling", *io, "--min-count", "1"],
+        "dynamics": ["dynamics", *io, "--topk", "5"],
+        "pairs": ["pairs", *io],
+    }
+
+    def outputs(root):
+        for name, args in commands.items():
+            assert run([*args, "--out", root / name]) == 0, name
+        # every file but the manifests, which hold times
+        return {path.relative_to(root): path.read_bytes() for path in root.rglob("*")
+                if path.is_file() and path.name != "manifest.json"}
+
+    expected = outputs(tmp_path / "plain")
+    assert len(expected) > len(commands)
+    monkeypatch.setattr(corpus_module, "Publication", _NoPublication)
+    assert outputs(tmp_path / "patched") == expected
 
 
 def test_cli_import_loads_no_scipy():

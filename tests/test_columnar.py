@@ -28,6 +28,7 @@ from helixmi.scaling import descriptor_counts, rank_table
 from conftest import make_corpus, make_vocab
 from oracles import (
     branch_shares_brute,
+    csr_of,
     descriptor_counts_brute,
     entries_brute,
     pair_counts_brute,
@@ -91,7 +92,7 @@ def test_yearly_sizes_match_publications(corpus):
     rows = yearly_sizes(corpus)
     assert [r.year for r in rows] == corpus.years()
     for r in rows:
-        pubs = corpus.publications_in(r.year)
+        pubs = [p for p in corpus.publications if p.year == r.year]
         total = sum(len(p.mesh_ids) for p in pubs)
         assert r.publications == len(pubs)
         assert r.total_descriptors == total
@@ -197,8 +198,9 @@ def _cell(value):
 def test_stats_vocabulary_and_efficiency_match_reference(corpus):
     # ingestion drops publications without descriptors, so the reference
     # is computed on the corpus the command actually reads
-    corpus = Corpus.build(
-        corpus.query_label, [p for p in corpus.publications if p.mesh_ids], corpus.vocabulary
+    publications = [p for p in corpus.publications if p.mesh_ids]
+    corpus = Corpus.from_arrays(
+        corpus.query_label, corpus.vocabulary, *csr_of(publications, corpus.vocabulary)
     )
     if not len(corpus):
         return
@@ -226,11 +228,8 @@ def test_stats_vocabulary_and_efficiency_match_reference(corpus):
 
 
 def test_unknown_descriptor_id_named_in_key_error(tiny_vocab):
-    publication = Publication("1", 2000, ("C1", "Q9"))
     with pytest.raises(KeyError, match="Q9"):
-        Corpus.build("t", [publication], tiny_vocab)
-    with pytest.raises(KeyError, match="Q9"):
-        branch_triple(publication, tiny_vocab)
+        branch_triple(Publication("1", 2000, ("C1", "Q9")), tiny_vocab)
 
 
 def test_negative_k_rejected(tiny_vocab):

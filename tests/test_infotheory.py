@@ -3,6 +3,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from helixmi.counts import BRANCHES
 from helixmi.infotheory import (
     JointTable,
     decomposition,
@@ -16,7 +17,6 @@ from helixmi.infotheory import (
     stacked_targets,
     subset_entropies,
     year_entropies,
-    year_joint_table,
     yearly_mi,
 )
 
@@ -253,7 +253,7 @@ def test_fast_path_matches_joint_table_route():
     for _ in range(25):
         vectors = rng.integers(0, 4, size=(rng.integers(1, 80), 3))
         h = year_entropies(vectors)
-        t = year_joint_table(vectors)
+        t = JointTable.from_observations(BRANCHES, map(tuple, vectors))
         assert h["h_cde"] == pytest.approx(entropy(t), abs=1e-12)
         assert h["h_c"] == pytest.approx(entropy(t.marginal(("C",))), abs=1e-12)
         assert h["h_cd"] == pytest.approx(entropy(t.marginal(("C", "D"))), abs=1e-12)
@@ -281,7 +281,7 @@ def test_yearly_mi_symmetric_three_cell():
     vectors = np.array([(1, 0, 0)] * k + [(0, 1, 0)] * k + [(0, 0, 1)] * k)
     series = mi_from_triples({2000: vectors})
     (record,) = series.records
-    t = year_joint_table(vectors)
+    t = JointTable.from_observations(BRANCHES, map(tuple, vectors))
     assert record.t_cde == pytest.approx(mi3_direct(t.cells), abs=1e-12)
     assert record.t_cd == pytest.approx(max(mi2_direct(t.marginal(("C", "D")).cells), 0.0), abs=1e-12)
 
@@ -359,9 +359,8 @@ def test_mi_from_triples_matches_oracle(blocks):
 def test_negative_counts_do_not_collide():
     vectors = np.array([[-1, 2, 0], [0, -1, 0], [1, 1, 1], [0, 0, 0]])
     h = year_entropies(vectors)
-    assert h["h_cd"] == pytest.approx(
-        entropy(year_joint_table(vectors).marginal(("C", "D"))), abs=1e-12
-    )
+    table = JointTable.from_observations(BRANCHES, map(tuple, vectors))
+    assert h["h_cd"] == pytest.approx(entropy(table.marginal(("C", "D"))), abs=1e-12)
     assert h["h_cd"] == pytest.approx(2.0, abs=1e-12)
 
 

@@ -559,7 +559,7 @@ def awkward_corpora(draw):
         )
         for pub_id in draw(st.lists(awkward_text, max_size=12, unique=True))
     ]
-    return Corpus.build("awkward", publications, vocabulary)
+    return Corpus.from_arrays("awkward", vocabulary, *csr_of(publications, vocabulary))
 
 
 @examples

@@ -209,7 +209,7 @@ class TestNullBand:
         )
         config = ShuffleConfig(replicates=12, seed=8)
         years = sorted(per_year)
-        values = replicate_values(per_year, config, None, years)
+        values, _ = replicate_values(per_year, config, None, years)
         for t, target in enumerate(nullmodel.TARGETS):
             band = null_band_from_triples(per_year, config, target)
             assert [r.mean_rand for r in band.rows] == [
@@ -267,7 +267,7 @@ class TestReplicateValues:
         with mock.patch.object(nullmodel, "BLOCK_LABELS", block_labels), \
                 mock.patch.object(nullmodel, "usable_cores", lambda: cores), \
                 mock.patch.object(nullmodel, "MIN_SLICE_LABELS", 1):
-            values = replicate_values(per_year, config, medians, years)
+            values, _ = replicate_values(per_year, config, medians, years)
         expected = null_values_loop(per_year, config, medians, years)
         assert values.shape == (4, replicates, len(years))
         # exact equality, NaN where a replicate left the year no vector
@@ -335,6 +335,20 @@ class TestWorkers:
         assert multiprocessing.active_children() == []
         # nor a thread of the executor, so the next band forks again
         assert threading.active_count() == 1
+
+    def test_band_reports_the_count_that_ran(self, three_cores, monkeypatch):
+        # the band's count is the one the replicates ran with, asked for once
+        counted = []
+        count = nullmodel.worker_count
+
+        def counting(*args):
+            counted.append(count(*args))
+            return counted[-1]
+
+        monkeypatch.setattr(nullmodel, "worker_count", counting)
+        band = null_band_from_triples(self.PER_YEAR, ShuffleConfig(replicates=10), "T_CDE")
+        assert len(counted) == 1
+        assert band.workers == counted[0]
 
     @pytest.mark.skipif(sys.platform != "linux", reason="workers are forked on Linux only")
     def test_a_worker_error_reaches_the_caller(self, three_cores, monkeypatch):
