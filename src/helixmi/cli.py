@@ -15,6 +15,7 @@ import codecs
 import csv
 import hashlib
 import json
+import os
 import resource
 import sys
 import time
@@ -24,7 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__
+from . import __version__, cache
 from .corpus import (
     Corpus,
     corpus_canonical_lines,
@@ -90,17 +91,16 @@ class RunManifest:
     config: dict = field(default_factory=dict)
     diagnostics: dict = field(default_factory=dict)
     # wall seconds of the vocabulary load, the ingest and the whole command,
-    # the process's peak resident set size and, for a JSONL corpus, how many
-    # lines took each of its parser's paths
+    # the process's peak resident set size, whether the parsed inputs came
+    # from the cache and, for a JSONL corpus, how many lines took each of
+    # its parser's paths
     stages: dict = field(default_factory=dict)
     tool_version: str = __version__
     timestamp: str = ""
 
-    def add_input(self, path: str) -> str:
-        """Record an input file; returns its sha256."""
-        digest = file_sha256(path)
+    def add_input(self, path: str, digest: str) -> None:
+        """Record an input file and its sha256."""
         self.inputs.append({"path": str(path), "sha256": digest})
-        return digest
 
     def write(self, out_dir: Path) -> None:
         self.timestamp = datetime.now(timezone.utc).isoformat()
@@ -190,21 +190,71 @@ def _lam_arg(text: str) -> tuple[float, float, float]:
         ) from None
 
 
+def _input_digests(args) -> tuple[str, str] | None:
+    try:
+        return file_sha256(args.mesh), file_sha256(args.corpus)
+    except OSError:
+        return None
+
+
+# a file changed this shortly before its first stat may change again within
+# the same timestamp tick, which leaves its stat as it was; such a file is
+# hashed again after the parse instead
+_RECENT_NS = 2_000_000_000
+
+
+def _input_stats(args) -> list[tuple] | None:
+    try:
+        stats = [os.stat(path) for path in (args.mesh, args.corpus)]
+    except OSError:
+        return None
+    return [(s.st_dev, s.st_ino, s.st_size, s.st_mtime_ns, s.st_ctime_ns) for s in stats]
+
+
+def _unchanged(args, stats, checked_ns: int, digests) -> bool:
+    """Whether both inputs still hold the bytes that had ``digests`` when
+    ``stats`` were taken, at ``checked_ns``: any write since changes a
+    file's ctime, unless it came in the tick of a write before the stat."""
+    if stats is None or _input_stats(args) != stats:
+        return False
+    if max(stat[4] for stat in stats) < checked_ns - _RECENT_NS:
+        return True
+    return _input_digests(args) == digests
+
+
 def _load_inputs(args, manifest: RunManifest):
-    start = time.perf_counter()
-    vocabulary = _detect_and_load_mesh(args.mesh)
-    manifest.stages["vocabulary_s"] = time.perf_counter() - start
-    manifest.vocabulary_sha256 = manifest.add_input(args.mesh)
+    """The vocabulary, corpus and ingest report: from the cache entry of
+    the inputs' bytes when there is one, else parsed and then stored."""
     label = getattr(args, "label", None) or Path(args.corpus).stem
-    start = time.perf_counter()
-    jsonl = _is_jsonl(args.corpus)
-    ingest = ingest_jsonl if jsonl else ingest_medline_text
-    corpus, report = ingest(args.corpus, vocabulary, args.years, label)
-    manifest.stages["ingest_s"] = time.perf_counter() - start
+    # an unreadable input leaves the parsers to report it, as without a cache
+    stats, checked_ns = _input_stats(args), time.time_ns()
+    digests = _input_digests(args)
+    key = cache.entry_key(*digests, args.years) if digests else None
+    loaded = cache.load(key, label, manifest.stages) if key else None
+    if loaded:
+        vocabulary, corpus, report = loaded
+        jsonl = _is_jsonl(args.corpus)
+        manifest.stages["cache"] = "hit"
+    else:
+        start = time.perf_counter()
+        vocabulary = _detect_and_load_mesh(args.mesh)
+        manifest.stages["vocabulary_s"] = time.perf_counter() - start
+        start = time.perf_counter()
+        jsonl = _is_jsonl(args.corpus)
+        ingest = ingest_jsonl if jsonl else ingest_medline_text
+        corpus, report = ingest(args.corpus, vocabulary, args.years, label)
+        manifest.stages["ingest_s"] = time.perf_counter() - start
+        # an entry holds only what the bytes of its key parse to
+        stored = (bool(key) and _unchanged(args, stats, checked_ns, digests)
+                  and cache.store(key, vocabulary, corpus, report))
+        manifest.stages["cache"] = "stored" if stored else "off"
+        digests = digests or (file_sha256(args.mesh), file_sha256(args.corpus))
     if jsonl:
         manifest.stages["ingest_template_lines"] = report.template_lines
         manifest.stages["ingest_json_lines"] = report.json_lines
-    manifest.add_input(args.corpus)
+    manifest.vocabulary_sha256 = digests[0]
+    manifest.add_input(args.mesh, digests[0])
+    manifest.add_input(args.corpus, digests[1])
     manifest.diagnostics["ingest"] = report.summary()
     return vocabulary, corpus, report
 
@@ -384,10 +434,11 @@ def _cmd_dynamics(args, out_dir: Path, manifest: RunManifest) -> int:
 
 
 def _write_pairs_csv(path: Path, corpus: Corpus, pairs, branch_a: str, branch_b: str) -> None:
+    vocabulary = corpus.vocabulary
     rows = []
     for p in pairs:
-        name_a = corpus.vocabulary.descriptors[p.descriptor_a].name
-        name_b = corpus.vocabulary.descriptors[p.descriptor_b].name
+        name_a = vocabulary.names[vocabulary.column_of[p.descriptor_a]]
+        name_b = vocabulary.names[vocabulary.column_of[p.descriptor_b]]
         rows.append(
             [branch_a, p.descriptor_a, name_a, branch_b, p.descriptor_b, name_b,
              p.co_count, p.window[0], p.window[1]]

@@ -145,7 +145,8 @@ class Corpus:
     of rows, and ``by_year`` maps it to that ``range``.
 
     A corpus is built from flat arrays by :meth:`from_arrays`, which the
-    parsers and the synthetic generator call.  Count-based analyses read
+    parsers and the synthetic generator call, or from arrays already in
+    that order, such as a cache entry's, by :meth:`from_sorted_arrays`.  Count-based analyses read
     ``incidence`` and its per-year sums ``year_counts`` (built on first
     use and cached).  ``publications`` gives the rows as
     :class:`Publication` objects, built on first read; no command reads
@@ -185,13 +186,28 @@ class Corpus:
             pub_ids = [pub_ids[i] for i in order.tolist()]
             years = years[order]
             indptr, indices = _take_rows(indptr, indices, order)
-        cuts = [0, *(np.flatnonzero(np.diff(years)) + 1).tolist(), n] if n else []
-        firsts = years[cuts[:-1]].tolist()
+        return cls.from_sorted_arrays(query_label, vocabulary, pub_ids, years, indptr, indices)
+
+    @classmethod
+    def from_sorted_arrays(
+        cls,
+        query_label: str,
+        vocabulary: Vocabulary,
+        pub_ids,
+        pub_years: np.ndarray,
+        indptr: np.ndarray,
+        indices: np.ndarray,
+    ) -> "Corpus":
+        """A corpus of rows already in (year, id) order, such as another
+        corpus's arrays: int64 years and indptr, int32 indices."""
+        n = len(pub_ids)
+        cuts = [0, *(np.flatnonzero(np.diff(pub_years)) + 1).tolist(), n] if n else []
+        firsts = pub_years[cuts[:-1]].tolist()
         return cls(
             query_label=query_label,
             vocabulary=vocabulary,
             pub_ids=tuple(pub_ids),
-            pub_years=years,
+            pub_years=pub_years,
             incidence=Incidence(indptr, indices),
             by_year={y: range(a, b) for y, a, b in zip(firsts, cuts, cuts[1:])},
         )

@@ -3,8 +3,9 @@
 Two on-disk formats are supported: the NLM ASCII descriptor file
 (records delimited by ``*NEWRECORD`` with ``MH =`` / ``MN =`` / ``UI =``
 fields) and a canonical three-column TSV.  Both produce the same
-in-memory :class:`Vocabulary`, which is immutable after loading and
-safe to share across workers.
+in-memory :class:`Vocabulary`: the ids, names and tree-number codes as
+columns sorted by id, with no per-descriptor objects until asked for.
+It is immutable after loading and safe to share across workers.
 """
 
 from __future__ import annotations
@@ -86,22 +87,55 @@ class LoadReport:
     skipped_no_tree: int = 0
 
 
-@dataclass
-class Vocabulary:
-    """Descriptors keyed by id, with a normalized-name lookup index."""
+def _check_tree_numbers(raws) -> None:
+    """Raise for the first code that is empty or starts outside the
+    valid branch letters, as ``TreeNumber`` does."""
+    for raw in raws:
+        if raw[:1] not in VALID_BRANCHES:
+            TreeNumber(raw)
 
-    descriptors: dict[str, MeshDescriptor] = field(default_factory=dict)
-    name_index: dict[str, str] = field(default_factory=dict)
+
+def _depth_then_code(raw: str) -> tuple[int, str]:
+    # the code starts with its branch letter, so ordering by the code
+    # after the depth orders by branch and then by code
+    return raw.count("."), raw
+
+
+@dataclass(eq=False)
+class Vocabulary:
+    """Descriptors as columns, sorted by id.
+
+    Column j is the descriptor ``column_ids[j]``, named ``names[j]``, with
+    the tree numbers ``tree_numbers[tree_ptr[j]:tree_ptr[j + 1]]`` (at
+    least one, in the order its file gave them).  Every array view uses
+    this column order, so ties broken by id are ties broken by column
+    index.  The lookups, the branch matrices and the ``MeshDescriptor``
+    view are built from the columns on first read.  Build one with
+    :meth:`from_columns`, which checks and sorts its input.
+    """
+
+    column_ids: tuple[str, ...] = ()
+    names: tuple[str, ...] = ()
+    tree_ptr: np.ndarray = field(default_factory=lambda: np.zeros(1, dtype=np.int64))
+    tree_numbers: tuple[str, ...] = ()
     load_report: LoadReport = LoadReport()
 
     def __len__(self) -> int:
-        return len(self.descriptors)
+        return len(self.column_ids)
 
     @cached_property
-    def column_ids(self) -> tuple[str, ...]:
-        """Descriptor ids in column order of every array view: sorted by id,
-        so ties broken by id are ties broken by column index."""
-        return tuple(sorted(self.descriptors))
+    def descriptors(self) -> dict[str, MeshDescriptor]:
+        """The descriptors as objects keyed by id, in column order."""
+        bounds = self.tree_ptr.tolist()
+        return {
+            uid: MeshDescriptor(uid, name, tuple(map(TreeNumber, self.tree_numbers[a:b])))
+            for uid, name, a, b in zip(self.column_ids, self.names, bounds, bounds[1:])
+        }
+
+    @cached_property
+    def name_index(self) -> dict[str, str]:
+        """Descriptor id of each normalized name."""
+        return {normalize_name(name): uid for uid, name in zip(self.column_ids, self.names)}
 
     @cached_property
     def column_of(self) -> dict[str, int]:
@@ -110,23 +144,24 @@ class Vocabulary:
 
     @cached_property
     def primary_branches(self) -> tuple[str, ...]:
-        """Primary-branch letter of each descriptor, in column order."""
-        return tuple(self.descriptors[uid].primary_branch for uid in self.column_ids)
+        """Primary-branch letter of each descriptor, in column order, as
+        ``MeshDescriptor.primary_branch`` picks it."""
+        bounds = self.tree_ptr.tolist()
+        trees = self.tree_numbers
+        return tuple(
+            trees[a][0] if b - a == 1 else min(trees[a:b], key=_depth_then_code)[0]
+            for a, b in zip(bounds, bounds[1:])
+        )
 
     @cached_property
     def membership_matrix(self) -> np.ndarray:
         """(V, 3) read-only 0/1 matrix in column order: which of C, D, E
         each descriptor has a tree number in."""
-        slot = {alpha: i for i, alpha in enumerate(BRANCHES)}
-        cells = [
-            (j, slot[t.raw[0]])
-            for j, uid in enumerate(self.column_ids)
-            for t in self.descriptors[uid].tree_numbers
-            if t.raw[0] in slot
-        ]
-        matrix = np.zeros((len(self.column_ids), len(BRANCHES)), dtype=np.int64)
-        if cells:
-            matrix[tuple(np.array(cells).T)] = 1
+        letters = np.frombuffer("".join(t[0] for t in self.tree_numbers).encode(), np.uint8)
+        rows = np.repeat(np.arange(len(self)), np.diff(self.tree_ptr))
+        matrix = np.zeros((len(self), len(BRANCHES)), dtype=np.int64)
+        for i, alpha in enumerate(BRANCHES):
+            matrix[rows[letters == ord(alpha)], i] = 1
         matrix.flags.writeable = False
         return matrix
 
@@ -142,29 +177,72 @@ class Vocabulary:
 
     def resolve(self, token: str) -> str | None:
         """Map a descriptor id or display name to a descriptor id."""
-        if token in self.descriptors:
+        if token in self.column_of:
             return token
         return self.name_index.get(normalize_name(token))
+
+    @classmethod
+    def from_columns(
+        cls,
+        ids: list[str],
+        names: list[str],
+        tree_counts: list[int],
+        tree_numbers: list[str],
+        skipped_no_tree: int = 0,
+    ) -> "Vocabulary":
+        """Descriptor i is ``ids[i]``, named ``names[i]``, with the next
+        ``tree_counts[i]`` codes of ``tree_numbers``.  Raises for the first
+        invalid tree number, for a descriptor without one, and for the
+        first descriptor, in input order, whose id or normalized name an
+        earlier one has; the columns are then sorted by id."""
+        _check_tree_numbers(tree_numbers)
+        counts = np.asarray(tree_counts, dtype=np.int64).reshape(len(ids))
+        if len(counts) and counts.min() < 1:
+            uid = ids[int(np.argmax(counts < 1))]
+            raise MeshFormatError(f"descriptor {uid!r} has no tree numbers")
+        seen: set[str] = set()
+        index: dict[str, str] = {}
+        for uid, name in zip(ids, names):
+            if uid in seen:
+                raise MeshFormatError(f"duplicate descriptor id {uid!r}")
+            key = normalize_name(name)
+            if key in index:
+                raise MeshFormatError(
+                    f"duplicate descriptor name {name!r} (ids {index[key]!r} and {uid!r})"
+                )
+            seen.add(uid)
+            index[key] = uid
+        tree_ptr = np.zeros(len(ids) + 1, dtype=np.int64)
+        np.cumsum(counts, out=tree_ptr[1:])
+        order = sorted(range(len(ids)), key=ids.__getitem__)
+        if order != list(range(len(ids))):
+            bounds = tree_ptr.tolist()
+            ids = [ids[i] for i in order]
+            names = [names[i] for i in order]
+            tree_numbers = [t for i in order for t in tree_numbers[bounds[i]:bounds[i + 1]]]
+            tree_ptr[1:] = np.cumsum(counts[order])
+        vocabulary = cls(
+            column_ids=tuple(ids),
+            names=tuple(names),
+            tree_ptr=tree_ptr,
+            tree_numbers=tuple(tree_numbers),
+            load_report=LoadReport(loaded=len(ids), skipped_no_tree=skipped_no_tree),
+        )
+        vocabulary.__dict__["name_index"] = index  # already built for the check
+        return vocabulary
 
     @classmethod
     def from_descriptors(
         cls, descriptors: list[MeshDescriptor], skipped_no_tree: int = 0
     ) -> "Vocabulary":
-        by_id: dict[str, MeshDescriptor] = {}
-        index: dict[str, str] = {}
-        for d in descriptors:
-            if d.id in by_id:
-                raise MeshFormatError(f"duplicate descriptor id {d.id!r}")
-            key = normalize_name(d.name)
-            if key in index:
-                raise MeshFormatError(
-                    f"duplicate descriptor name {d.name!r} "
-                    f"(ids {index[key]!r} and {d.id!r})"
-                )
-            by_id[d.id] = d
-            index[key] = d.id
-        report = LoadReport(loaded=len(by_id), skipped_no_tree=skipped_no_tree)
-        return cls(descriptors=by_id, name_index=index, load_report=report)
+        descriptors = list(descriptors)
+        return cls.from_columns(
+            [d.id for d in descriptors],
+            [d.name for d in descriptors],
+            [len(d.tree_numbers) for d in descriptors],
+            [t.raw for d in descriptors for t in d.tree_numbers],
+            skipped_no_tree,
+        )
 
 
 def _decode(raw: bytes) -> str:
@@ -186,7 +264,10 @@ def load_mesh_ascii(path: str) -> Vocabulary:
     with open(path, "rb") as fh:
         data = fh.read()
 
-    descriptors: list[MeshDescriptor] = []
+    ids: list[str] = []
+    names: list[str] = []
+    counts: list[int] = []
+    codes: list[str] = []
     skipped = 0
 
     record_offset = 0
@@ -200,22 +281,18 @@ def load_mesh_ascii(path: str) -> Vocabulary:
         if not trees:
             if in_record:
                 skipped += 1
-        elif name is None:
+        elif name is None or uid is None:
+            # an invalid tree number of an earlier record is reported first
+            _check_tree_numbers(codes)
+            missing = "MH" if name is None else "UI"
             raise MeshFormatError(
-                f"{path}: malformed record at byte {offset}: missing 'MH =' field"
-            )
-        elif uid is None:
-            raise MeshFormatError(
-                f"{path}: malformed record at byte {offset}: missing 'UI =' field"
+                f"{path}: malformed record at byte {offset}: missing '{missing} =' field"
             )
         else:
-            descriptors.append(
-                MeshDescriptor(
-                    id=uid,
-                    name=name,
-                    tree_numbers=tuple(TreeNumber(t) for t in trees),
-                )
-            )
+            ids.append(uid)
+            names.append(name)
+            counts.append(len(trees))
+            codes.extend(trees)
         name, uid, trees = None, None, []
 
     offset = 0
@@ -237,46 +314,51 @@ def load_mesh_ascii(path: str) -> Vocabulary:
         offset += len(raw_line)
     finish(record_offset)
 
-    return Vocabulary.from_descriptors(descriptors, skipped_no_tree=skipped)
+    return Vocabulary.from_columns(ids, names, counts, codes, skipped_no_tree=skipped)
 
 
 def load_mesh_tsv(path: str) -> Vocabulary:
     """Load the canonical ``id<TAB>name<TAB>tree_numbers`` TSV."""
-    descriptors: list[MeshDescriptor] = []
+    ids: list[str] = []
+    names: list[str] = []
+    counts: list[int] = []
+    codes: list[str] = []
     skipped = 0
     with open(path, encoding="utf-8") as fh:
         header = fh.readline().rstrip("\n")
         if header != TSV_HEADER:
             raise MeshFormatError(f"{path}: expected header {TSV_HEADER!r}")
-        for lineno, line in enumerate(fh, start=2):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            cols = line.split("\t")
-            if len(cols) != 3:
-                raise MeshFormatError(
-                    f"{path}: line {lineno}: expected 3 columns, found {len(cols)}"
-                )
-            uid, name, tree_field = cols
-            raws = [t for t in tree_field.split(";") if t]
-            if not raws:
-                skipped += 1
-                continue
-            descriptors.append(
-                MeshDescriptor(
-                    id=uid,
-                    name=name,
-                    tree_numbers=tuple(TreeNumber(t) for t in raws),
-                )
-            )
-    return Vocabulary.from_descriptors(descriptors, skipped_no_tree=skipped)
+        try:
+            for lineno, line in enumerate(fh, start=2):
+                line = line.rstrip("\n")
+                if not line:
+                    continue
+                cols = line.split("\t")
+                if len(cols) != 3:
+                    raise MeshFormatError(
+                        f"{path}: line {lineno}: expected 3 columns, found {len(cols)}"
+                    )
+                uid, name, tree_field = cols
+                raws = [t for t in tree_field.split(";") if t]
+                if not raws:
+                    skipped += 1
+                    continue
+                ids.append(uid)
+                names.append(name)
+                counts.append(len(raws))
+                codes += raws
+        except (MeshFormatError, UnicodeDecodeError):
+            # an invalid tree number of an earlier line is reported first
+            _check_tree_numbers(codes)
+            raise
+    return Vocabulary.from_columns(ids, names, counts, codes, skipped_no_tree=skipped)
 
 
 def write_mesh_tsv(vocabulary: Vocabulary, path: str) -> None:
     """Write the canonical TSV (UTF-8, LF endings, no BOM), sorted by id."""
+    bounds = vocabulary.tree_ptr.tolist()
+    trees = vocabulary.tree_numbers
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(TSV_HEADER + "\n")
-        for uid in sorted(vocabulary.descriptors):
-            d = vocabulary.descriptors[uid]
-            trees = ";".join(t.raw for t in d.tree_numbers)
-            fh.write(f"{d.id}\t{d.name}\t{trees}\n")
+        for uid, name, a, b in zip(vocabulary.column_ids, vocabulary.names, bounds, bounds[1:]):
+            fh.write(f"{uid}\t{name}\t{';'.join(trees[a:b])}\n")

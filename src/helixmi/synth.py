@@ -33,9 +33,15 @@ import numpy as np
 
 from .corpus import Corpus
 from .counts import BRANCHES
-from .mesh import MeshDescriptor, TreeNumber, Vocabulary
+from .mesh import Vocabulary
 
 MODES = ("independent", "pairwise", "xor", "sizemix")
+
+# the largest Poisson rate accepted per branch: a branch's descriptor pool
+# is as large as its largest count, and each year draws a (publications x
+# pool) array of keys, so rates far below numpy's own limit (about 9.2e18)
+# already exhaust memory; MEDLINE records carry a few dozen descriptors
+MAX_RATE = 1000.0
 
 FILLER_ID = "Z000000"
 
@@ -63,6 +69,8 @@ class SynthConfig:
         # NaN fails every comparison, so these reject it too
         if not all(0.0 <= rate < math.inf for rate in self.lam):
             raise ValueError("rates must be finite and non-negative")
+        if max(self.lam) > MAX_RATE:
+            raise ValueError(f"rates must be at most {MAX_RATE:g}")
         if not 0.0 <= self.sigma < math.inf:
             raise ValueError("sigma must be finite and non-negative")
 
@@ -99,23 +107,17 @@ def synth_triples(config: SynthConfig) -> dict[int, np.ndarray]:
 
 def synth_vocabulary(pool_sizes: dict[str, int]) -> Vocabulary:
     """Vocabulary with numbered descriptors per branch plus one filler."""
-    descriptors = [
-        MeshDescriptor(
-            id=FILLER_ID,
-            name="Synthetic Filler",
-            tree_numbers=(TreeNumber("Z01"),),
-        )
-    ]
+    ids, names, trees = [], [], []
     for alpha in BRANCHES:
-        for i in range(pool_sizes.get(alpha, 0)):
-            descriptors.append(
-                MeshDescriptor(
-                    id=f"{alpha}{i:06d}",
-                    name=f"Synthetic {alpha} {i}",
-                    tree_numbers=(TreeNumber(f"{alpha}01.{i:06d}"),),
-                )
-            )
-    return Vocabulary.from_descriptors(descriptors)
+        serials = range(pool_sizes.get(alpha, 0))
+        ids += [f"{alpha}{i:06d}" for i in serials]
+        names += [f"Synthetic {alpha} {i}" for i in serials]
+        trees += [f"{alpha}01.{i:06d}" for i in serials]
+    # the filler's id sorts after every branch's, so the columns are in order
+    ids.append(FILLER_ID)
+    names.append("Synthetic Filler")
+    trees.append("Z01")
+    return Vocabulary.from_columns(ids, names, [1] * len(ids), trees)
 
 
 def synth_corpus(config: SynthConfig) -> Corpus:

@@ -6,6 +6,15 @@ from helixmi.mesh import MeshDescriptor, TreeNumber, Vocabulary
 from oracles import csr_of
 
 
+@pytest.fixture(autouse=True)
+def cache_home(tmp_path_factory, monkeypatch):
+    """A cache directory of the test's own, so that no test reads or writes
+    the user's parsed-input cache; subprocesses inherit it."""
+    home = tmp_path_factory.mktemp("xdg-cache")
+    monkeypatch.setenv("XDG_CACHE_HOME", str(home))
+    return home
+
+
 def make_vocab(specs):
     """specs: mapping id -> list of tree-number strings."""
     descriptors = [

@@ -146,6 +146,14 @@ def test_malformed_flag_values_exit_one(tmp_path):
         assert run(synth + flag) == 1, flag
 
 
+def test_synth_rate_too_large_is_a_usage_error(tmp_path, capsys):
+    # numpy's Poisson sampler would raise on this rate mid-run
+    assert run(["synth", "--mode", "independent", "--pubs", "5", "--years", "2",
+                "--lam=1e30,1,1", "--out", tmp_path]) == 1
+    assert "rates must be at most 1000" in capsys.readouterr().err
+    assert not (tmp_path / "corpus.jsonl").exists()
+
+
 def test_synth_outputs(synth_dir):
     assert (synth_dir / "corpus.jsonl").exists()
     assert (synth_dir / "mesh.tsv").exists()
@@ -206,8 +214,9 @@ def test_manifest_records_stage_times(synth_dir, tmp_path):
     assert run(["stats", *io, "--out", tmp_path / "stats"]) == 0
     manifest = json.loads((tmp_path / "stats" / "manifest.json").read_text())
     stages = manifest["stages"]
-    assert set(stages) == {"vocabulary_s", "ingest_s", "command_s", "peak_rss_mb",
+    assert set(stages) == {"vocabulary_s", "ingest_s", "command_s", "peak_rss_mb", "cache",
                            "ingest_template_lines", "ingest_json_lines"}
+    assert stages["cache"] == "stored"
     # synth writes canonical lines, which all take the template path
     lines = len((synth_dir / "corpus.jsonl").read_bytes().splitlines())
     assert (stages["ingest_template_lines"], stages["ingest_json_lines"]) == (lines, 0)
@@ -296,7 +305,7 @@ def test_null_command_and_thread_invariance(synth_dir, tmp_path, monkeypatch):
         assert null_manifest["corpus_hash"] == cli.file_sha256(synth_dir / "corpus.jsonl")
         stages = json.loads((out / "manifest.json").read_text())["stages"]
         assert set(stages) == {"vocabulary_s", "ingest_s", "null_s", "null_workers",
-                               "command_s", "peak_rss_mb", "ingest_template_lines",
+                               "command_s", "peak_rss_mb", "cache", "ingest_template_lines",
                                "ingest_json_lines"}
         assert stages["null_workers"] == (cores if sys.platform == "linux" else 1)
         assert 0 < stages["null_s"] < stages["command_s"]
@@ -487,6 +496,8 @@ def test_commands_build_no_publication(synth_dir, tmp_path, monkeypatch):
     expected = outputs(tmp_path / "plain")
     assert len(expected) > len(commands)
     monkeypatch.setattr(corpus_module, "Publication", _NoPublication)
+    # an empty cache, so that the patched run parses the inputs again
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "patched-cache"))
     assert outputs(tmp_path / "patched") == expected
 
 

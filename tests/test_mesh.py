@@ -146,6 +146,17 @@ def test_load_mesh_tsv_wrong_column_count(tmp_path):
     assert "line 2" in str(err.value)
 
 
+@pytest.mark.parametrize("later", [b"x\ty\n", b"X2\tCaf\xe9\tC01\n"])
+def test_load_mesh_tsv_reports_an_invalid_tree_number_first(tmp_path, later):
+    # the byte that is not UTF-8 lies in a later decode chunk than line 2
+    path = tmp_path / "mesh.tsv"
+    path.write_bytes(b"id\tname\ttree_numbers\nX1\tBad\tX01\n"
+                     + b"".join(b"F%05d\tFill %05d\tA01\n" % (i, i) for i in range(500))
+                     + later)
+    with pytest.raises(MeshFormatError, match="X01"):
+        load_mesh_tsv(str(path))
+
+
 def test_duplicate_names_rejected():
     descriptors = [
         MeshDescriptor("A1", "Same Name", (TreeNumber("C04.1"),)),
