@@ -256,6 +256,8 @@ def _load_inputs(args, manifest: RunManifest):
     manifest.add_input(args.mesh, digests[0])
     manifest.add_input(args.corpus, digests[1])
     manifest.diagnostics["ingest"] = report.summary()
+    # so that a run shows whether the load or the analysis set its peak
+    manifest.stages["load_peak_rss_mb"] = _peak_rss_mb()
     return vocabulary, corpus, report
 
 

@@ -20,7 +20,7 @@ from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .corpus import Corpus
+from .corpus import Corpus, row_chunks
 from .errors import DataError
 from .mesh import BRANCHES
 
@@ -91,16 +91,23 @@ def branch_matrix(vocabulary, counting: str = "membership") -> np.ndarray:
 
 
 def corpus_triples(corpus: Corpus, counting: str = "membership") -> np.ndarray:
-    """(n_pubs, 3) int array of branch counts, aligned with corpus order."""
+    """(n_pubs, 3) int array of branch counts, aligned with corpus order.
+
+    The entries are summed a chunk of rows at a time, so beyond the result
+    this holds one chunk's running sums."""
     weights = branch_matrix(corpus.vocabulary, counting)
     indptr, indices = corpus.incidence
     triples = np.empty((len(indptr) - 1, len(BRANCHES)), dtype=np.int64)
-    running = np.zeros(len(indices) + 1, dtype=np.int64)
-    for i in range(len(BRANCHES)):
-        # a row's count is a difference of running sums over the entries, so
-        # a publication without descriptors gets 0
-        np.cumsum(weights[:, i][indices], out=running[1:])
-        triples[:, i] = running[indptr[1:]] - running[indptr[:-1]]
+    for lo, hi in row_chunks(indptr):
+        start = indptr[lo]
+        cols = indices[start:indptr[hi]]
+        bounds = indptr[lo:hi + 1] - start
+        running = np.zeros(len(cols) + 1, dtype=np.int64)
+        for i in range(len(BRANCHES)):
+            # a row's count is a difference of running sums over the chunk's
+            # entries, so a publication without descriptors gets 0
+            np.cumsum(weights[:, i][cols], out=running[1:])
+            np.subtract(running[bounds[1:]], running[bounds[:-1]], out=triples[lo:hi, i])
     return triples
 
 

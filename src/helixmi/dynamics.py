@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .corpus import Corpus
+from .corpus import Corpus, row_chunks
 from .counts import BRANCHES, branch_matrix
 from .errors import DataError
 from .scaling import ranked_columns
@@ -147,6 +147,10 @@ def top_pairs(
     descriptors, regardless of multiplicity.  Branch membership is used,
     so a descriptor affiliated with both branches can appear on either
     side, but never paired with itself.
+
+    The window's rows are paired a chunk at a time, and the chunks' pair
+    counts are merged once, so beyond the result this holds one chunk's
+    pairs and the distinct pairs of every chunk.
     """
     if branch_a == branch_b or branch_a not in BRANCHES or branch_b not in BRANCHES:
         raise ValueError("branches must be two distinct letters among C, D, E")
@@ -162,29 +166,48 @@ def top_pairs(
     in_window = [rows for y, rows in corpus.by_year.items() if lo <= y <= hi]
     if not in_window or limit == 0:
         return []
-    first, stop = in_window[0].start, in_window[-1].stop
     indptr, indices = corpus.incidence
-    cols = indices[indptr[first]:indptr[stop]]
-    row = np.repeat(np.arange(stop - first), np.diff(indptr[first:stop + 1]))
     member = branch_matrix(corpus.vocabulary, "membership")
-    in_a = member[:, BRANCHES.index(branch_a)].astype(bool)[cols]
-    in_b = member[:, BRANCHES.index(branch_b)].astype(bool)[cols]
-    a_rows, b_cols = row[in_a], cols[in_b]
-    # the B entries keep row order, so row r's run of them starts at b_start[r]
-    b_per_row = np.bincount(row[in_b], minlength=stop - first)
-    b_start = np.cumsum(b_per_row) - b_per_row
-    # pair each A entry with every B entry of its row: the k-th copy of an
-    # A entry in row r takes the B entry at b_start[r] + k
-    fan = b_per_row[a_rows]
-    first_copy = np.cumsum(fan) - fan
-    a = np.repeat(cols[in_a], fan)
-    b = b_cols[np.arange(len(a)) + np.repeat(b_start[a_rows] - first_copy, fan)]
-    distinct = a != b
+    is_a = member[:, BRANCHES.index(branch_a)].astype(bool)
+    is_b = member[:, BRANCHES.index(branch_b)].astype(bool)
     ids = corpus.vocabulary.column_ids
     width = len(ids)
-    codes, counts = np.unique(
-        a[distinct].astype(np.int64) * width + b[distinct], return_counts=True
-    )
+    code_runs, count_runs = [], []
+    for start, stop in row_chunks(indptr, in_window[0].start, in_window[-1].stop):
+        cols = indices[indptr[start]:indptr[stop]]
+        row = np.repeat(np.arange(stop - start), np.diff(indptr[start:stop + 1]))
+        in_a, in_b = is_a[cols], is_b[cols]
+        a_rows, b_cols = row[in_a], cols[in_b]
+        # the B entries keep row order, so row r's run of them starts at b_start[r]
+        b_per_row = np.bincount(row[in_b], minlength=stop - start)
+        b_start = np.cumsum(b_per_row) - b_per_row
+        # pair each A entry with every B entry of its row: the k-th copy of an
+        # A entry in row r takes the B entry at b_start[r] + k
+        fan = b_per_row[a_rows]
+        first_copy = np.cumsum(fan) - fan
+        a = np.repeat(cols[in_a], fan)
+        b = b_cols[np.arange(len(a)) + np.repeat(b_start[a_rows] - first_copy, fan)]
+        distinct = a != b
+        codes, counts = np.unique(a[distinct].astype(np.int64) * width + b[distinct],
+                                  return_counts=True)
+        code_runs.append(codes)
+        count_runs.append(counts)
+    # merge the chunks' ascending (code, count) runs, summing the counts of
+    # equal codes; each run list is dropped once joined, to hold fewer copies
+    codes = np.concatenate(code_runs)
+    del code_runs
+    if len(codes) == 0:
+        return []
+    counts = np.concatenate(count_runs)
+    del count_runs
+    order = np.argsort(codes)
+    codes = codes[order]
+    counts = counts[order]
+    del order
+    # codes are non-negative, so the first one starts a run too
+    starts = np.flatnonzero(np.diff(codes, prepend=-1))
+    codes = codes[starts]
+    counts = np.add.reduceat(counts, starts)
     if limit < len(counts):
         # only counts at or above the limit-th largest can make the cut
         kth = np.partition(counts, len(counts) - limit)[len(counts) - limit]

@@ -61,9 +61,13 @@ def _axis_ranks(shifted: np.ndarray) -> tuple[np.ndarray, int]:
     return inverse.reshape(b, n) - starts[:-1, None], int(np.diff(starts).max())
 
 
-def joint_histograms(rows: np.ndarray, weights: np.ndarray | None = None) -> np.ndarray:
+def joint_histograms(
+    rows: np.ndarray, weights: np.ndarray | None = None, code: np.ndarray | None = None
+) -> np.ndarray:
     """Counts (or summed ``weights``) of each of B stacked blocks of (n, d)
     integer rows, as a (B, k_1, ..., k_d) array with one axis per column.
+    ``code``, a (B, n) intp array, is overwritten with each row's cell;
+    without it one is allocated.
 
     Each column is shifted to start at 0.  Where the shifted columns span
     more than 4n + 64 cells together, or ``weights`` are summed, every
@@ -77,8 +81,8 @@ def joint_histograms(rows: np.ndarray, weights: np.ndarray | None = None) -> np.
     columns = np.moveaxis(rows, 2, 0)
     lows = [int(column.min()) for column in columns]
     shape = [int(column.max()) - low + 1 for column, low in zip(columns, lows)]
-    code = np.zeros((b, n), dtype=np.intp)
-    code += np.arange(b)[:, None]
+    code = np.empty((b, n), dtype=np.intp) if code is None else code
+    code[:] = np.arange(b)[:, None]
     if weights is None and math.prod(shape) <= 4 * n + 64:
         for column, low, k in zip(columns, lows, shape):
             code *= k
@@ -356,13 +360,16 @@ def _year_record(year: int, vectors: np.ndarray) -> YearMi:
     )
 
 
-def stacked_targets(vectors: np.ndarray, include_empty: bool = True) -> np.ndarray:
+def stacked_targets(
+    vectors: np.ndarray, include_empty: bool = True, code: np.ndarray | None = None
+) -> np.ndarray:
     """The :data:`TARGETS` of B stacked (n, 3) blocks of non-negative count
     vectors, as a (4, B) array: for each block the values
     :func:`mi_from_triples` gives for that block alone, or NaN where it
-    has no vector left to evaluate."""
+    has no vector left to evaluate.  ``code`` is the (B, n) scratch array
+    :func:`joint_histograms` takes."""
     b, n, _ = vectors.shape
-    hists = joint_histograms(vectors)
+    hists = joint_histograms(vectors, code=code)
     kept = np.full(b, n)
     if not include_empty:
         # zero is the smallest count on every axis, so a block's all-zero

@@ -275,16 +275,20 @@ def replicate_slice(
         year: max(1, min(len(rngs), BLOCK_LABELS // max(sizes[year], len(triples), 1)))
         for year, triples in triples_per_year.items()
     }
-    # Every block's labels and counts are views of two buffers, sized for
-    # the largest block.  Blocks of varying sizes, freed and allocated again
-    # year after year, leave the allocator keeping heap in a pattern that
-    # depends on the process's memory layout, and peak RSS then differs
-    # from run to run.
+    # Every block's labels, counts and histogram cell codes are views of
+    # three buffers, sized for the largest block.  Blocks of varying sizes,
+    # freed and allocated again year after year, leave the allocator keeping
+    # heap in a pattern that depends on the process's memory layout, and
+    # peak RSS then differs from run to run.
     label_buffer = np.empty(max((steps[y] * sizes[y] for y in sizes), default=0),
                             dtype=np.int64)
     count_buffer = np.empty(
         max((steps[y] * t.size for y, t in triples_per_year.items()), default=0),
         dtype=np.int64,
+    )
+    code_buffer = np.empty(
+        max((steps[y] * len(t) for y, t in triples_per_year.items()), default=0),
+        dtype=np.intp,
     )
     for year in sorted(triples_per_year):
         triples = triples_per_year[year]
@@ -303,8 +307,9 @@ def replicate_slice(
                     len(batch), *triples.shape)
                 _deal(labels, cells, counts)
                 vectors = apply_count_map(counts.reshape(-1, 3), config.map_kind, medians)
+                code = code_buffer[:len(batch) * len(triples)].reshape(len(batch), len(triples))
                 values[:, lo:lo + len(batch), column[year]] = stacked_targets(
-                    vectors.reshape(counts.shape), config.include_empty
+                    vectors.reshape(counts.shape), config.include_empty, code
                 )
     return values
 

@@ -125,6 +125,25 @@ def pair_counts_brute(corpus, branch_a, branch_b, window):
     return counts
 
 
+def top_pairs_brute(corpus, branch_a, branch_b, window, limit):
+    """The ``limit`` most frequent ((id_a, id_b), count) pairs by (-count,
+    id_a, id_b): each publication in the window adds one to every pair of
+    its set of branch-a ids and its set of branch-b ids, except an id with
+    itself."""
+    lo, hi = window
+    descriptors = corpus.vocabulary.descriptors
+    counts = {}
+    for pub in corpus.publications:
+        if not lo <= pub.year <= hi:
+            continue
+        side_a = {m for m in pub.mesh_ids if branch_a in descriptors[m].branches}
+        side_b = {m for m in pub.mesh_ids if branch_b in descriptors[m].branches}
+        for pair in product(side_a, side_b):
+            if pair[0] != pair[1]:
+                counts[pair] = counts.get(pair, 0) + 1
+    return sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))[:limit]
+
+
 def descriptor_counts_brute(corpus, year=None):
     """Publications per descriptor id, over all years or one year."""
     counts = {}

@@ -215,13 +215,13 @@ def test_manifest_records_stage_times(synth_dir, tmp_path):
     manifest = json.loads((tmp_path / "stats" / "manifest.json").read_text())
     stages = manifest["stages"]
     assert set(stages) == {"vocabulary_s", "ingest_s", "command_s", "peak_rss_mb", "cache",
-                           "ingest_template_lines", "ingest_json_lines"}
+                           "ingest_template_lines", "ingest_json_lines", "load_peak_rss_mb"}
     assert stages["cache"] == "stored"
     # synth writes canonical lines, which all take the template path
     lines = len((synth_dir / "corpus.jsonl").read_bytes().splitlines())
     assert (stages["ingest_template_lines"], stages["ingest_json_lines"]) == (lines, 0)
     assert 0 < stages["vocabulary_s"] + stages["ingest_s"] < stages["command_s"]
-    assert stages["peak_rss_mb"] > 1
+    assert 1 < stages["load_peak_rss_mb"] <= stages["peak_rss_mb"]
     assert "stages" not in manifest["diagnostics"]
     synth = json.loads((synth_dir / "manifest.json").read_text())["stages"]
     assert set(synth) == {"command_s", "peak_rss_mb"}
@@ -306,7 +306,7 @@ def test_null_command_and_thread_invariance(synth_dir, tmp_path, monkeypatch):
         stages = json.loads((out / "manifest.json").read_text())["stages"]
         assert set(stages) == {"vocabulary_s", "ingest_s", "null_s", "null_workers",
                                "command_s", "peak_rss_mb", "cache", "ingest_template_lines",
-                               "ingest_json_lines"}
+                               "ingest_json_lines", "load_peak_rss_mb"}
         assert stages["null_workers"] == (cores if sys.platform == "linux" else 1)
         assert 0 < stages["null_s"] < stages["command_s"]
     assert all(o == outputs[0] for o in outputs)

@@ -392,6 +392,20 @@ def test_stacked_tables_equal_single_tables(blocks, data):
         assert {s: h[i] for s, h in stacked.items()} == single
 
 
+@settings(max_examples=40, deadline=None)
+@given(st.lists(year_block(max_rows=40), min_size=1, max_size=4), st.booleans())
+def test_joint_histograms_overwrite_a_given_code_array(blocks, include_empty):
+    # a view of a larger buffer that holds an earlier, larger block's codes
+    n = min(len(b) for b in blocks)
+    stack = np.abs(np.stack([b[:n] for b in blocks]))
+    buffer = np.full(len(stack) * n + 7, 12345, dtype=np.intp)
+    code = buffer[:len(stack) * n].reshape(len(stack), n)
+    assert np.array_equal(joint_histograms(stack, code=code), joint_histograms(stack))
+    code[:] = -1
+    assert np.array_equal(stacked_targets(stack, include_empty, code),
+                          stacked_targets(stack, include_empty), equal_nan=True)
+
+
 def test_stacked_targets_of_an_emptied_block_are_nan():
     block = np.array([[[0, 0, 0], [0, 0, 0]], [[1, 0, 2], [0, 0, 0]]])
     values = stacked_targets(block, include_empty=False)
