@@ -16,12 +16,21 @@ pickled objects.  The directory keeps the ``CAPACITY`` entries used last.
 An entry that cannot be read, or whose arrays have the wrong shape, is a
 miss, and a directory that cannot be written just stores nothing: no
 output depends on the cache.
+
+So that a command does not read its inputs whole to find their key, the
+directory also keeps a digest index, ``digests.txt``: one row per input
+file, ``device inode size mtime_ns ctime_ns sha256``.  A file whose stat
+matches its row takes the row's digest; any other is hashed, and its row
+is written once the file has gone ``_RECENT_NS`` unchanged, as any later
+write then changes its ctime.  The index keeps the ``INDEX_ROWS`` rows
+used last; one that cannot be read or written is an empty one.
 """
 
 from __future__ import annotations
 
 import hashlib
 import os
+import re
 import sys
 import time
 import zipfile
@@ -41,6 +50,17 @@ CAPACITY = 8
 # a temporary file this old belongs to a writer that died before its rename
 _STALE_TEMP_S = 3600.0
 
+# a file changed this shortly before its stat may change again within the
+# same timestamp tick, which leaves its stat as it was; such a file is
+# hashed again after the parse, and its digest is not indexed
+_RECENT_NS = 2_000_000_000
+
+# rows of the digest index kept; recording one more removes the one used
+# longest ago
+INDEX_ROWS = 2 * CAPACITY
+_INDEX_NAME = "digests.txt"
+_INDEX_ROW = re.compile(r"(\d+) (\d+) (\d+) (-?\d+) (-?\d+) ([0-9a-f]{64})")
+
 # the errors np.load raises for a file that is missing, truncated or not
 # an archive of arrays it can read without pickle; zipfile raises the last
 # three for a member marked encrypted, one in a format it does not support
@@ -59,6 +79,92 @@ def cache_dir() -> Path:
     if not os.path.isabs(base):
         base = os.path.join(os.path.expanduser("~"), ".cache")
     return Path(base) / "helixmi"
+
+
+def file_sha256(path) -> str:
+    digest = hashlib.sha256()
+    with open(path, "rb") as fh:
+        for chunk in iter(lambda: fh.read(1 << 20), b""):
+            digest.update(chunk)
+    return digest.hexdigest()
+
+
+def input_stats(paths) -> list[tuple] | None:
+    """(device, inode, size, mtime_ns, ctime_ns) of each file; None when
+    one cannot be read."""
+    try:
+        stats = [os.stat(path) for path in paths]
+    except OSError:
+        return None
+    return [(s.st_dev, s.st_ino, s.st_size, s.st_mtime_ns, s.st_ctime_ns) for s in stats]
+
+
+def _settled(stat: tuple, checked_ns: int) -> bool:
+    """Whether a file with ``stat``, taken at ``checked_ns``, was last
+    changed long enough before that any later write changes its stat."""
+    return stat[4] < checked_ns - _RECENT_NS
+
+
+def unchanged(paths, stats, checked_ns: int, digests) -> bool:
+    """Whether the files still hold the bytes that had ``digests`` when
+    ``stats`` were taken, at ``checked_ns``: any write since changes a
+    file's ctime, unless it came in the tick of a write before the stat."""
+    if stats is None or input_stats(paths) != stats:
+        return False
+    if all(_settled(stat, checked_ns) for stat in stats):
+        return True
+    try:
+        return [file_sha256(path) for path in paths] == list(digests)
+    except OSError:
+        return False
+
+
+def _read_index() -> dict:
+    """(device, inode) -> (size, mtime_ns, ctime_ns, sha256), in the order
+    used; empty when the index is missing or damaged."""
+    try:
+        text = (cache_dir() / _INDEX_NAME).read_text(encoding="ascii")
+    except (OSError, ValueError):  # ValueError: bytes that are not ASCII
+        return {}
+    rows = {}
+    for line in text.splitlines():
+        match = _INDEX_ROW.fullmatch(line)
+        if match is None:
+            return {}
+        dev, ino, size, mtime, ctime = map(int, match.groups()[:5])
+        rows[dev, ino] = (size, mtime, ctime, match[6])
+    return rows
+
+
+def input_digests(paths, stats, checked_ns: int) -> tuple[list[str] | None, bool]:
+    """The sha256 of each file, and whether all of them came from the
+    digest index; (None, False) when a file cannot be read.
+
+    ``stats`` are the files' stats taken at ``checked_ns``.  A file whose
+    stat matches its row is not read; any other is hashed, and its row is
+    written when the file is settled."""
+    if stats is None:
+        return None, False
+    index = _read_index()
+    before = list(index.items())
+    digests, hashed = [], False
+    for path, stat in zip(paths, stats):
+        row = index.pop(stat[:2], None)
+        if row is None or row[:3] != stat[2:]:
+            try:
+                row = (*stat[2:], file_sha256(path))
+            except OSError:
+                return None, False
+            hashed = True
+        digests.append(row[3])
+        if _settled(stat, checked_ns):
+            index[stat[:2]] = row  # the row used last comes last
+    rows = list(index.items())[-INDEX_ROWS:]
+    if rows != before:
+        text = "".join(f"{dev} {ino} {size} {mtime} {ctime} {digest}\n"
+                       for (dev, ino), (size, mtime, ctime, digest) in rows)
+        _write(_INDEX_NAME, lambda fh: fh.write(text.encode("ascii")))
+    return digests, not hashed
 
 
 def _source_digest() -> str:
@@ -202,24 +308,34 @@ def load(key: str, query_label: str, stages: dict):
     return vocabulary, corpus, report
 
 
-def store(key: str, vocabulary: Vocabulary, corpus: Corpus, report: IngestReport) -> bool:
-    """Write the entry ``key`` through a temporary file and a rename, then
-    keep the ``CAPACITY`` entries used last; False when nothing could be
-    written."""
+def _write(name: str, write) -> bool:
+    """Write the file ``name`` of the cache directory by ``write(fh)`` on a
+    temporary file and a rename, so that a reader sees the old file or the
+    new one whole; False when nothing could be written."""
     directory = cache_dir()
-    temp = directory / f"{key}.{os.getpid()}.tmp"
+    temp = directory / f"{name}.{os.getpid()}.tmp"
     try:
         directory.mkdir(parents=True, exist_ok=True)
         with open(temp, "wb") as fh:
-            np.savez(fh, **_arrays(vocabulary, corpus, report))
-        os.replace(temp, directory / f"{key}.npz")
+            write(fh)
+        os.replace(temp, directory / name)
     except OSError:
         try:
             temp.unlink(missing_ok=True)
         except OSError:
             pass
         return False
-    _evict(directory)
+    return True
+
+
+def store(key: str, vocabulary: Vocabulary, corpus: Corpus, report: IngestReport) -> bool:
+    """Write the entry ``key`` through a temporary file and a rename, then
+    keep the ``CAPACITY`` entries used last; False when nothing could be
+    written."""
+    arrays = _arrays(vocabulary, corpus, report)
+    if not _write(f"{key}.npz", lambda fh: np.savez(fh, **arrays)):
+        return False
+    _evict(cache_dir())
     return True
 
 

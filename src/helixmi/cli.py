@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import codecs
 import csv
-import hashlib
 import json
 import os
 import resource
@@ -22,32 +21,27 @@ import time
 from dataclasses import asdict, dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-import numpy as np
-
-from . import __version__, cache
-from .corpus import (
-    Corpus,
-    corpus_canonical_lines,
-    ingest_jsonl,
-    ingest_medline_text,
-    write_corpus_jsonl,
-    yearly_sizes,
-)
-from .counts import (
-    BRANCHES,
-    branch_matrix,
-    branch_stats_from_triples,
-    corpus_triples,
-    wilcoxon_signed_rank,
-)
-from .dynamics import branch_share_series, detect_entries, rank_trajectories, top_pairs
+from . import __version__
 from .errors import DataError
-from .infotheory import efficiency, yearly_mi
-from .mesh import Vocabulary, load_mesh_ascii, load_mesh_tsv, write_mesh_tsv
-from .nullmodel import TARGETS, ShuffleConfig, null_band
-from .scaling import heaps_fit, rank_table, zipf_fit
-from .synth import MODES, SynthConfig, synth_corpus
+
+if TYPE_CHECKING:
+    from .corpus import Corpus
+    from .mesh import Vocabulary
+
+# Each command imports the modules it runs when it runs, so that a command
+# loads no analysis module it does not use, and numpy only after ``entry``
+# has chosen its thread count.  The flag choices below are those of
+# ``mesh.BRANCHES``, ``infotheory.TARGETS`` and ``synth.MODES`` (a test
+# checks), named here so that parsing the arguments imports none of them.
+BRANCHES = ("C", "D", "E")
+TARGETS = ("T_CD", "T_CE", "T_DE", "T_CDE")
+MODES = ("independent", "pairwise", "xor", "sizemix")
+
+# numpy's OpenBLAS starts a thread per core at import unless one of these
+# says otherwise; no helixmi computation is a BLAS call that threads speed up
+_BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
 
 
 def _fmt(value) -> str:
@@ -75,14 +69,6 @@ def _write_json(path: Path, obj) -> None:
         fh.write("\n")
 
 
-def file_sha256(path: str) -> str:
-    digest = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(1 << 20), b""):
-            digest.update(chunk)
-    return digest.hexdigest()
-
-
 @dataclass
 class RunManifest:
     command: str
@@ -91,9 +77,10 @@ class RunManifest:
     config: dict = field(default_factory=dict)
     diagnostics: dict = field(default_factory=dict)
     # wall seconds of the vocabulary load, the ingest and the whole command,
-    # the process's peak resident set size, whether the parsed inputs came
-    # from the cache and, for a JSONL corpus, how many lines took each of
-    # its parser's paths
+    # the process's peak resident set size, whether the inputs' digests came
+    # from the digest index and how long finding them took, whether the
+    # parsed inputs came from the cache and, for a JSONL corpus, how many
+    # lines took each of its parser's paths
     stages: dict = field(default_factory=dict)
     tool_version: str = __version__
     timestamp: str = ""
@@ -110,6 +97,8 @@ class RunManifest:
 def _detect_and_load_mesh(path: str) -> Vocabulary:
     """The vocabulary of a TSV or NLM ASCII file, reporting a TSV that is
     not UTF-8 text as a data error."""
+    from .mesh import load_mesh_ascii, load_mesh_tsv
+
     with open(path, "rb") as fh:
         head = fh.read(4096)
     first = head.split(b"\n", 1)[0]
@@ -190,45 +179,19 @@ def _lam_arg(text: str) -> tuple[float, float, float]:
         ) from None
 
 
-def _input_digests(args) -> tuple[str, str] | None:
-    try:
-        return file_sha256(args.mesh), file_sha256(args.corpus)
-    except OSError:
-        return None
-
-
-# a file changed this shortly before its first stat may change again within
-# the same timestamp tick, which leaves its stat as it was; such a file is
-# hashed again after the parse instead
-_RECENT_NS = 2_000_000_000
-
-
-def _input_stats(args) -> list[tuple] | None:
-    try:
-        stats = [os.stat(path) for path in (args.mesh, args.corpus)]
-    except OSError:
-        return None
-    return [(s.st_dev, s.st_ino, s.st_size, s.st_mtime_ns, s.st_ctime_ns) for s in stats]
-
-
-def _unchanged(args, stats, checked_ns: int, digests) -> bool:
-    """Whether both inputs still hold the bytes that had ``digests`` when
-    ``stats`` were taken, at ``checked_ns``: any write since changes a
-    file's ctime, unless it came in the tick of a write before the stat."""
-    if stats is None or _input_stats(args) != stats:
-        return False
-    if max(stat[4] for stat in stats) < checked_ns - _RECENT_NS:
-        return True
-    return _input_digests(args) == digests
-
-
 def _load_inputs(args, manifest: RunManifest):
     """The vocabulary, corpus and ingest report: from the cache entry of
     the inputs' bytes when there is one, else parsed and then stored."""
+    from . import cache
+
     label = getattr(args, "label", None) or Path(args.corpus).stem
+    paths = (args.mesh, args.corpus)
     # an unreadable input leaves the parsers to report it, as without a cache
-    stats, checked_ns = _input_stats(args), time.time_ns()
-    digests = _input_digests(args)
+    stats, checked_ns = cache.input_stats(paths), time.time_ns()
+    start = time.perf_counter()
+    digests, indexed = cache.input_digests(paths, stats, checked_ns)
+    manifest.stages["digests"] = "index" if indexed else "hashed"
+    manifest.stages["digest_s"] = time.perf_counter() - start
     key = cache.entry_key(*digests, args.years) if digests else None
     loaded = cache.load(key, label, manifest.stages) if key else None
     if loaded:
@@ -236,6 +199,8 @@ def _load_inputs(args, manifest: RunManifest):
         jsonl = _is_jsonl(args.corpus)
         manifest.stages["cache"] = "hit"
     else:
+        from .corpus import ingest_jsonl, ingest_medline_text
+
         start = time.perf_counter()
         vocabulary = _detect_and_load_mesh(args.mesh)
         manifest.stages["vocabulary_s"] = time.perf_counter() - start
@@ -245,10 +210,10 @@ def _load_inputs(args, manifest: RunManifest):
         corpus, report = ingest(args.corpus, vocabulary, args.years, label)
         manifest.stages["ingest_s"] = time.perf_counter() - start
         # an entry holds only what the bytes of its key parse to
-        stored = (bool(key) and _unchanged(args, stats, checked_ns, digests)
+        stored = (bool(key) and cache.unchanged(paths, stats, checked_ns, digests)
                   and cache.store(key, vocabulary, corpus, report))
         manifest.stages["cache"] = "stored" if stored else "off"
-        digests = digests or (file_sha256(args.mesh), file_sha256(args.corpus))
+        digests = digests or [cache.file_sha256(path) for path in paths]
     if jsonl:
         manifest.stages["ingest_template_lines"] = report.template_lines
         manifest.stages["ingest_json_lines"] = report.json_lines
@@ -266,6 +231,8 @@ def _load_inputs(args, manifest: RunManifest):
 # ---------------------------------------------------------------------------
 
 def _cmd_ingest(args, out_dir: Path, manifest: RunManifest) -> int:
+    from .corpus import write_corpus_jsonl
+
     _, corpus, report = _load_inputs(args, manifest)
     write_corpus_jsonl(corpus, str(out_dir / "corpus.jsonl"))
     _write_json(out_dir / "ingest_report.json", report.to_json_dict())
@@ -273,6 +240,17 @@ def _cmd_ingest(args, out_dir: Path, manifest: RunManifest) -> int:
 
 
 def _cmd_stats(args, out_dir: Path, manifest: RunManifest) -> int:
+    import numpy as np
+
+    from .corpus import yearly_sizes
+    from .counts import (
+        branch_matrix,
+        branch_stats_from_triples,
+        corpus_triples,
+        wilcoxon_signed_rank,
+    )
+    from .infotheory import efficiency
+
     _, corpus, _ = _load_inputs(args, manifest)
     triples = corpus_triples(corpus, args.counting)
     stats = branch_stats_from_triples(triples)
@@ -328,6 +306,8 @@ MI_HEADER = [
 
 
 def _cmd_mi(args, out_dir: Path, manifest: RunManifest) -> int:
+    from .infotheory import yearly_mi
+
     _, corpus, _ = _load_inputs(args, manifest)
     series = yearly_mi(corpus, map_kind=args.map, counting=args.counting)
     rows = [
@@ -340,6 +320,11 @@ def _cmd_mi(args, out_dir: Path, manifest: RunManifest) -> int:
 
 
 def _cmd_null(args, out_dir: Path, manifest: RunManifest) -> int:
+    import hashlib
+
+    from .corpus import corpus_canonical_lines
+    from .nullmodel import ShuffleConfig, null_band
+
     config = _make_config(
         ShuffleConfig,
         replicates=args.replicates,
@@ -382,6 +367,9 @@ def _cmd_null(args, out_dir: Path, manifest: RunManifest) -> int:
 
 
 def _cmd_scaling(args, out_dir: Path, manifest: RunManifest) -> int:
+    from .corpus import yearly_sizes
+    from .scaling import heaps_fit, rank_table, zipf_fit
+
     _, corpus, _ = _load_inputs(args, manifest)
     table = rank_table(corpus, "all")
     zipf = zipf_fit(table, min_count=args.min_count)
@@ -405,6 +393,8 @@ def _cmd_scaling(args, out_dir: Path, manifest: RunManifest) -> int:
 
 
 def _cmd_dynamics(args, out_dir: Path, manifest: RunManifest) -> int:
+    from .dynamics import branch_share_series, detect_entries, rank_trajectories, top_pairs
+
     _, corpus, _ = _load_inputs(args, manifest)
     matrix = rank_trajectories(corpus, k=args.topk)
     header = ["descriptor", "primary_branch"] + [str(y) for y in matrix.years]
@@ -454,6 +444,8 @@ def _write_pairs_csv(path: Path, corpus: Corpus, pairs, branch_a: str, branch_b:
 
 
 def _cmd_pairs(args, out_dir: Path, manifest: RunManifest) -> int:
+    from .dynamics import top_pairs
+
     _, corpus, _ = _load_inputs(args, manifest)
     branch_a, branch_b = args.branches
     pairs = top_pairs(corpus, branch_a, branch_b, window=args.window, limit=args.limit)
@@ -462,6 +454,10 @@ def _cmd_pairs(args, out_dir: Path, manifest: RunManifest) -> int:
 
 
 def _cmd_synth(args, out_dir: Path, manifest: RunManifest) -> int:
+    from .corpus import write_corpus_jsonl
+    from .mesh import write_mesh_tsv
+    from .synth import SynthConfig, synth_corpus
+
     if isinstance(args.years, tuple):
         start_year, n_years = args.years[0], args.years[1] - args.years[0] + 1
     else:
@@ -619,6 +615,10 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def entry() -> None:
+    """Run the command of ``sys.argv``, with one OpenBLAS thread unless
+    the environment already sets a thread count."""
+    if not any(name in os.environ for name in _BLAS_THREAD_VARIABLES):
+        os.environ["OPENBLAS_NUM_THREADS"] = "1"
     raise SystemExit(main())
 
 

@@ -10,9 +10,12 @@ and every part of ``manifest.json`` but its stage times and timestamp,
 must not depend on which of the two happened.
 """
 
+import hashlib
 import json
 import os
+import subprocess
 import sys
+import time
 from collections import Counter
 
 import numpy as np
@@ -21,6 +24,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from helixmi import cache, cli
+from helixmi import corpus as corpus_module
+from helixmi import mesh as mesh_module
 from helixmi.corpus import Corpus, IngestReport
 from helixmi.mesh import Vocabulary
 from helixmi.synth import MODES
@@ -108,8 +113,8 @@ def inputs(tmp_path_factory):
                     "--seed", "11", "--out", out]) == 0
         made[mode] = (out / "corpus.jsonl", out / "mesh.tsv")
     source = root / "sizemix"
-    vocabulary = cli.load_mesh_tsv(str(source / "mesh.tsv"))
-    corpus, _ = cli.ingest_jsonl(str(source / "corpus.jsonl"), vocabulary)
+    vocabulary = mesh_module.load_mesh_tsv(str(source / "mesh.tsv"))
+    corpus, _ = corpus_module.ingest_jsonl(str(source / "corpus.jsonl"), vocabulary)
     write_medline(corpus, root / "corpus.medline", root / "mesh.bin")
     made["medline"] = (root / "corpus.medline", root / "mesh.bin")
     write_mixed_jsonl(source, root / "mixed.jsonl")
@@ -150,8 +155,11 @@ def test_hit_calls_no_parser(inputs, tmp_path, monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("a parser ran on a cache hit")
 
-    for name in ("load_mesh_tsv", "load_mesh_ascii", "ingest_jsonl", "ingest_medline_text"):
-        monkeypatch.setattr(cli, name, refuse)
+    # the names where the command looks them up when it runs
+    for module, name in ((mesh_module, "load_mesh_tsv"), (mesh_module, "load_mesh_ascii"),
+                         (corpus_module, "ingest_jsonl"),
+                         (corpus_module, "ingest_medline_text")):
+        monkeypatch.setattr(module, name, refuse)
     for kind, args in commands.items():
         files, _, stages = run_one(args, tmp_path / kind / "hit")
         assert stages["cache"] == "hit"
@@ -187,7 +195,7 @@ def test_changed_inputs_and_years_are_misses(inputs, tmp_path, cache_home):
     assert len(stored_entries(cache_home)) == 4
 
 
-@pytest.mark.parametrize("recent_ns", [cli._RECENT_NS, -cli._RECENT_NS])
+@pytest.mark.parametrize("recent_ns", [cache._RECENT_NS, -cache._RECENT_NS])
 def test_input_changed_during_the_parse_is_not_stored(inputs, tmp_path, cache_home,
                                                       monkeypatch, recent_ns):
     # the default treats the fresh copy as just written and hashes it again;
@@ -196,9 +204,9 @@ def test_input_changed_during_the_parse_is_not_stored(inputs, tmp_path, cache_ho
     corpus, mesh = inputs["pairwise"]
     copied = tmp_path / "corpus.jsonl"
     copied.write_bytes(corpus.read_bytes())
-    monkeypatch.setattr(cli, "_RECENT_NS", recent_ns)
+    monkeypatch.setattr(cache, "_RECENT_NS", recent_ns)
     io = ["--corpus", copied, "--mesh", mesh]
-    parse = cli.ingest_jsonl
+    parse = corpus_module.ingest_jsonl
 
     def parse_then_change(*args, **kwargs):
         parsed = parse(*args, **kwargs)
@@ -206,10 +214,10 @@ def test_input_changed_during_the_parse_is_not_stored(inputs, tmp_path, cache_ho
         copied.write_bytes(data.replace(b"1", b"2") if recent_ns > 0 else data + b"\n")
         return parsed
 
-    monkeypatch.setattr(cli, "ingest_jsonl", parse_then_change)
+    monkeypatch.setattr(corpus_module, "ingest_jsonl", parse_then_change)
     assert run_one(["mi", *io], tmp_path / "a")[2]["cache"] == "off"
     assert not stored_entries(cache_home)
-    monkeypatch.setattr(cli, "ingest_jsonl", parse)
+    monkeypatch.setattr(corpus_module, "ingest_jsonl", parse)
     assert run_one(["mi", *io], tmp_path / "b")[2]["cache"] == "stored"
 
 
@@ -380,3 +388,148 @@ def test_hit_rebuilds_the_parsed_arrays(cache_home, parsed):
     assert rebuilt.query_label == corpus.query_label
     assert report_again == report
     assert list(report_again.unresolved_terms) == list(report.unresolved_terms)
+
+
+# The digest index: a row (device, inode, size, mtime_ns, ctime_ns, sha256)
+# per input, read instead of the file when its stat matches.  Most tests
+# trust the stat alone (a negative recent bound), so that files the test
+# has just written are indexed.
+
+def index_rows(home):
+    path = home / "helixmi" / "digests.txt"
+    return path.read_text(encoding="ascii").splitlines() if path.exists() else []
+
+
+@pytest.fixture
+def trust_the_stat(monkeypatch):
+    monkeypatch.setattr(cache, "_RECENT_NS", -cache._RECENT_NS)
+
+
+@pytest.mark.parametrize("kind", ["xor", "medline"])
+def test_indexed_digests_are_the_hashed_ones(inputs, kind, tmp_path, trust_the_stat):
+    corpus, mesh = inputs[kind]
+    args = ["mi", "--corpus", corpus, "--mesh", mesh]
+    hashed = run_one(args, tmp_path / "hashed")
+    indexed = run_one(args, tmp_path / "indexed")
+    assert (hashed[2]["digests"], indexed[2]["digests"]) == ("hashed", "index")
+    assert indexed[:2] == hashed[:2]
+    assert [i["sha256"] for i in indexed[1]["inputs"]] == [
+        hashlib.sha256(path.read_bytes()).hexdigest() for path in (mesh, corpus)]
+
+
+def test_rewrite_with_the_old_mtime_is_hashed_again(inputs, tmp_path, cache_home,
+                                                    trust_the_stat):
+    corpus, mesh = inputs["pairwise"]
+    copied = tmp_path / "corpus.jsonl"
+    copied.write_bytes(corpus.read_bytes())
+    io = ["--corpus", copied, "--mesh", mesh]
+    old = run_one(["ingest", *io], tmp_path / "a")[0]
+    assert run_one(["ingest", *io], tmp_path / "b")[2]["digests"] == "index"
+    # the same size and mtime, other bytes: only the ctime tells
+    before = copied.stat()
+    data = copied.read_bytes().replace(b'"year":2001', b'"year":2002')
+    copied.write_bytes(data)
+    os.utime(copied, ns=(before.st_atime_ns, before.st_mtime_ns))
+    after = copied.stat()
+    assert (after.st_size, after.st_mtime_ns) == (before.st_size, before.st_mtime_ns)
+    files, manifest, stages = run_one(["ingest", *io], tmp_path / "c")
+    assert (stages["digests"], stages["cache"]) == ("hashed", "stored")
+    assert manifest["inputs"][1]["sha256"] == hashlib.sha256(data).hexdigest()
+    assert files["corpus.jsonl"] != old["corpus.jsonl"]
+
+
+def test_recent_file_is_never_served_from_the_index(inputs, tmp_path, cache_home,
+                                                    monkeypatch):
+    # every input of the test was changed within the hour
+    monkeypatch.setattr(cache, "_RECENT_NS", 3600 * 10**9)
+    io = ["--corpus", inputs["xor"][0], "--mesh", inputs["xor"][1]]
+    for attempt in ("once", "twice"):
+        assert run_one(["mi", *io], tmp_path / attempt)[2]["digests"] == "hashed"
+    assert index_rows(cache_home) == []
+
+
+@pytest.mark.parametrize("damage", ["not-ascii", "truncated-row", "directory"])
+def test_damaged_or_unwritable_index_is_an_empty_one(inputs, tmp_path, cache_home,
+                                                     trust_the_stat, damage):
+    io = ["--corpus", inputs["sizemix"][0], "--mesh", inputs["sizemix"][1]]
+    expected = run_one(["stats", *io], tmp_path / "first")
+    index = cache_home / "helixmi" / "digests.txt"
+    if damage == "not-ascii":
+        index.write_bytes(b"\xff" + index.read_bytes())
+    elif damage == "truncated-row":
+        index.write_bytes(index.read_bytes()[:-9])
+    else:
+        index.unlink()
+        index.mkdir()
+    files, manifest, stages = run_one(["stats", *io], tmp_path / "damaged")
+    assert (files, manifest) == expected[:2]
+    assert (stages["digests"], stages["cache"]) == ("hashed", "hit")
+    # a damaged index is rewritten whole; an unwritable one stays unused
+    again = run_one(["stats", *io], tmp_path / "again")[2]["digests"]
+    assert again == ("hashed" if damage == "directory" else "index")
+    assert not list((cache_home / "helixmi").glob("*.tmp"))
+
+
+def test_index_is_replaced_whole_and_keeps_the_rows_used_last(tmp_path, cache_home,
+                                                              trust_the_stat):
+    files = [tmp_path / f"input-{i}" for i in range(cache.INDEX_ROWS + 3)]
+    for i, path in enumerate(files):
+        path.write_bytes(b"bytes %d" % i)
+
+    def digests(path):
+        return cache.input_digests([path], cache.input_stats([path]), time.time_ns())
+
+    index = cache_home / "helixmi" / "digests.txt"
+    for path in files[:cache.INDEX_ROWS]:
+        assert digests(path) == ([hashlib.sha256(path.read_bytes()).hexdigest()], False)
+    with open(index, encoding="ascii") as reader:
+        # the first input, used again, becomes the row used last
+        assert digests(files[0])[1]
+        for path in files[cache.INDEX_ROWS:]:
+            digests(path)
+        # an open reader still reads the index it opened, whole
+        assert len(reader.read().splitlines()) == cache.INDEX_ROWS
+    # the three rows used longest ago went, in the order used
+    kept = [*files[4:cache.INDEX_ROWS], files[0], *files[cache.INDEX_ROWS:]]
+    assert [int(row.split()[1]) for row in index_rows(cache_home)] == [
+        path.stat().st_ino for path in kept]
+
+
+def test_concurrent_writers_never_leave_a_torn_index(tmp_path, cache_home):
+    # more writers than cores, each cycling through inputs of its own, so
+    # that every call rewrites the index; a reader must only ever see whole
+    # rows, at most INDEX_ROWS of them
+    writers = max(3, (os.cpu_count() or 1) + 1)
+    files = [tmp_path / f"input-{i}" for i in range(writers * 8)]
+    for i, path in enumerate(files):
+        path.write_bytes(b"bytes %d" % i)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cache.__file__)))
+    code = ("import sys, time; from helixmi import cache; "
+            "cache._RECENT_NS = -cache._RECENT_NS\n"
+            "for _ in range(25):\n"
+            "    for path in sys.argv[1:]:\n"
+            "        cache.input_digests([path], cache.input_stats([path]), time.time_ns())\n")
+    procs = [subprocess.Popen([sys.executable, "-c", code, *map(str, files[w::writers])],
+                              env=dict(os.environ, PYTHONPATH=src), stderr=subprocess.PIPE)
+             for w in range(writers)]
+    index = cache_home / "helixmi" / "digests.txt"
+    reads = 0
+    try:
+        deadline = time.monotonic() + 120
+        while any(p.poll() is None for p in procs) and time.monotonic() < deadline:
+            try:
+                text = index.read_text(encoding="ascii")
+            except FileNotFoundError:
+                continue
+            rows = text.splitlines()
+            assert text.endswith("\n") and 0 < len(rows) <= cache.INDEX_ROWS
+            assert all(cache._INDEX_ROW.fullmatch(row) for row in rows), text
+            reads += 1
+    finally:
+        for p in procs:
+            if p.poll() is None:  # past the deadline
+                p.kill()
+            _, err = p.communicate(timeout=30)
+            assert p.returncode == 0, err
+    assert reads > 0
+    assert not list((cache_home / "helixmi").glob("*.tmp"))

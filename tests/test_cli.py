@@ -11,7 +11,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from helixmi import cli, nullmodel
+from helixmi import cache, cli, infotheory, nullmodel
 from helixmi import corpus as corpus_module
 from helixmi.cli import main
 
@@ -113,7 +113,7 @@ def test_internal_value_error_is_a_traceback(synth_dir, tmp_path, monkeypatch):
     def broken(*args, **kwargs):
         raise ValueError("an internal fault")
 
-    monkeypatch.setattr(cli, "yearly_mi", broken)
+    monkeypatch.setattr(infotheory, "yearly_mi", broken)
     with pytest.raises(ValueError, match="an internal fault"):
         run(["mi", "--corpus", synth_dir / "corpus.jsonl", "--mesh",
              synth_dir / "mesh.tsv", "--out", tmp_path])
@@ -215,8 +215,12 @@ def test_manifest_records_stage_times(synth_dir, tmp_path):
     manifest = json.loads((tmp_path / "stats" / "manifest.json").read_text())
     stages = manifest["stages"]
     assert set(stages) == {"vocabulary_s", "ingest_s", "command_s", "peak_rss_mb", "cache",
-                           "ingest_template_lines", "ingest_json_lines", "load_peak_rss_mb"}
+                           "ingest_template_lines", "ingest_json_lines", "load_peak_rss_mb",
+                           "digests", "digest_s"}
     assert stages["cache"] == "stored"
+    # the cache home is the test's own, so its digest index is empty
+    assert stages["digests"] == "hashed"
+    assert 0 < stages["digest_s"] < stages["command_s"]
     # synth writes canonical lines, which all take the template path
     lines = len((synth_dir / "corpus.jsonl").read_bytes().splitlines())
     assert (stages["ingest_template_lines"], stages["ingest_json_lines"]) == (lines, 0)
@@ -302,11 +306,12 @@ def test_null_command_and_thread_invariance(synth_dir, tmp_path, monkeypatch):
         assert null_manifest["replicates"] == 40
         assert null_manifest["ci_level"] == 0.9
         # the synth corpus file is already in canonical form
-        assert null_manifest["corpus_hash"] == cli.file_sha256(synth_dir / "corpus.jsonl")
+        assert null_manifest["corpus_hash"] == cache.file_sha256(synth_dir / "corpus.jsonl")
         stages = json.loads((out / "manifest.json").read_text())["stages"]
         assert set(stages) == {"vocabulary_s", "ingest_s", "null_s", "null_workers",
                                "command_s", "peak_rss_mb", "cache", "ingest_template_lines",
-                               "ingest_json_lines", "load_peak_rss_mb"}
+                               "ingest_json_lines", "load_peak_rss_mb", "digests",
+                               "digest_s"}
         assert stages["null_workers"] == (cores if sys.platform == "linux" else 1)
         assert 0 < stages["null_s"] < stages["command_s"]
     assert all(o == outputs[0] for o in outputs)

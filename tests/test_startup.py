@@ -1,0 +1,142 @@
+"""What a command pays before its analysis starts: the package imports
+lazily, the CLI loads only the modules its command runs, and numpy starts
+with one OpenBLAS thread unless the user chose a count."""
+
+import importlib
+import json
+import os
+import subprocess
+import sys
+
+import pytest
+
+import helixmi
+from helixmi import cli, infotheory, mesh, synth
+
+SRC = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+BLAS_VARIABLES = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+
+# prints, when the process exits, the BLAS thread variables, the helixmi
+# modules loaded, whether numpy was, the process's threads and, for each
+# fork, the threads of the process that forked
+PROBE = """
+import atexit, json, os, sys
+FORKS = []
+def _threads():
+    return len(os.listdir("/proc/self/task")) if sys.platform == "linux" else None
+def _report():
+    print(json.dumps({
+        "env": {name: os.environ.get(name) for name in %r},
+        "modules": sorted(m for m in sys.modules if m.startswith("helixmi.")),
+        "numpy": "numpy" in sys.modules,
+        "threads": _threads(),
+        "forks": FORKS,
+    }))
+atexit.register(_report)
+os.register_at_fork(before=lambda: FORKS.append(_threads()))
+""" % (BLAS_VARIABLES,)
+
+# how ``python -m helixmi.cli`` runs the module, and the console script
+AS_MODULE = "import runpy; runpy.run_module('helixmi.cli', run_name='__main__', alter_sys=True)"
+AS_SCRIPT = "from helixmi.cli import entry; entry()"
+
+
+def probe(code, args, **env):
+    """The report of ``code`` run with ``args`` in a fresh interpreter whose
+    environment has none of the BLAS variables but those in ``env``."""
+    base = {k: v for k, v in os.environ.items() if k not in BLAS_VARIABLES}
+    proc = subprocess.run([sys.executable, "-c", PROBE + code, *map(str, args)],
+                          env=dict(base, PYTHONPATH=SRC, **env), capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+@pytest.fixture(scope="module")
+def synth_dir(tmp_path_factory):
+    out = tmp_path_factory.mktemp("synth")
+    assert cli.main(["synth", "--mode", "xor", "--pubs", "200", "--years", "4",
+                     "--seed", "3", "--out", str(out)]) == 0
+    return out
+
+
+def test_import_loads_no_numpy_and_sets_no_variable():
+    code = ("import os, sys; before = dict(os.environ); import helixmi, helixmi.cli; "
+            "assert 'numpy' not in sys.modules, 'numpy'; "
+            "assert dict(os.environ) == before, 'environment'")
+    proc = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=SRC),
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_every_public_name_resolves():
+    for name in helixmi.__all__:
+        value = getattr(helixmi, name)
+        defined = importlib.import_module(f"helixmi.{helixmi._MODULE_OF[name]}")
+        assert value is getattr(defined, name), name
+    assert set(helixmi.__all__) <= set(dir(helixmi))
+    namespace = {}
+    exec("from helixmi import *", namespace)
+    assert set(helixmi.__all__) <= set(namespace)
+    with pytest.raises(AttributeError):
+        helixmi.no_such_name  # noqa: B018
+
+
+def test_flag_choices_are_the_modules_names():
+    assert cli.BRANCHES == mesh.BRANCHES
+    assert cli.TARGETS == infotheory.TARGETS
+    assert cli.MODES == synth.MODES
+
+
+def test_mi_loads_only_the_modules_it_runs(synth_dir, tmp_path):
+    io = ["--corpus", synth_dir / "corpus.jsonl", "--mesh", synth_dir / "mesh.tsv"]
+    assert cli.main(["mi", *map(str, io), "--out", str(tmp_path / "miss")]) == 0
+    report = probe(AS_MODULE, ["mi", *io, "--out", tmp_path / "hit"])
+    stages = json.loads((tmp_path / "hit" / "manifest.json").read_text())["stages"]
+    assert stages["cache"] == "hit"
+    loaded = set(report["modules"])
+    assert "helixmi.infotheory" in loaded
+    assert not loaded & {"helixmi.nullmodel", "helixmi.synth", "helixmi.dynamics",
+                         "helixmi.scaling"}
+    version = probe(AS_MODULE, ["--version"])
+    assert not version["numpy"]
+
+
+@pytest.mark.parametrize("code", [AS_MODULE, AS_SCRIPT], ids=["module", "script"])
+def test_one_blas_thread_unless_the_user_sets_a_count(synth_dir, tmp_path, code):
+    args = ["mi", "--corpus", synth_dir / "corpus.jsonl", "--mesh", synth_dir / "mesh.tsv",
+            "--out", tmp_path / "out"]
+    report = probe(code, args)
+    assert report["numpy"]
+    assert report["env"] == {"OPENBLAS_NUM_THREADS": "1", "GOTO_NUM_THREADS": None,
+                             "OMP_NUM_THREADS": None}
+    if sys.platform == "linux":
+        assert report["threads"] == 1
+    for name in BLAS_VARIABLES:
+        report = probe(code, args, **{name: "2"})
+        expected = dict.fromkeys(BLAS_VARIABLES)
+        expected[name] = "2"
+        assert report["env"] == expected, name
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="workers are forked on Linux only")
+def test_null_forks_from_a_single_threaded_process(synth_dir, tmp_path):
+    # two processes whatever the host's cores; the null model is imported
+    # inside the command, after the thread count is chosen
+    code = """
+from helixmi import cli
+run = cli.main
+def main(argv=None):
+    from helixmi import nullmodel
+    nullmodel.usable_cores = lambda: 2
+    nullmodel.MIN_SLICE_LABELS = 1
+    return run(argv)
+cli.main = main
+cli.entry()
+"""
+    report = probe(code, ["null", "--corpus", synth_dir / "corpus.jsonl", "--mesh",
+                          synth_dir / "mesh.tsv", "--replicates", "20",
+                          "--out", tmp_path / "out"])
+    stages = json.loads((tmp_path / "out" / "manifest.json").read_text())["stages"]
+    assert stages["null_workers"] == 2
+    assert report["forks"] == [1]
