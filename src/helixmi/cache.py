@@ -10,12 +10,14 @@ normalization uses ``str.casefold``) never read an old entry.  A
 later command with the same key rebuilds the ``Vocabulary`` and the
 ``Corpus`` from the entry and calls no parser.
 
-Strings are held as their UTF-8 bytes (lone surrogates passed through)
-and the length of each string in code points, so that no entry needs
-pickled objects.  The directory keeps the ``CAPACITY`` entries used last.
-An entry that cannot be read, or whose arrays have the wrong shape, is a
-miss, and a directory that cannot be written just stores nothing: no
-output depends on the cache.
+Strings are held as packed columns (``corpus.PackedStrings``): their
+UTF-8 bytes, lone surrogates passed through, and the byte offset of
+each, so that no entry needs pickled objects.  A hit decodes the
+vocabulary's strings and keeps the publication ids packed, as read.
+The directory keeps the ``CAPACITY`` entries used last.  An entry that
+cannot be read, or whose arrays have the wrong shape, is a miss, and a
+directory that cannot be written just stores nothing: no output depends
+on the cache.
 
 So that a command does not read its inputs whole to find their key, the
 directory also keeps a digest index, ``digests.txt``: one row per input
@@ -41,7 +43,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .corpus import Corpus, IngestReport
+from .corpus import Corpus, IngestReport, PackedStrings, pack_strings, unpack_strings
 from .mesh import LoadReport, Vocabulary
 
 # entries kept; storing one more removes the one read or written longest ago
@@ -185,22 +187,22 @@ def entry_key(mesh_sha256: str, corpus_sha256: str, years) -> str | None:
     return hashlib.sha256("\0".join(parts).encode()).hexdigest()
 
 
-def _pack(strings) -> tuple[np.ndarray, np.ndarray]:
-    lengths = np.fromiter(map(len, strings), dtype=np.int64, count=len(strings))
-    data = "".join(strings).encode("utf-8", "surrogatepass")
-    return np.frombuffer(data, dtype=np.uint8), lengths
+def _packed(entry: dict, name: str, count: int | None) -> PackedStrings:
+    """The column of ``count`` strings (any number for None) packed as
+    ``name``, not decoded: its offsets must tile its bytes, and each string
+    must start at a character."""
+    data, offsets = entry[name], entry[name + "_offsets"]
+    _expect(data, np.uint8, None)
+    _expect_offsets(offsets, count, len(data), 0)
+    # UTF-8 continuation bytes are 0b10xxxxxx
+    if ((data[offsets[:-1][np.diff(offsets) > 0]] & 0xC0) == 0x80).any():
+        raise ValueError(f"{name}: a string starts within a character")
+    return PackedStrings(offsets, data)
 
 
 def _unpack(entry: dict, name: str, count: int | None) -> list[str]:
     """The ``count`` strings (any number for None) packed as ``name``."""
-    data, lengths = entry[name], entry[name + "_lengths"]
-    _expect(data, np.uint8, None)
-    _expect(lengths, np.int64, count)
-    text = data.tobytes().decode("utf-8", "surrogatepass")
-    ends = np.cumsum(lengths).tolist()
-    if (lengths < 0).any() or (ends[-1] if ends else 0) != len(text):
-        raise ValueError(f"{name}: lengths do not add up to the text")
-    return [text[a:b] for a, b in zip([0, *ends], ends)]
+    return unpack_strings(_packed(entry, name, count))
 
 
 def _expect(array: np.ndarray, dtype, length: int | None) -> None:
@@ -208,20 +210,21 @@ def _expect(array: np.ndarray, dtype, length: int | None) -> None:
         raise ValueError(f"an array of {array.dtype} and shape {array.shape}")
 
 
-def _expect_offsets(ptr: np.ndarray, rows: int, total: int, least: int) -> None:
-    """``ptr`` is the int64 offsets of ``rows`` runs of at least ``least``
-    items each, ``total`` in all."""
-    _expect(ptr, np.int64, rows + 1)
-    if ptr[0] != 0 or ptr[-1] != total or (np.diff(ptr) < least).any():
+def _expect_offsets(ptr: np.ndarray, rows: int | None, total: int, least: int) -> None:
+    """``ptr`` is the int64 offsets of ``rows`` runs (any number for None)
+    of at least ``least`` items each, ``total`` in all."""
+    _expect(ptr, np.int64, None if rows is None else rows + 1)
+    if not len(ptr) or ptr[0] != 0 or ptr[-1] != total or (np.diff(ptr) < least).any():
         raise ValueError("offsets out of range")
 
 
 def _arrays(vocabulary: Vocabulary, corpus: Corpus, report: IngestReport) -> dict:
     arrays = {}
     for name, strings in (("ids", vocabulary.column_ids), ("names", vocabulary.names),
-                          ("trees", vocabulary.tree_numbers), ("pub_ids", corpus.pub_ids),
+                          ("trees", vocabulary.tree_numbers),
                           ("unresolved", list(report.unresolved_terms))):
-        arrays[name], arrays[name + "_lengths"] = _pack(strings)
+        arrays[name + "_offsets"], arrays[name] = pack_strings(strings)
+    arrays["pub_ids_offsets"], arrays["pub_ids"] = corpus.ids
     loaded = vocabulary.load_report
     arrays["tree_ptr"] = vocabulary.tree_ptr
     arrays["load_report"] = np.array([loaded.loaded, loaded.skipped_no_tree], dtype=np.int64)
@@ -236,8 +239,8 @@ def _arrays(vocabulary: Vocabulary, corpus: Corpus, report: IngestReport) -> dic
 def _vocabulary(entry: dict) -> Vocabulary:
     loaded = entry["load_report"]
     _expect(loaded, np.int64, 2)
-    size = len(entry["ids_lengths"])
-    ids = _unpack(entry, "ids", size)
+    ids = _unpack(entry, "ids", None)
+    size = len(ids)
     trees = _unpack(entry, "trees", None)
     tree_ptr = entry["tree_ptr"]
     _expect_offsets(tree_ptr, size, len(trees), 1)
@@ -257,7 +260,7 @@ def _corpus(entry: dict, vocabulary: Vocabulary, query_label: str) -> tuple[Corp
     _expect_offsets(indptr, len(years), len(indices), 0)
     if len(indices) and (indices.min() < 0 or indices.max() >= len(vocabulary)):
         raise ValueError("descriptor columns out of range")
-    pub_ids = _unpack(entry, "pub_ids", len(years))
+    ids = _packed(entry, "pub_ids", len(years))
     counts, values = entry["report"], entry["unresolved_counts"]
     _expect(counts, np.int64, len(_REPORT_COUNTS))
     _expect(values, np.int64, None)
@@ -266,7 +269,7 @@ def _corpus(entry: dict, vocabulary: Vocabulary, query_label: str) -> tuple[Corp
         unresolved_terms=Counter(dict(zip(_unpack(entry, "unresolved", len(values)),
                                           values.tolist()))),
     )
-    corpus = Corpus.from_sorted_arrays(query_label, vocabulary, pub_ids, years, indptr, indices)
+    corpus = Corpus.from_sorted_arrays(query_label, vocabulary, ids, years, indptr, indices)
     return corpus, report
 
 

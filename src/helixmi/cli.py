@@ -80,7 +80,9 @@ class RunManifest:
     # the process's peak resident set size, whether the inputs' digests came
     # from the digest index and how long finding them took, whether the
     # parsed inputs came from the cache and, for a JSONL corpus, how many
-    # lines took each of its parser's paths
+    # lines took each of its parser's paths; for ``synth``, the seconds and
+    # the peak of the generation, and for ``ingest`` and ``synth`` the
+    # seconds of the output writes
     stages: dict = field(default_factory=dict)
     tool_version: str = __version__
     timestamp: str = ""
@@ -234,8 +236,10 @@ def _cmd_ingest(args, out_dir: Path, manifest: RunManifest) -> int:
     from .corpus import write_corpus_jsonl
 
     _, corpus, report = _load_inputs(args, manifest)
+    start = time.perf_counter()
     write_corpus_jsonl(corpus, str(out_dir / "corpus.jsonl"))
     _write_json(out_dir / "ingest_report.json", report.to_json_dict())
+    manifest.stages["write_s"] = time.perf_counter() - start
     return 0
 
 
@@ -473,9 +477,14 @@ def _cmd_synth(args, out_dir: Path, manifest: RunManifest) -> int:
         sigma=args.sigma,
         start_year=start_year,
     )
+    start = time.perf_counter()
     corpus = synth_corpus(config)
+    manifest.stages["synth_s"] = time.perf_counter() - start
+    manifest.stages["synth_peak_rss_mb"] = _peak_rss_mb()
+    start = time.perf_counter()
     write_corpus_jsonl(corpus, str(out_dir / "corpus.jsonl"))
     write_mesh_tsv(corpus.vocabulary, str(out_dir / "mesh.tsv"))
+    manifest.stages["write_s"] = time.perf_counter() - start
     return 0
 
 

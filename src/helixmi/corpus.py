@@ -18,14 +18,16 @@ JSON or not a record is reported by its number.  MEDLINE lines are
 classified from their first bytes with array operations.  The sink
 resolves every distinct term once and appends the kept records to flat
 arrays: ids, years and the descriptor columns of each.  The corpus is
-those arrays, sorted once; ``Publication`` objects are built only when
-asked for.
+those arrays, sorted once when they are not in order, with its ids
+packed into one UTF-8 column; ``Publication`` objects are built only
+when asked for.
 """
 
 from __future__ import annotations
 
 import codecs
 import json
+import operator
 import re
 from array import array
 from collections import Counter
@@ -158,29 +160,86 @@ def _take_rows(indptr: np.ndarray, values: np.ndarray, rows: np.ndarray) -> tupl
     return taken, values[_row_runs(indptr[:-1][rows], lengths, taken)]
 
 
+class PackedStrings(NamedTuple):
+    """Strings as one UTF-8 buffer, lone surrogates passed through: string i
+    is the bytes ``data[offsets[i]:offsets[i + 1]]``."""
+
+    offsets: np.ndarray  # int64, one more entry than there are strings
+    data: np.ndarray  # uint8
+
+
+def pack_strings(strings) -> PackedStrings:
+    """A sequence of strings as one packed column."""
+    text = "".join(strings)
+    data = text.encode("utf-8", "surrogatepass")
+    if len(data) == len(text):
+        # ASCII: a byte per code point
+        lengths = map(len, strings)
+    else:
+        lengths = (len(s.encode("utf-8", "surrogatepass")) for s in strings)
+    offsets = np.zeros(len(strings) + 1, dtype=np.int64)
+    offsets[1:] = np.fromiter(lengths, dtype=np.int64, count=len(strings))
+    np.cumsum(offsets, out=offsets)
+    return PackedStrings(offsets, np.frombuffer(data, dtype=np.uint8))
+
+
+def unpack_strings(packed: PackedStrings, lo: int = 0, hi: int | None = None) -> list[str]:
+    """Strings ``lo`` to ``hi`` (the last when None) of a packed column,
+    decoded."""
+    bounds = packed.offsets[lo:] if hi is None else packed.offsets[lo:hi + 1]
+    raw = packed.data[bounds[0]:bounds[-1]].tobytes()
+    text = raw.decode("utf-8", "surrogatepass")
+    bounds = (bounds - bounds[0]).tolist()
+    if len(text) == len(raw):
+        # ASCII: the byte offsets are code point offsets
+        return [text[a:b] for a, b in zip(bounds, bounds[1:])]
+    return [raw[a:b].decode("utf-8", "surrogatepass") for a, b in zip(bounds, bounds[1:])]
+
+
+def _year_cuts(years: np.ndarray) -> list[int]:
+    """0, each row whose year differs from the row before's, and the row
+    count: the bounds of the runs of equal years.  The years are compared,
+    not subtracted, as a difference of int64 years can overflow."""
+    return [0, *(np.flatnonzero(years[1:] != years[:-1]) + 1).tolist(), len(years)]
+
+
+def _in_order(pub_ids, years: np.ndarray) -> bool:
+    """Whether rows are in (year, id) order: years never fall, nor ids
+    within a year."""
+    if (years[1:] < years[:-1]).any():
+        return False
+    cuts = _year_cuts(years)
+    return all(all(map(operator.le, pub_ids[a:b - 1], pub_ids[a + 1:b]))
+               for a, b in zip(cuts, cuts[1:]))
+
+
 @dataclass(eq=False)
 class Corpus:
     """Immutable per-query corpus with yearly partitions, held as arrays.
 
-    Row i is one publication: ``pub_ids[i]``, ``pub_years[i]`` and the
-    descriptor columns of row i in ``incidence``, positions in
-    ``vocabulary.column_ids``.  Rows are in canonical
-    (year, id) order so that serialization and all downstream
+    Row i is one publication: its id, string i of the packed column
+    ``ids``, ``pub_years[i]`` and the descriptor columns of row i in
+    ``incidence``, positions in ``vocabulary.column_ids``.  Rows are in
+    canonical (year, id) order so that serialization and all downstream
     derivations are deterministic; each year is then one contiguous run
     of rows, and ``by_year`` maps it to that ``range``.
 
+    The ids stay packed: ``decode_ids`` decodes a range of rows, which
+    the canonical writer does a chunk of rows at a time, and ``pub_ids``
+    decodes them all on first read, which no command does.
+
     A corpus is built from flat arrays by :meth:`from_arrays`, which the
-    parsers and the synthetic generator call, or from arrays already in
-    that order, such as a cache entry's, by :meth:`from_sorted_arrays`.  Count-based analyses read
-    ``incidence`` and its per-year sums ``year_counts`` (built on first
-    use and cached).  ``publications`` gives the rows as
-    :class:`Publication` objects, built on first read; no command reads
-    it.
+    parsers call, or from arrays already in that order, such as a cache
+    entry's or the synthetic generator's, by :meth:`from_sorted_arrays`.
+    Count-based analyses read ``incidence`` and its per-year sums
+    ``year_counts`` (built on first use and cached).  ``publications``
+    gives the rows as :class:`Publication` objects, built on first read;
+    no command reads it.
     """
 
     query_label: str
     vocabulary: Vocabulary
-    pub_ids: tuple[str, ...]
+    ids: PackedStrings
     pub_years: np.ndarray  # int64
     incidence: Incidence
     by_year: dict[int, range]
@@ -195,53 +254,63 @@ class Corpus:
         indptr,
         indices,
     ) -> "Corpus":
-        """Sort rows given as flat arrays once by (year, id); rows with equal
-        keys keep their order."""
-        n = len(pub_ids)
+        """Rows given as flat arrays, sorted by (year, id) unless they are
+        in that order already, with their ids packed; rows with equal keys
+        keep their order."""
         years = np.asarray(pub_years, dtype=np.int64)
         indptr = np.asarray(indptr, dtype=np.int64)
         indices = np.asarray(indices, dtype=np.int32)
-        id_rank = np.empty(n, dtype=np.int64)
-        id_rank[sorted(range(n), key=pub_ids.__getitem__)] = np.arange(n)
-        order = np.lexsort((id_rank, years))
-        # gather each row's run of entries in the new row order; rows already
-        # in order (the canonical JSONL that ``ingest`` writes) keep their
-        # arrays, as the gather holds one more index per entry
-        if (np.diff(order) != 1).any():
+        # rows already in order (the canonical JSONL that ``ingest`` writes)
+        # keep their arrays, as the gather holds one more index per entry
+        if not _in_order(pub_ids, years):
+            n = len(pub_ids)
+            id_rank = np.empty(n, dtype=np.int64)
+            id_rank[sorted(range(n), key=pub_ids.__getitem__)] = np.arange(n)
+            order = np.lexsort((id_rank, years))
             pub_ids = [pub_ids[i] for i in order.tolist()]
             years = years[order]
             indptr, indices = _take_rows(indptr, indices, order)
-        return cls.from_sorted_arrays(query_label, vocabulary, pub_ids, years, indptr, indices)
+        return cls.from_sorted_arrays(query_label, vocabulary, pack_strings(pub_ids), years,
+                                      indptr, indices)
 
     @classmethod
     def from_sorted_arrays(
         cls,
         query_label: str,
         vocabulary: Vocabulary,
-        pub_ids,
+        ids: PackedStrings,
         pub_years: np.ndarray,
         indptr: np.ndarray,
         indices: np.ndarray,
     ) -> "Corpus":
         """A corpus of rows already in (year, id) order, such as another
-        corpus's arrays: int64 years and indptr, int32 indices."""
-        n = len(pub_ids)
-        cuts = [0, *(np.flatnonzero(np.diff(pub_years)) + 1).tolist(), n] if n else []
+        corpus's arrays: packed ids, int64 years and indptr, int32
+        indices."""
+        cuts = _year_cuts(pub_years) if len(pub_years) else []
         firsts = pub_years[cuts[:-1]].tolist()
         return cls(
             query_label=query_label,
             vocabulary=vocabulary,
-            pub_ids=tuple(pub_ids),
+            ids=ids,
             pub_years=pub_years,
             incidence=Incidence(indptr, indices),
             by_year={y: range(a, b) for y, a, b in zip(firsts, cuts, cuts[1:])},
         )
 
     def __len__(self) -> int:
-        return len(self.pub_ids)
+        return len(self.pub_years)
 
     def years(self) -> list[int]:
         return sorted(self.by_year)
+
+    def decode_ids(self, lo: int = 0, hi: int | None = None) -> list[str]:
+        """The ids of rows ``lo`` to ``hi`` (the last when None)."""
+        return unpack_strings(self.ids, lo, hi)
+
+    @cached_property
+    def pub_ids(self) -> tuple[str, ...]:
+        """Every row's id, decoded on first read."""
+        return tuple(self.decode_ids())
 
     @cached_property
     def publications(self) -> tuple[Publication, ...]:
@@ -1039,7 +1108,7 @@ def corpus_canonical_lines(corpus: Corpus) -> Iterator[bytes]:
     Each line holds the bytes ``json.JSONEncoder(sort_keys=True,
     separators=(",", ":"))`` gives for ``{"id", "year", "mesh"}``; every
     descriptor id is encoded once, not once per row that carries it, and
-    the encoded names are gathered a chunk of rows at a time.
+    the encoded names and the ids are gathered a chunk of rows at a time.
     """
     indptr, indices = corpus.incidence
     names = np.array([_encode_str(uid) for uid in corpus.vocabulary.column_ids], dtype=object)
@@ -1048,7 +1117,7 @@ def corpus_canonical_lines(corpus: Corpus) -> Iterator[bytes]:
         start = indptr[lo]
         mesh = names[indices[start:indptr[hi]]].tolist()
         bounds = (indptr[lo:hi + 1] - start).tolist()
-        rows = zip(corpus.pub_ids[lo:hi], corpus.pub_years[lo:hi].tolist(), bounds, bounds[1:])
+        rows = zip(corpus.decode_ids(lo, hi), corpus.pub_years[lo:hi].tolist(), bounds, bounds[1:])
         for pub_id, year, a, b in rows:
             line = f'{{"id":{_encode_str(pub_id)},"mesh":[{join(mesh[a:b])}],"year":{year}}}\n'
             yield line.encode("ascii")

@@ -148,9 +148,11 @@ def top_pairs(
     so a descriptor affiliated with both branches can appear on either
     side, but never paired with itself.
 
-    The window's rows are paired a chunk at a time, and the chunks' pair
-    counts are merged once, so beyond the result this holds one chunk's
-    pairs and the distinct pairs of every chunk.
+    The window's rows are paired a chunk at a time.  The chunks' pair
+    counts are merged into one run whenever the runs not yet merged hold
+    more pairs than it, so beyond the result this holds one chunk's pairs
+    and a few times the distinct pairs of the window, however many chunks
+    repeat them.
     """
     if branch_a == branch_b or branch_a not in BRANCHES or branch_b not in BRANCHES:
         raise ValueError("branches must be two distinct letters among C, D, E")
@@ -172,7 +174,8 @@ def top_pairs(
     is_b = member[:, BRANCHES.index(branch_b)].astype(bool)
     ids = corpus.vocabulary.column_ids
     width = len(ids)
-    code_runs, count_runs = [], []
+    # (codes, counts) runs: the merged run, then the chunks' runs since the merge
+    runs = []
     for start, stop in row_chunks(indptr, in_window[0].start, in_window[-1].stop):
         cols = indices[indptr[start]:indptr[stop]]
         row = np.repeat(np.arange(stop - start), np.diff(indptr[start:stop + 1]))
@@ -188,26 +191,14 @@ def top_pairs(
         a = np.repeat(cols[in_a], fan)
         b = b_cols[np.arange(len(a)) + np.repeat(b_start[a_rows] - first_copy, fan)]
         distinct = a != b
-        codes, counts = np.unique(a[distinct].astype(np.int64) * width + b[distinct],
-                                  return_counts=True)
-        code_runs.append(codes)
-        count_runs.append(counts)
-    # merge the chunks' ascending (code, count) runs, summing the counts of
-    # equal codes; each run list is dropped once joined, to hold fewer copies
-    codes = np.concatenate(code_runs)
-    del code_runs
+        runs.append(np.unique(a[distinct].astype(np.int64) * width + b[distinct],
+                              return_counts=True))
+        if sum(len(codes) for codes, _ in runs) > 2 * len(runs[0][0]):
+            merged = _merge_runs(runs)
+            runs.append(merged)
+    codes, counts = _merge_runs(runs)
     if len(codes) == 0:
         return []
-    counts = np.concatenate(count_runs)
-    del count_runs
-    order = np.argsort(codes)
-    codes = codes[order]
-    counts = counts[order]
-    del order
-    # codes are non-negative, so the first one starts a run too
-    starts = np.flatnonzero(np.diff(codes, prepend=-1))
-    codes = codes[starts]
-    counts = np.add.reduceat(counts, starts)
     if limit < len(counts):
         # only counts at or above the limit-th largest can make the cut
         kth = np.partition(counts, len(counts) - limit)[len(counts) - limit]
@@ -220,6 +211,24 @@ def top_pairs(
         PairRecord(descriptor_a=ids[i], descriptor_b=ids[j], co_count=n, window=window)
         for i, j, n in zip(a.tolist(), b.tolist(), counts[order].tolist())
     ]
+
+
+def _merge_runs(runs: list) -> tuple[np.ndarray, np.ndarray]:
+    """``(codes, counts)`` runs, each of distinct codes in ascending order,
+    as one such run with the counts of equal codes summed; ``runs`` is
+    emptied, to hold fewer copies."""
+    codes = np.concatenate([codes for codes, _ in runs])
+    counts = np.concatenate([counts for _, counts in runs])
+    runs.clear()
+    # numpy's stable sort of int64 is a timsort, which merges runs already
+    # in order in about linear time
+    order = np.argsort(codes, kind="stable")
+    codes = codes[order]
+    counts = counts[order]
+    del order
+    # codes are non-negative, so the first one starts a run too
+    starts = np.flatnonzero(np.diff(codes, prepend=-1))
+    return codes[starts], np.add.reduceat(counts, starts)
 
 
 @dataclass(frozen=True)

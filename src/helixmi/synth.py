@@ -28,10 +28,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
-from .corpus import Corpus
+from .corpus import Corpus, PackedStrings
 from .counts import BRANCHES
 from .mesh import Vocabulary
 
@@ -44,6 +45,12 @@ MODES = ("independent", "pairwise", "xor", "sizemix")
 MAX_RATE = 1000.0
 
 FILLER_ID = "Z000000"
+
+# publication ids are "S" and a serial of this many digits, so that they
+# sort in serial order
+_ID_DIGITS = 8
+MAX_PUBLICATIONS = 10**_ID_DIGITS
+_DIGIT_PLACES = 10 ** np.arange(_ID_DIGITS - 1, -1, -1)
 
 
 @dataclass(frozen=True)
@@ -62,6 +69,8 @@ class SynthConfig:
             raise ValueError(f"mode must be one of {MODES}")
         if self.pubs_per_year < 1 or self.years < 1:
             raise ValueError("need at least one publication and one year")
+        if self.pubs_per_year * self.years > MAX_PUBLICATIONS:
+            raise ValueError(f"at most {MAX_PUBLICATIONS} publications in all")
         if self.seed < 0:
             raise ValueError("seed must be non-negative")
         if not 0.0 <= self.rho <= 1.0:
@@ -96,13 +105,16 @@ def _draw_triples(config: SynthConfig, n: int, rng: np.random.Generator) -> np.n
     return np.column_stack([nc, nd, ne]).astype(np.int64)
 
 
+def _yearly_triples(config: SynthConfig) -> Iterator[np.ndarray]:
+    """Each year's (n, 3) branch counts in turn, from one random stream."""
+    rng = np.random.default_rng(np.random.SeedSequence([config.seed]))
+    for _ in range(config.years):
+        yield _draw_triples(config, config.pubs_per_year, rng)
+
+
 def synth_triples(config: SynthConfig) -> dict[int, np.ndarray]:
     """Per-year (n, 3) branch-count arrays, without corpus overhead."""
-    rng = np.random.default_rng(np.random.SeedSequence([config.seed]))
-    return {
-        config.start_year + i: _draw_triples(config, config.pubs_per_year, rng)
-        for i in range(config.years)
-    }
+    return dict(enumerate(_yearly_triples(config), start=config.start_year))
 
 
 def synth_vocabulary(pool_sizes: dict[str, int]) -> Vocabulary:
@@ -127,27 +139,42 @@ def synth_corpus(config: SynthConfig) -> Corpus:
     that branch's pool: for each (year, branch) block one ``(n, pool)``
     array of uniform keys is drawn, and a row picks the columns whose key
     ranks below its count.
+
+    The corpus is built a year at a time, in two passes over the counts,
+    which draw the same counts from their stream.  The first finds the
+    pool sizes and lays out ``indptr`` (each row carries its picks and the
+    filler); the second fills each year's run of ``indices`` with its
+    picks and writes its ids ``S%08d`` into their bytes of the packed
+    column.  Beyond the result this holds one year's counts, keys and
+    picks.
     """
-    per_year = synth_triples(config)
-    years = sorted(per_year)
-    triples = np.concatenate([per_year[year] for year in years])
-    pool_sizes = np.maximum(triples.max(axis=0), 1).tolist()
+    n = config.pubs_per_year
+    rows = n * config.years
+    indptr = np.zeros(rows + 1, dtype=np.int64)
+    pool_sizes = np.ones(len(BRANCHES), dtype=np.int64)
+    for y, counts in enumerate(_yearly_triples(config)):
+        np.maximum(pool_sizes, counts.max(axis=0), out=pool_sizes)
+        indptr[y * n + 1:(y + 1) * n + 1] = counts.sum(axis=1) + 1
+    np.cumsum(indptr, out=indptr)
+    pool_sizes = pool_sizes.tolist()
     vocabulary = synth_vocabulary(dict(zip(BRANCHES, pool_sizes)))
     rng = np.random.default_rng(np.random.SeedSequence([config.seed, 1]))
-    n = config.pubs_per_year
+    indices = np.empty(indptr[-1], dtype=np.int32)
+    ids = np.empty((rows, 1 + _ID_DIGITS), dtype=np.uint8)
+    ids[:, 0] = ord("S")
     # columns in vocabulary order: ids sort as C... < D... < E... < the filler
     edges = np.cumsum([0, *pool_sizes])
-    picked = np.zeros((len(triples), edges[-1] + 1), dtype=bool)
-    picked[:, -1] = True
-    for y in range(len(years)):
-        rows = slice(y * n, (y + 1) * n)
+    picked = np.empty((n, edges[-1] + 1), dtype=bool)
+    for y, counts in enumerate(_yearly_triples(config)):
+        picked[:, -1] = True
         for i, pool in enumerate(pool_sizes):
             ranks = rng.random((n, pool)).argsort(axis=1).argsort(axis=1)
-            picked[rows, edges[i]:edges[i + 1]] = ranks < triples[rows, i, None]
-    indptr = np.zeros(len(triples) + 1, dtype=np.int64)
-    np.cumsum(picked.sum(axis=1), out=indptr[1:])
-    indices = np.nonzero(picked)[1]
-    ids = [f"S{serial:08d}" for serial in range(len(triples))]
-    pub_years = np.repeat(years, n)
+            picked[:, edges[i]:edges[i + 1]] = ranks < counts[:, i, None]
+        lo, hi = y * n, (y + 1) * n
+        indices[indptr[lo]:indptr[hi]] = np.nonzero(picked)[1]
+        ids[lo:hi, 1:] = np.arange(lo, hi)[:, None] // _DIGIT_PLACES % 10 + ord("0")
+    packed = PackedStrings(np.arange(0, ids.size + 1, ids.shape[1], dtype=np.int64), ids.ravel())
+    first = config.start_year
+    pub_years = np.repeat(np.arange(first, first + config.years, dtype=np.int64), n)
     label = f"synthetic-{config.mode}-seed{config.seed}"
-    return Corpus.from_arrays(label, vocabulary, ids, pub_years, indptr, indices)
+    return Corpus.from_sorted_arrays(label, vocabulary, packed, pub_years, indptr, indices)

@@ -26,9 +26,11 @@ from hypothesis import strategies as st
 from helixmi import cache, cli
 from helixmi import corpus as corpus_module
 from helixmi import mesh as mesh_module
-from helixmi.corpus import Corpus, IngestReport
+from helixmi.corpus import Corpus, IngestReport, corpus_canonical_bytes
 from helixmi.mesh import Vocabulary
 from helixmi.synth import MODES
+
+from oracles import canonical_bytes_of, canonical_lines_encoder, ingest_jsonl_objects
 
 
 def run(args):
@@ -101,10 +103,27 @@ def write_mixed_jsonl(source, path):
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
+# ids that the packed column must keep: non-ASCII text, a lone surrogate,
+# a quote, a backslash and control characters
+AWKWARD_IDS = ["é", "\ud800", '"', "\\", "\x00\x1f", "\n", "日本", "\U0010ffff", "a b"]
+
+
+def write_awkward_ids(source, path):
+    """The records of a canonical file, last first, with awkward ids: each
+    of ``AWKWARD_IDS``, then each again with the record's number."""
+    lines = []
+    for i, line in enumerate((source / "corpus.jsonl").read_text(encoding="utf-8").splitlines()):
+        record = json.loads(line)
+        k = len(AWKWARD_IDS)
+        record["id"] = AWKWARD_IDS[i] if i < k else f"{AWKWARD_IDS[i % k]}{i}"
+        lines.append(json.dumps(record))
+    path.write_text("\n".join(lines[::-1]) + "\n", encoding="utf-8")
+
+
 @pytest.fixture(scope="module")
 def inputs(tmp_path_factory):
-    """(corpus, mesh) paths: the four synth modes, a MEDLINE file and a
-    JSONL file mixing canonical and other lines."""
+    """(corpus, mesh) paths: the four synth modes, a MEDLINE file, a JSONL
+    file mixing canonical and other lines and one of awkward ids."""
     root = tmp_path_factory.mktemp("inputs")
     made = {}
     for mode in MODES:
@@ -119,10 +138,12 @@ def inputs(tmp_path_factory):
     made["medline"] = (root / "corpus.medline", root / "mesh.bin")
     write_mixed_jsonl(source, root / "mixed.jsonl")
     made["mixed-jsonl"] = (root / "mixed.jsonl", source / "mesh.tsv")
+    write_awkward_ids(source, root / "awkward.jsonl")
+    made["awkward-ids"] = (root / "awkward.jsonl", source / "mesh.tsv")
     return made
 
 
-@pytest.mark.parametrize("kind", [*MODES, "medline", "mixed-jsonl"])
+@pytest.mark.parametrize("kind", [*MODES, "medline", "mixed-jsonl", "awkward-ids"])
 def test_hit_writes_the_bytes_of_a_miss(inputs, kind, tmp_path, monkeypatch):
     corpus, mesh = inputs[kind]
     commands = battery(["--corpus", corpus, "--mesh", mesh])
@@ -164,6 +185,39 @@ def test_hit_calls_no_parser(inputs, tmp_path, monkeypatch):
         files, _, stages = run_one(args, tmp_path / kind / "hit")
         assert stages["cache"] == "hit"
         assert files == expected[kind]
+
+
+def test_hit_decodes_no_id(inputs, tmp_path, monkeypatch):
+    # only ``ingest`` and ``null`` write anything of the ids
+    io = ["--corpus", inputs["awkward-ids"][0], "--mesh", inputs["awkward-ids"][1]]
+    commands = {name: args for name, args in battery(io).items()
+                if name not in ("ingest", "null")}
+    expected = {name: run_one(args, tmp_path / "miss" / name)[:2]
+                for name, args in commands.items()}
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a command decoded the ids")
+
+    monkeypatch.setattr(Corpus, "decode_ids", refuse)
+    for name, args in commands.items():
+        files, manifest, stages = run_one(args, tmp_path / "hit" / name)
+        assert stages["cache"] == "hit"
+        assert (files, manifest) == expected[name], name
+
+
+def test_awkward_ids_round_trip(inputs, cache_home):
+    corpus_path, mesh_path = map(str, inputs["awkward-ids"])
+    vocabulary = mesh_module.load_mesh_tsv(mesh_path)
+    corpus, report = corpus_module.ingest_jsonl(corpus_path, vocabulary)
+    publications, _ = ingest_jsonl_objects(corpus_path, vocabulary)
+    expected = tuple(p.id for p in publications)
+    assert set(AWKWARD_IDS) <= set(expected)
+    assert corpus.pub_ids == expected
+    assert cache.store("e" * 64, vocabulary, corpus, report)
+    _, loaded, _ = cache.load("e" * 64, "awkward", {})
+    assert loaded.pub_ids == expected
+    assert (corpus_canonical_bytes(loaded) == b"".join(canonical_lines_encoder(loaded))
+            == canonical_bytes_of(publications))
 
 
 def stored_entries(home):
@@ -233,17 +287,40 @@ def damage_truncate(path):
     path.write_bytes(path.read_bytes()[: path.stat().st_size // 2])
 
 
-def damage_indptr(path):
+def damage_arrays(path, damage):
     with np.load(path) as npz:
         arrays = {name: npz[name] for name in npz.files}
-    arrays["indptr"] = arrays["indptr"][:-1]
+    damage(arrays)
     with open(path, "wb") as fh:
         np.savez(fh, **arrays)
 
 
-@pytest.mark.parametrize("damage", [damage_truncate, damage_indptr])
+def damage_indptr(path):
+    damage_arrays(path, lambda arrays: arrays.update(indptr=arrays["indptr"][:-1]))
+
+
+def damage_id_offsets(path):
+    # two ids' offsets swapped, so that one id ends before it starts
+    def swap(arrays):
+        arrays["pub_ids_offsets"][[1, 2]] = arrays["pub_ids_offsets"][[2, 1]]
+
+    damage_arrays(path, swap)
+
+
+def damage_id_within_a_character(path):
+    # the id that starts with a character of several bytes starts a byte later
+    def shift(arrays):
+        offsets, data = arrays["pub_ids_offsets"], arrays["pub_ids"]
+        row = int(np.flatnonzero(data[offsets[:-1]] >= 0xC0)[0])
+        offsets[row] += 1
+
+    damage_arrays(path, shift)
+
+
+@pytest.mark.parametrize("damage", [damage_truncate, damage_indptr, damage_id_offsets,
+                                    damage_id_within_a_character])
 def test_damaged_entry_is_a_miss_and_rewritten(inputs, tmp_path, cache_home, damage):
-    corpus, mesh = inputs["independent"]
+    corpus, mesh = inputs["awkward-ids"]
     args = ["stats", "--corpus", corpus, "--mesh", mesh]
     expected = run_one(args, tmp_path / "first")
     (entry,) = stored_entries(cache_home)

@@ -18,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import helixmi.corpus as corpus_module
-from helixmi.corpus import Corpus, corpus_canonical_lines, row_chunks
+from helixmi.corpus import Corpus, PackedStrings, corpus_canonical_lines, pack_strings, row_chunks
 from helixmi.counts import COUNTINGS, branch_triple, corpus_triples
 from helixmi.dynamics import top_pairs
 
@@ -154,7 +154,7 @@ def test_passes_hold_one_chunk_of_temporaries():
     e_cols = e_of[np.sort(np.stack([r // 4 % 4, (r // 4 + 2) % 4], 1), 1)]
     indices = np.concatenate([c_cols, d_cols, e_cols], axis=1).astype(np.int32).ravel()
     corpus = Corpus.from_sorted_arrays(
-        "bounded", vocab, [f"p{i:07d}" for i in range(n_rows)],
+        "bounded", vocab, pack_strings([f"p{i:07d}" for i in range(n_rows)]),
         np.repeat(np.arange(2000, 2000 + n_years, dtype=np.int64), n_rows // n_years),
         np.arange(0, len(indices) + 1, 8, dtype=np.int64), indices,
     )
@@ -187,3 +187,38 @@ def test_passes_hold_one_chunk_of_temporaries():
     pairs = top_pairs(corpus, "D", "E", limit=100)
     assert len(pairs) == 16 and {p.co_count for p in pairs} == {n_rows // 4}
     assert sum(p.co_count for p in pairs) >= 1_000_000
+
+
+def test_pairs_hold_repeated_pairs_once():
+    """Pairs that every chunk repeats are held once, not once per chunk.
+
+    819,200 rows of one D and one E descriptor each, among 64 of each,
+    repeat all 4,096 D x E pairs every 4,096 rows, which with chunks of
+    8,192 entries is every chunk.  Kept per chunk until one merge, the
+    200 chunks' pair counts peaked at 25.3 MB; merged as they come, 0.7 MB."""
+    n_rows, period = 200 * 4096, 4096
+    vocab = make_vocab({**{f"D{i:02d}": [f"D{i:02d}.1"] for i in range(64)},
+                        **{f"E{i:02d}": [f"E{i:02d}.1"] for i in range(64)}})
+    r = np.arange(n_rows)
+    # D columns come before E columns, so each row's columns ascend
+    indices = np.stack([r % 64, 64 + r // 64 % 64], axis=1).astype(np.int32).ravel()
+    corpus = Corpus.from_sorted_arrays(
+        # the ids play no part in the pass
+        "repeated", vocab, PackedStrings(np.zeros(n_rows + 1, dtype=np.int64),
+                                         np.empty(0, dtype=np.uint8)),
+        np.full(n_rows, 2000, dtype=np.int64),
+        np.arange(0, len(indices) + 1, 2, dtype=np.int64), indices,
+    )
+    vocab.membership_matrix  # built once per vocabulary, outside the pass
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(corpus_module, "CHUNK_ENTRIES", 2 * period)
+        tracemalloc.start()
+        try:
+            pairs = top_pairs(corpus, "D", "E", limit=10)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20, f"{peak / 2**20:.1f} MB"
+        assert [p.co_count for p in pairs] == [n_rows // period] * 10
+        pairs = top_pairs(corpus, "D", "E", limit=period + 1)
+    assert len(pairs) == period and {p.co_count for p in pairs} == {n_rows // period}

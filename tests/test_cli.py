@@ -228,7 +228,14 @@ def test_manifest_records_stage_times(synth_dir, tmp_path):
     assert 1 < stages["load_peak_rss_mb"] <= stages["peak_rss_mb"]
     assert "stages" not in manifest["diagnostics"]
     synth = json.loads((synth_dir / "manifest.json").read_text())["stages"]
-    assert set(synth) == {"command_s", "peak_rss_mb"}
+    assert set(synth) == {"command_s", "peak_rss_mb", "synth_s", "synth_peak_rss_mb", "write_s"}
+    assert 0 < synth["synth_s"] + synth["write_s"] < synth["command_s"]
+    assert 1 < synth["synth_peak_rss_mb"] <= synth["peak_rss_mb"]
+    assert run(["ingest", *io, "--out", tmp_path / "ingest"]) == 0
+    ingest = json.loads((tmp_path / "ingest" / "manifest.json").read_text())["stages"]
+    assert set(ingest) == set(stages) | {"write_s"}
+    assert ingest["cache"] == "hit"
+    assert 0 < ingest["ingest_s"] + ingest["write_s"] < ingest["command_s"]
 
 
 def test_ingest_detects_jsonl_after_a_byte_order_mark(synth_dir, tmp_path):

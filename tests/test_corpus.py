@@ -1,17 +1,23 @@
 import json
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helixmi.corpus import (
+    Corpus,
     CorpusFormatError,
     corpus_canonical_bytes,
     ingest_jsonl,
     ingest_medline_text,
+    pack_strings,
+    unpack_strings,
     write_corpus_jsonl,
     yearly_sizes,
 )
 
-from conftest import make_corpus
+from conftest import make_corpus, make_vocab
 
 
 def write_jsonl(path, records):
@@ -203,3 +209,30 @@ def test_ingest_idempotent(tmp_path, tiny_vocab):
     corpus2, _ = ingest_jsonl(str(out), tiny_vocab)
     assert corpus_canonical_bytes(corpus1) == corpus_canonical_bytes(corpus2)
     assert corpus1.by_year == corpus2.by_year
+
+
+# ids from a few characters, so that keys repeat, among them non-ASCII
+# text, a lone surrogate, NUL, a quote and a backslash
+ids = st.lists(st.sampled_from(["a", "b", "é", "\ud800", "\x00", '"', "\\", "\U0010ffff"]),
+               max_size=3).map("".join)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.integers(1999, 2001), ids), max_size=12), st.data())
+def test_rows_sorted_once_and_ids_packed(rows, data):
+    years = [year for year, _ in rows]
+    pub_ids = [pub_id for _, pub_id in rows]
+    packed = pack_strings(pub_ids)
+    assert packed.offsets.dtype == np.int64 and packed.data.dtype == np.uint8
+    assert unpack_strings(packed) == pub_ids
+    # each row's one column is its place in the input, to follow the rows
+    corpus = Corpus.from_arrays("t", make_vocab({"C1": ["C01"]}), pub_ids, years,
+                                range(len(rows) + 1), range(len(rows)))
+    order = sorted(range(len(rows)), key=lambda i: rows[i])
+    assert corpus.incidence.indices.tolist() == order
+    assert corpus.pub_years.tolist() == sorted(years)
+    assert corpus.pub_ids == tuple(pub_ids[i] for i in order)
+    assert len(corpus) == len(rows)
+    lo = data.draw(st.integers(0, len(rows)))
+    hi = data.draw(st.integers(lo, len(rows)))
+    assert corpus.decode_ids(lo, hi) == list(corpus.pub_ids[lo:hi])

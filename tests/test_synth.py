@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -112,6 +114,10 @@ def test_config_validation():
         SynthConfig(mode="xor", pubs_per_year=10, years=1, seed=0, rho=1.5)
     with pytest.raises(ValueError):
         SynthConfig(mode="sizemix", pubs_per_year=10, years=1, seed=0, sigma=-0.1)
+    # ids are "S" and eight digits
+    SynthConfig(mode="xor", pubs_per_year=10**8 // 4, years=4, seed=0)
+    with pytest.raises(ValueError):
+        SynthConfig(mode="xor", pubs_per_year=10**8 // 4 + 1, years=4, seed=0)
 
 
 configs = st.builds(
@@ -182,3 +188,22 @@ def test_picks_are_uniform_within_each_count():
             assert (np.abs(hits - n * p) <= bound).all(), (alpha, k, n, hits.tolist())
             checked += 0 < k < m and n >= 100
     assert checked >= 12
+
+
+def test_synth_holds_one_year_beyond_its_result():
+    """synth's traced peak above its result grows with a year's rows, not
+    with the number of years: 88,000 more rows would add 704,000 bytes to
+    an array of one int64 per row of the corpus."""
+    def excess(years):
+        config = SynthConfig(mode="xor", pubs_per_year=2000, years=years, seed=3)
+        tracemalloc.start()
+        try:
+            corpus = synth_corpus(config)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        arrays = (*corpus.ids, corpus.pub_years, *corpus.incidence)
+        return peak - sum(array.nbytes for array in arrays)
+
+    few, many = excess(4), excess(48)
+    assert many - few < 2000 * 44 * 8 / 4, (few, many)
