@@ -1,8 +1,10 @@
 """A content-keyed cache of parsed inputs, so that each input is parsed once.
 
-The commands that read a corpus store what parsing the vocabulary and
-the corpus gave, the corpus arrays, the vocabulary columns and the whole
-ingest report, as one ``.npz`` entry in ``${XDG_CACHE_HOME:-~/.cache}/helixmi``.
+A command that reads a corpus makes one call, ``load_or_parse``: it
+rebuilds the parsed inputs from the entry of the input files' bytes, or
+parses them and stores an entry, one ``.npz`` file in
+``${XDG_CACHE_HOME:-~/.cache}/helixmi`` that holds the corpus arrays,
+the vocabulary columns and the whole ingest report.
 The key is the sha256 of the two input digests, the year window, the
 Python and numpy versions and a digest of this package's own sources,
 so that changed input bytes, parser code or Unicode tables (name
@@ -218,7 +220,8 @@ def _expect_offsets(ptr: np.ndarray, rows: int | None, total: int, least: int) -
         raise ValueError("offsets out of range")
 
 
-def _arrays(vocabulary: Vocabulary, corpus: Corpus, report: IngestReport) -> dict:
+def _arrays(corpus: Corpus, report: IngestReport) -> dict:
+    vocabulary = corpus.vocabulary
     arrays = {}
     for name, strings in (("ids", vocabulary.column_ids), ("names", vocabulary.names),
                           ("trees", vocabulary.tree_numbers),
@@ -273,26 +276,19 @@ def _corpus(entry: dict, vocabulary: Vocabulary, query_label: str) -> tuple[Corp
     return corpus, report
 
 
-def _read(path: Path) -> dict | None:
-    """Every array of the archive at ``path``; None when it cannot be read."""
+def load(key: str, query_label: str, stages: dict):
+    """The corpus and ingest report of entry ``key``, with ``stages`` given
+    the seconds the vocabulary and the rest took to rebuild; None when
+    there is no usable entry."""
+    path = cache_dir() / f"{key}.npz"
+    start = time.perf_counter()
     try:
         npz = np.load(path, allow_pickle=False)
         if not isinstance(npz, np.lib.npyio.NpzFile):
             return None
         with npz:
-            return {name: npz[name] for name in npz.files}
+            entry = {name: npz[name] for name in npz.files}
     except _UNREADABLE:
-        return None
-
-
-def load(key: str, query_label: str, stages: dict):
-    """The vocabulary, corpus and ingest report of entry ``key``, with
-    ``stages`` given the seconds each took to rebuild; None when there is
-    no usable entry."""
-    path = cache_dir() / f"{key}.npz"
-    start = time.perf_counter()
-    entry = _read(path)
-    if entry is None:
         return None
     read = time.perf_counter()
     try:
@@ -308,7 +304,7 @@ def load(key: str, query_label: str, stages: dict):
         os.utime(path)  # the entry was used last
     except OSError:
         pass
-    return vocabulary, corpus, report
+    return corpus, report
 
 
 def _write(name: str, write) -> bool:
@@ -331,15 +327,40 @@ def _write(name: str, write) -> bool:
     return True
 
 
-def store(key: str, vocabulary: Vocabulary, corpus: Corpus, report: IngestReport) -> bool:
+def store(key: str, corpus: Corpus, report: IngestReport) -> bool:
     """Write the entry ``key`` through a temporary file and a rename, then
     keep the ``CAPACITY`` entries used last; False when nothing could be
     written."""
-    arrays = _arrays(vocabulary, corpus, report)
+    arrays = _arrays(corpus, report)
     if not _write(f"{key}.npz", lambda fh: np.savez(fh, **arrays)):
         return False
     _evict(cache_dir())
     return True
+
+
+def load_or_parse(paths, years, query_label: str, parse, stages: dict):
+    """The corpus, ingest report and sha256 digests of the vocabulary and
+    corpus files ``paths`` in the year window ``years``: from their entry,
+    else from ``parse()``, stored if the files did not change meanwhile.
+    ``stages`` records ``digests``, ``digest_s``, ``cache`` and, on a hit,
+    the seconds of the rebuild."""
+    # an unreadable input leaves ``parse`` to report it, as without a cache
+    stats, checked_ns = input_stats(paths), time.time_ns()
+    start = time.perf_counter()
+    digests, indexed = input_digests(paths, stats, checked_ns)
+    stages["digests"] = "index" if indexed else "hashed"
+    stages["digest_s"] = time.perf_counter() - start
+    key = entry_key(*digests, years) if digests else None
+    loaded = load(key, query_label, stages) if key else None
+    if loaded:
+        stages["cache"] = "hit"
+        return *loaded, digests
+    corpus, report = parse()
+    # an entry holds only what the bytes of its key parse to
+    stored = (bool(key) and unchanged(paths, stats, checked_ns, digests)
+              and store(key, corpus, report))
+    stages["cache"] = "stored" if stored else "off"
+    return corpus, report, digests or [file_sha256(path) for path in paths]
 
 
 def _evict(directory: Path) -> None:

@@ -3,9 +3,9 @@
 Every subcommand writes its outputs plus a ``manifest.json`` recording
 input hashes and the full configuration; two runs with equal manifests
 (timestamp aside) produce byte-identical outputs.  Exit codes: 0 on
-success, 1 on usage errors, 2 on data errors (a ``DataError`` or an
-unreadable file); any other exception is a bug and surfaces as a
-traceback.
+success, 1 on usage errors, 2 on data errors (a ``DataError``, or a
+file that cannot be read or written); any other exception is a bug and
+surfaces as a traceback.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from . import __version__
 from .errors import DataError
 
 if TYPE_CHECKING:
-    from .corpus import Corpus
+    from .corpus import Corpus, IngestReport
     from .mesh import Vocabulary
 
 # Each command imports the modules it runs when it runs, so that a command
@@ -87,10 +87,6 @@ class RunManifest:
     tool_version: str = __version__
     timestamp: str = ""
 
-    def add_input(self, path: str, digest: str) -> None:
-        """Record an input file and its sha256."""
-        self.inputs.append({"path": str(path), "sha256": digest})
-
     def write(self, out_dir: Path) -> None:
         self.timestamp = datetime.now(timezone.utc).isoformat()
         _write_json(out_dir / "manifest.json", asdict(self))
@@ -118,18 +114,6 @@ def _is_jsonl(path: str) -> bool:
     return head.startswith(b"{")
 
 
-class UsageError(Exception):
-    """A flag value the command cannot run with (exit 1)."""
-
-
-def _make_config(factory, **fields):
-    """Build a config object, reporting a rejected value as a usage error."""
-    try:
-        return factory(**fields)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
-
-
 def _positive_int_arg(text: str) -> int:
     try:
         value = int(text)
@@ -141,13 +125,13 @@ def _positive_int_arg(text: str) -> int:
 
 
 def _year_range_arg(text: str) -> tuple[int, int]:
-    lo, sep, hi = text.partition(":")
     try:
-        if not sep:
-            raise ValueError
-        return int(lo), int(hi)
+        lo, hi = map(int, text.split(":"))
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected LO:HI, got {text!r}") from None
+    if lo > hi:
+        raise argparse.ArgumentTypeError(f"expected LO <= HI, got {text!r}")
+    return lo, hi
 
 
 def _branch_pair_arg(text: str) -> tuple[str, str]:
@@ -181,69 +165,56 @@ def _lam_arg(text: str) -> tuple[float, float, float]:
         ) from None
 
 
-def _load_inputs(args, manifest: RunManifest):
-    """The vocabulary, corpus and ingest report: from the cache entry of
-    the inputs' bytes when there is one, else parsed and then stored."""
+def _load_inputs(args, manifest: RunManifest) -> tuple[Corpus, IngestReport]:
+    """The corpus and ingest report of ``--corpus`` and ``--mesh``: from
+    the cache entry of the inputs' bytes when there is one, else parsed
+    and then stored."""
     from . import cache
 
-    label = getattr(args, "label", None) or Path(args.corpus).stem
-    paths = (args.mesh, args.corpus)
-    # an unreadable input leaves the parsers to report it, as without a cache
-    stats, checked_ns = cache.input_stats(paths), time.time_ns()
-    start = time.perf_counter()
-    digests, indexed = cache.input_digests(paths, stats, checked_ns)
-    manifest.stages["digests"] = "index" if indexed else "hashed"
-    manifest.stages["digest_s"] = time.perf_counter() - start
-    key = cache.entry_key(*digests, args.years) if digests else None
-    loaded = cache.load(key, label, manifest.stages) if key else None
-    if loaded:
-        vocabulary, corpus, report = loaded
-        jsonl = _is_jsonl(args.corpus)
-        manifest.stages["cache"] = "hit"
-    else:
+    label = args.label or Path(args.corpus).stem
+    stages = manifest.stages
+
+    def parse():
+        # the parsers are looked up where they are defined when they run
         from .corpus import ingest_jsonl, ingest_medline_text
 
         start = time.perf_counter()
         vocabulary = _detect_and_load_mesh(args.mesh)
-        manifest.stages["vocabulary_s"] = time.perf_counter() - start
+        stages["vocabulary_s"] = time.perf_counter() - start
         start = time.perf_counter()
-        jsonl = _is_jsonl(args.corpus)
-        ingest = ingest_jsonl if jsonl else ingest_medline_text
-        corpus, report = ingest(args.corpus, vocabulary, args.years, label)
-        manifest.stages["ingest_s"] = time.perf_counter() - start
-        # an entry holds only what the bytes of its key parse to
-        stored = (bool(key) and cache.unchanged(paths, stats, checked_ns, digests)
-                  and cache.store(key, vocabulary, corpus, report))
-        manifest.stages["cache"] = "stored" if stored else "off"
-        digests = digests or [cache.file_sha256(path) for path in paths]
-    if jsonl:
-        manifest.stages["ingest_template_lines"] = report.template_lines
-        manifest.stages["ingest_json_lines"] = report.json_lines
+        ingest = ingest_jsonl if _is_jsonl(args.corpus) else ingest_medline_text
+        parsed = ingest(args.corpus, vocabulary, args.years, label)
+        stages["ingest_s"] = time.perf_counter() - start
+        return parsed
+
+    paths = (args.mesh, args.corpus)
+    corpus, report, digests = cache.load_or_parse(paths, args.years, label, parse, stages)
+    if _is_jsonl(args.corpus):
+        stages["ingest_template_lines"] = report.template_lines
+        stages["ingest_json_lines"] = report.json_lines
     manifest.vocabulary_sha256 = digests[0]
-    manifest.add_input(args.mesh, digests[0])
-    manifest.add_input(args.corpus, digests[1])
+    manifest.inputs = [{"path": str(path), "sha256": digest}
+                       for path, digest in zip(paths, digests)]
     manifest.diagnostics["ingest"] = report.summary()
     # so that a run shows whether the load or the analysis set its peak
-    manifest.stages["load_peak_rss_mb"] = _peak_rss_mb()
-    return vocabulary, corpus, report
+    stages["load_peak_rss_mb"] = _peak_rss_mb()
+    return corpus, report
 
 
 # ---------------------------------------------------------------------------
 # Subcommands
 # ---------------------------------------------------------------------------
 
-def _cmd_ingest(args, out_dir: Path, manifest: RunManifest) -> int:
+def _cmd_ingest(corpus, report, args, out_dir: Path, manifest: RunManifest) -> None:
     from .corpus import write_corpus_jsonl
 
-    _, corpus, report = _load_inputs(args, manifest)
     start = time.perf_counter()
     write_corpus_jsonl(corpus, str(out_dir / "corpus.jsonl"))
     _write_json(out_dir / "ingest_report.json", report.to_json_dict())
     manifest.stages["write_s"] = time.perf_counter() - start
-    return 0
 
 
-def _cmd_stats(args, out_dir: Path, manifest: RunManifest) -> int:
+def _cmd_stats(corpus, report, args, out_dir: Path, manifest: RunManifest) -> None:
     import numpy as np
 
     from .corpus import yearly_sizes
@@ -255,7 +226,6 @@ def _cmd_stats(args, out_dir: Path, manifest: RunManifest) -> int:
     )
     from .infotheory import efficiency
 
-    _, corpus, _ = _load_inputs(args, manifest)
     triples = corpus_triples(corpus, args.counting)
     stats = branch_stats_from_triples(triples)
     sizes = yearly_sizes(corpus)
@@ -300,7 +270,6 @@ def _cmd_stats(args, out_dir: Path, manifest: RunManifest) -> int:
         ["year", "A_q", "M_q", "V_q", "mean_mesh", "eff_C", "eff_D", "eff_E"],
         yearly_rows,
     )
-    return 0
 
 
 MI_HEADER = [
@@ -309,10 +278,9 @@ MI_HEADER = [
 ]
 
 
-def _cmd_mi(args, out_dir: Path, manifest: RunManifest) -> int:
+def _cmd_mi(corpus, report, args, out_dir: Path, manifest: RunManifest) -> None:
     from .infotheory import yearly_mi
 
-    _, corpus, _ = _load_inputs(args, manifest)
     series = yearly_mi(corpus, map_kind=args.map, counting=args.counting)
     rows = [
         [r.year, series.map_kind, r.h_c, r.h_d, r.h_e, r.h_cd, r.h_ce, r.h_de,
@@ -320,24 +288,27 @@ def _cmd_mi(args, out_dir: Path, manifest: RunManifest) -> int:
         for r in series.records
     ]
     _write_csv(out_dir / "mi.csv", MI_HEADER, rows)
-    return 0
 
 
-def _cmd_null(args, out_dir: Path, manifest: RunManifest) -> int:
-    import hashlib
+def _shuffle_config(args):
+    from .nullmodel import ShuffleConfig
 
-    from .corpus import corpus_canonical_lines
-    from .nullmodel import ShuffleConfig, null_band
-
-    config = _make_config(
-        ShuffleConfig,
+    return ShuffleConfig(
         replicates=args.replicates,
         ci_level=args.ci,
         seed=args.seed,
         map_kind=args.map,
         counting=args.counting,
     )
-    _, corpus, _ = _load_inputs(args, manifest)
+
+
+def _cmd_null(corpus, report, args, out_dir: Path, manifest: RunManifest) -> None:
+    import hashlib
+
+    from .corpus import corpus_canonical_lines
+    from .nullmodel import null_band
+
+    config = _shuffle_config(args)
     digest = hashlib.sha256()
     for line in corpus_canonical_lines(corpus):
         digest.update(line)
@@ -367,14 +338,12 @@ def _cmd_null(args, out_dir: Path, manifest: RunManifest) -> int:
         "undefined_replicates": {str(r.year): r.undefined_replicates for r in band.rows},
         "dropped_years": band.dropped_years,
     }
-    return 0
 
 
-def _cmd_scaling(args, out_dir: Path, manifest: RunManifest) -> int:
+def _cmd_scaling(corpus, report, args, out_dir: Path, manifest: RunManifest) -> None:
     from .corpus import yearly_sizes
     from .scaling import heaps_fit, rank_table, zipf_fit
 
-    _, corpus, _ = _load_inputs(args, manifest)
     table = rank_table(corpus, "all")
     zipf = zipf_fit(table, min_count=args.min_count)
     sizes = yearly_sizes(corpus)
@@ -393,13 +362,11 @@ def _cmd_scaling(args, out_dir: Path, manifest: RunManifest) -> int:
         ["year", "M_q", "V_q"],
         [[r.year, r.total_descriptors, r.distinct_descriptors] for r in sizes],
     )
-    return 0
 
 
-def _cmd_dynamics(args, out_dir: Path, manifest: RunManifest) -> int:
-    from .dynamics import branch_share_series, detect_entries, rank_trajectories, top_pairs
+def _cmd_dynamics(corpus, report, args, out_dir: Path, manifest: RunManifest) -> None:
+    from .dynamics import branch_share_series, detect_entries, rank_trajectories
 
-    _, corpus, _ = _load_inputs(args, manifest)
     matrix = rank_trajectories(corpus, k=args.topk)
     header = ["descriptor", "primary_branch"] + [str(y) for y in matrix.years]
     vocabulary = corpus.vocabulary
@@ -416,9 +383,7 @@ def _cmd_dynamics(args, out_dir: Path, manifest: RunManifest) -> int:
         [[e.descriptor_id, e.birth_year, e.impact, e.primary_branch] for e in entries],
     )
 
-    branch_a, branch_b = args.pair_branches
-    pairs = top_pairs(corpus, branch_a, branch_b, window=args.window, limit=args.limit)
-    _write_pairs_csv(out_dir / "pairs.csv", corpus, pairs, branch_a, branch_b)
+    _write_pairs(corpus, args.pair_branches, args, out_dir)
 
     shares = branch_share_series(corpus, args.counting)
     _write_csv(
@@ -426,10 +391,14 @@ def _cmd_dynamics(args, out_dir: Path, manifest: RunManifest) -> int:
         ["year", "share_C", "share_D", "share_E"],
         [[s.year, s.share_c, s.share_d, s.share_e] for s in shares],
     )
-    return 0
 
 
-def _write_pairs_csv(path: Path, corpus: Corpus, pairs, branch_a: str, branch_b: str) -> None:
+def _write_pairs(corpus: Corpus, branches: tuple[str, str], args, out_dir: Path) -> None:
+    """``pairs.csv``: the most frequent descriptor pairs of two branches."""
+    from .dynamics import top_pairs
+
+    branch_a, branch_b = branches
+    pairs = top_pairs(corpus, branch_a, branch_b, window=args.window, limit=args.limit)
     vocabulary = corpus.vocabulary
     rows = []
     for p in pairs:
@@ -440,34 +409,25 @@ def _write_pairs_csv(path: Path, corpus: Corpus, pairs, branch_a: str, branch_b:
              p.co_count, p.window[0], p.window[1]]
         )
     _write_csv(
-        path,
+        out_dir / "pairs.csv",
         ["branch_a", "descriptor_a", "name_a", "branch_b", "descriptor_b", "name_b",
          "co_count", "year_lo", "year_hi"],
         rows,
     )
 
 
-def _cmd_pairs(args, out_dir: Path, manifest: RunManifest) -> int:
-    from .dynamics import top_pairs
-
-    _, corpus, _ = _load_inputs(args, manifest)
-    branch_a, branch_b = args.branches
-    pairs = top_pairs(corpus, branch_a, branch_b, window=args.window, limit=args.limit)
-    _write_pairs_csv(out_dir / "pairs.csv", corpus, pairs, branch_a, branch_b)
-    return 0
+def _cmd_pairs(corpus, report, args, out_dir: Path, manifest: RunManifest) -> None:
+    _write_pairs(corpus, args.branches, args, out_dir)
 
 
-def _cmd_synth(args, out_dir: Path, manifest: RunManifest) -> int:
-    from .corpus import write_corpus_jsonl
-    from .mesh import write_mesh_tsv
-    from .synth import SynthConfig, synth_corpus
+def _synth_config(args):
+    from .synth import SynthConfig
 
     if isinstance(args.years, tuple):
         start_year, n_years = args.years[0], args.years[1] - args.years[0] + 1
     else:
         start_year, n_years = args.start_year, args.years
-    config = _make_config(
-        SynthConfig,
+    return SynthConfig(
         mode=args.mode,
         pubs_per_year=args.pubs,
         years=n_years,
@@ -477,6 +437,14 @@ def _cmd_synth(args, out_dir: Path, manifest: RunManifest) -> int:
         sigma=args.sigma,
         start_year=start_year,
     )
+
+
+def _cmd_synth(args, out_dir: Path, manifest: RunManifest) -> None:
+    from .corpus import write_corpus_jsonl
+    from .mesh import write_mesh_tsv
+    from .synth import synth_corpus
+
+    config = _synth_config(args)
     start = time.perf_counter()
     corpus = synth_corpus(config)
     manifest.stages["synth_s"] = time.perf_counter() - start
@@ -485,7 +453,6 @@ def _cmd_synth(args, out_dir: Path, manifest: RunManifest) -> int:
     write_corpus_jsonl(corpus, str(out_dir / "corpus.jsonl"))
     write_mesh_tsv(corpus.vocabulary, str(out_dir / "mesh.tsv"))
     manifest.stages["write_s"] = time.perf_counter() - start
-    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -500,10 +467,13 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _add_io_options(sub, years_help: str = "restrict to years LO:HI") -> None:
+def _add_corpus_command(commands, name: str, summary: str) -> _Parser:
+    """The parser of a command that reads ``--corpus`` and ``--mesh``."""
+    sub = commands.add_parser(name, help=summary)
     sub.add_argument("--corpus", required=True, help="corpus file (JSONL or MEDLINE text)")
     sub.add_argument("--mesh", required=True, help="descriptor file (NLM ASCII or TSV)")
-    sub.add_argument("--years", type=_year_range_arg, default=None, help=years_help)
+    sub.add_argument("--years", type=_year_range_arg, default=None,
+                     help="restrict to years LO:HI")
     sub.add_argument("--label", default=None, help="query label for outputs")
     sub.add_argument(
         "--counting",
@@ -511,6 +481,7 @@ def _add_io_options(sub, years_help: str = "restrict to years LO:HI") -> None:
         default="membership",
         help="how multi-branch descriptors are counted",
     )
+    return sub
 
 
 def build_parser() -> _Parser:
@@ -518,18 +489,13 @@ def build_parser() -> _Parser:
     parser.add_argument("--version", action="version", version=__version__)
     commands = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
-    sub = commands.add_parser("ingest", help="parse a corpus into canonical JSONL")
-    _add_io_options(sub)
+    _add_corpus_command(commands, "ingest", "parse a corpus into canonical JSONL")
+    _add_corpus_command(commands, "stats", "descriptive branch statistics")
 
-    sub = commands.add_parser("stats", help="descriptive branch statistics")
-    _add_io_options(sub)
-
-    sub = commands.add_parser("mi", help="yearly entropy and mutual information")
-    _add_io_options(sub)
+    sub = _add_corpus_command(commands, "mi", "yearly entropy and mutual information")
     sub.add_argument("--map", choices=["binary", "median", "full"], default="full")
 
-    sub = commands.add_parser("null", help="shuffling null model confidence bands")
-    _add_io_options(sub)
+    sub = _add_corpus_command(commands, "null", "shuffling null model confidence bands")
     sub.add_argument("--map", choices=["binary", "median", "full"], default="full")
     sub.add_argument("--target", choices=list(TARGETS), default="T_CDE")
     sub.add_argument("--replicates", type=int, default=100)
@@ -539,19 +505,16 @@ def build_parser() -> _Parser:
                      help="accepted and ignored; the replicates run in one process "
                           "per usable core")
 
-    sub = commands.add_parser("scaling", help="rank-frequency and vocabulary-growth fits")
-    _add_io_options(sub)
+    sub = _add_corpus_command(commands, "scaling", "rank-frequency and vocabulary-growth fits")
     sub.add_argument("--min-count", type=int, default=5)
 
-    sub = commands.add_parser("dynamics", help="rank trajectories, entries, pairs, shares")
-    _add_io_options(sub)
+    sub = _add_corpus_command(commands, "dynamics", "rank trajectories, entries, pairs, shares")
     sub.add_argument("--topk", type=_positive_int_arg, default=200)
     sub.add_argument("--pair-branches", type=_branch_pair_arg, default=("D", "E"))
     sub.add_argument("--window", type=_year_range_arg, default=None, help="pair window LO:HI")
     sub.add_argument("--limit", type=_positive_int_arg, default=10)
 
-    sub = commands.add_parser("pairs", help="most frequent cross-branch descriptor pairs")
-    _add_io_options(sub)
+    sub = _add_corpus_command(commands, "pairs", "most frequent cross-branch descriptor pairs")
     sub.add_argument("--branches", type=_branch_pair_arg, default=("D", "E"))
     sub.add_argument("--window", type=_year_range_arg, default=None, help="pair window LO:HI")
     sub.add_argument("--limit", type=_positive_int_arg, default=10)
@@ -575,6 +538,8 @@ def build_parser() -> _Parser:
     return parser
 
 
+# the commands that read a corpus: each writes its files from the loaded
+# corpus and ingest report, the options, the output directory and the manifest
 _COMMANDS = {
     "ingest": _cmd_ingest,
     "stats": _cmd_stats,
@@ -583,8 +548,11 @@ _COMMANDS = {
     "scaling": _cmd_scaling,
     "dynamics": _cmd_dynamics,
     "pairs": _cmd_pairs,
-    "synth": _cmd_synth,
 }
+
+# the config of each command that has one, built first so that a value it
+# rejects is a usage error before ``--out`` is made or an input read
+_CONFIGS = {"null": _shuffle_config, "synth": _synth_config}
 
 
 def _peak_rss_mb() -> float:
@@ -600,27 +568,32 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        if args.command in _CONFIGS:
+            _CONFIGS[args.command](args)
     except SystemExit as exc:
         return int(exc.code or 0)
+    except ValueError as exc:
+        print(f"helixmi {args.command}: error: {exc}", file=sys.stderr)
+        return 1
 
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     manifest = RunManifest(command=args.command)
     manifest.config = {
         k: v for k, v in vars(args).items() if k not in {"command", "out"}
     }
     try:
-        code = _COMMANDS[args.command](args, out_dir, manifest)
-    except UsageError as exc:
-        print(f"helixmi {args.command}: error: {exc}", file=sys.stderr)
-        return 1
+        out_dir.mkdir(parents=True, exist_ok=True)
+        if args.command == "synth":
+            _cmd_synth(args, out_dir, manifest)
+        else:
+            _COMMANDS[args.command](*_load_inputs(args, manifest), args, out_dir, manifest)
     except (DataError, OSError) as exc:
         print(f"helixmi {args.command}: error: {exc}", file=sys.stderr)
         return 2
     manifest.stages["command_s"] = time.perf_counter() - start
     manifest.stages["peak_rss_mb"] = _peak_rss_mb()
     manifest.write(out_dir)
-    return code
+    return 0
 
 
 def entry() -> None:

@@ -213,8 +213,8 @@ def test_awkward_ids_round_trip(inputs, cache_home):
     expected = tuple(p.id for p in publications)
     assert set(AWKWARD_IDS) <= set(expected)
     assert corpus.pub_ids == expected
-    assert cache.store("e" * 64, vocabulary, corpus, report)
-    _, loaded, _ = cache.load("e" * 64, "awkward", {})
+    assert cache.store("e" * 64, corpus, report)
+    loaded, _ = cache.load("e" * 64, "awkward", {})
     assert loaded.pub_ids == expected
     assert (corpus_canonical_bytes(loaded) == b"".join(canonical_lines_encoder(loaded))
             == canonical_bytes_of(publications))
@@ -368,7 +368,7 @@ def test_least_recently_used_entries_go_first(tiny_vocab, cache_home):
     report = IngestReport()
     keys = [f"{i:064x}" for i in range(cache.CAPACITY + 2)]
     for age, key in enumerate(keys[:cache.CAPACITY]):
-        assert cache.store(key, tiny_vocab, corpus, report)
+        assert cache.store(key, corpus, report)
         path = cache_home / "helixmi" / f"{key}.npz"
         os.utime(path, (1000 + age, 1000 + age))
     # reading the oldest entry makes it the newest
@@ -376,8 +376,8 @@ def test_least_recently_used_entries_go_first(tiny_vocab, cache_home):
     stale = cache_home / "helixmi" / "dead.123.tmp"
     stale.write_bytes(b"partial")
     os.utime(stale, (1000, 1000))
-    assert cache.store(keys[-2], tiny_vocab, corpus, report)
-    assert cache.store(keys[-1], tiny_vocab, corpus, report)
+    assert cache.store(keys[-2], corpus, report)
+    assert cache.store(keys[-1], corpus, report)
     kept = {p.stem for p in stored_entries(cache_home)}
     assert kept == {keys[0], *keys[3:]}
     assert not stale.exists()
@@ -388,7 +388,7 @@ def test_no_damage_to_an_entry_raises(tiny_vocab, cache_home):
                                 [0, 2, 3], [0, 4, 1])
     report = IngestReport(excluded_year=3, unresolved_terms=Counter({"x": 2}))
     key = "0" * 64
-    assert cache.store(key, tiny_vocab, corpus, report)
+    assert cache.store(key, corpus, report)
     path = cache_home / "helixmi" / f"{key}.npz"
     data = path.read_bytes()
     rng = np.random.default_rng(5)
@@ -401,8 +401,8 @@ def test_no_damage_to_an_entry_raises(tiny_vocab, cache_home):
         path.write_bytes(blob)
         loaded = cache.load(key, "t", {})
         if loaded is not None:
-            assert loaded[1].pub_ids == corpus.pub_ids
-            assert loaded[2] == report
+            assert loaded[0].pub_ids == corpus.pub_ids
+            assert loaded[1] == report
 
 
 # text that stresses the string packing: NUL, lone surrogates, line
@@ -449,8 +449,9 @@ def parsed_inputs(draw):
 def test_hit_rebuilds_the_parsed_arrays(cache_home, parsed):
     vocabulary, corpus, report = parsed
     key = "f" * 64
-    assert cache.store(key, vocabulary, corpus, report)
-    again, rebuilt, report_again = cache.load(key, corpus.query_label, {})
+    assert cache.store(key, corpus, report)
+    rebuilt, report_again = cache.load(key, corpus.query_label, {})
+    again = rebuilt.vocabulary
     for name in ("column_ids", "names", "tree_numbers", "load_report"):
         assert getattr(again, name) == getattr(vocabulary, name), name
     assert again.tree_ptr.tolist() == vocabulary.tree_ptr.tolist()

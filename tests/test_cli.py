@@ -11,8 +11,10 @@ from types import SimpleNamespace
 
 import pytest
 
+import helixmi
 from helixmi import cache, cli, infotheory, nullmodel
 from helixmi import corpus as corpus_module
+from helixmi import mesh as mesh_module
 from helixmi.cli import main
 
 
@@ -120,11 +122,13 @@ def test_internal_value_error_is_a_traceback(synth_dir, tmp_path, monkeypatch):
 
 
 def test_malformed_flag_values_exit_one(tmp_path):
-    base = ["mi", "--corpus", "c.jsonl", "--mesh", "m.tsv", "--out", tmp_path]
+    # every value is rejected before --out is made or c.jsonl opened
+    out = tmp_path / "out"
+    base = ["mi", "--corpus", "c.jsonl", "--mesh", "m.tsv", "--out", out]
     assert run(base + ["--years", "2000"]) == 1
     assert run(["synth", "--mode", "xor", "--pubs", "5", "--years", "two",
-                "--out", str(tmp_path)]) == 1
-    io = ["--corpus", "c.jsonl", "--mesh", "m.tsv", "--out", tmp_path]
+                "--out", out]) == 1
+    io = ["--corpus", "c.jsonl", "--mesh", "m.tsv", "--out", out]
     assert run(["pairs", *io, "--limit", "-3"]) == 1
     assert run(["pairs", *io, "--limit", "0"]) == 1
     assert run(["dynamics", *io, "--topk", "-5"]) == 1
@@ -132,7 +136,7 @@ def test_malformed_flag_values_exit_one(tmp_path):
     assert run(["null", *io, "--ci", "1.5"]) == 1
     assert run(["null", *io, "--replicates", "1"]) == 1
     assert run(["synth", "--mode", "xor", "--pubs", "5", "--years", "2",
-                "--rho", "2", "--out", str(tmp_path)]) == 1
+                "--rho", "2", "--out", out]) == 1
     assert run(["pairs", *io, "--branches", "D,D"]) == 1
     assert run(["pairs", *io, "--branches", "D,X"]) == 1
     assert run(["dynamics", *io, "--pair-branches", "E,E"]) == 1
@@ -140,18 +144,37 @@ def test_malformed_flag_values_exit_one(tmp_path):
     assert run(["null", *io, "--threads", "-3"]) == 1
     # values numpy's generators would reject mid-run
     assert run(["null", *io, "--seed", "-1"]) == 1
-    synth = ["synth", "--mode", "sizemix", "--pubs", "5", "--years", "2", "--out", tmp_path]
+    synth = ["synth", "--mode", "sizemix", "--pubs", "5", "--years", "2", "--out", out]
     for flag in (["--seed", "-1"], ["--lam=-1,1,1"], ["--lam=nan,1,1"], ["--lam=1,inf,1"],
                  ["--sigma", "nan"], ["--sigma", "inf"]):
         assert run(synth + flag) == 1, flag
+    # an inverted LO:HI
+    assert run(base + ["--years", "2005:2000"]) == 1
+    assert run(["synth", "--mode", "xor", "--pubs", "5", "--years", "2005:2000",
+                "--out", out]) == 1
+    assert run(["dynamics", *io, "--window", "2004:2001"]) == 1
+    assert run(["pairs", *io, "--window", "2004:2001"]) == 1
+    assert not out.exists()
 
 
 def test_synth_rate_too_large_is_a_usage_error(tmp_path, capsys):
     # numpy's Poisson sampler would raise on this rate mid-run
     assert run(["synth", "--mode", "independent", "--pubs", "5", "--years", "2",
-                "--lam=1e30,1,1", "--out", tmp_path]) == 1
-    assert "rates must be at most 1000" in capsys.readouterr().err
-    assert not (tmp_path / "corpus.jsonl").exists()
+                "--lam=1e30,1,1", "--out", tmp_path / "out"]) == 1
+    assert "helixmi synth: error: rates must be at most 1000" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_uncreatable_out_is_reported(synth_dir, tmp_path, capsys, cache_home):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    io = ["--corpus", synth_dir / "corpus.jsonl", "--mesh", synth_dir / "mesh.tsv"]
+    for out in (blocker, blocker / "x"):
+        for argv in (["mi", *io], ["synth", "--mode", "xor", "--pubs", "5", "--years", "2"]):
+            assert run([*argv, "--out", out]) == 2, (argv[0], out)
+            assert capsys.readouterr().err.startswith(f"helixmi {argv[0]}: error: ")
+    # the inputs were not read
+    assert not (cache_home / "helixmi").exists()
 
 
 def test_synth_outputs(synth_dir):
@@ -457,6 +480,62 @@ def test_pairs_command(synth_dir, tmp_path):
         assert r["branch_a"] == "C"
         assert r["branch_b"] == "E"
         assert int(r["co_count"]) >= 1
+    # a window of one year
+    assert run(
+        ["pairs", "--corpus", synth_dir / "corpus.jsonl", "--mesh",
+         synth_dir / "mesh.tsv", "--window", "2001:2001", "--out", tmp_path / "one"]
+    ) == 0
+    rows = read_csv(tmp_path / "one" / "pairs.csv")
+    assert rows and {(r["year_lo"], r["year_hi"]) for r in rows} == {("2001", "2001")}
+
+
+# each command that reads a corpus, with options other than its defaults
+HANDLER_OPTIONS = {
+    "ingest": [],
+    "stats": ["--counting", "primary"],
+    "mi": ["--map", "median"],
+    "null": ["--replicates", "20", "--seed", "3", "--target", "T_CE"],
+    "scaling": ["--min-count", "1"],
+    "dynamics": ["--topk", "5", "--pair-branches", "C,D", "--window", "2001:2002"],
+    "pairs": ["--branches", "C,E", "--limit", "2"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(cli._COMMANDS))
+def test_handler_on_a_loaded_corpus_writes_the_command_bytes(synth_dir, tmp_path, command):
+    io = ["--corpus", str(synth_dir / "corpus.jsonl"), "--mesh", str(synth_dir / "mesh.tsv")]
+    argv = [command, *io, *HANDLER_OPTIONS[command]]
+    assert run([*argv, "--out", tmp_path / "command"]) == 0
+    expected = {path.name: path.read_bytes() for path in (tmp_path / "command").iterdir()
+                if path.name != "manifest.json"}
+    # the corpus parsed in this process, labelled as the command labels it
+    vocabulary = mesh_module.load_mesh_tsv(str(synth_dir / "mesh.tsv"))
+    corpus, report = corpus_module.ingest_jsonl(str(synth_dir / "corpus.jsonl"), vocabulary,
+                                                None, "corpus")
+    out = tmp_path / "handler"
+    out.mkdir()
+    args = cli.build_parser().parse_args([*argv, "--out", str(out)])
+    cli._COMMANDS[command](corpus, report, args, out, cli.RunManifest(command))
+    assert {path.name: path.read_bytes() for path in out.iterdir()} == expected
+
+
+def test_dynamics_makes_one_cache_call(synth_dir, tmp_path, monkeypatch):
+    # the cache module as the command imports it, recording each name read
+    names = []
+
+    class Recording:
+        def __getattr__(self, name):
+            names.append(name)
+            return getattr(cache, name)
+
+    monkeypatch.setattr(helixmi, "cache", Recording())
+    io = ["--corpus", synth_dir / "corpus.jsonl", "--mesh", synth_dir / "mesh.tsv"]
+    for expected in ("stored", "hit"):
+        names.clear()
+        assert run(["dynamics", *io, "--topk", "5", "--out", tmp_path / expected]) == 0
+        stages = json.loads((tmp_path / expected / "manifest.json").read_text())["stages"]
+        assert stages["cache"] == expected
+        assert names == ["load_or_parse"]
 
 
 def test_outputs_stable_across_fresh_processes(synth_dir, tmp_path):
