@@ -84,10 +84,14 @@ def joint_histograms(
     code = np.empty((b, n), dtype=np.intp) if code is None else code
     code[:] = np.arange(b)[:, None]
     if weights is None and math.prod(shape) <= 4 * n + 64:
+        # Horner's rule on the unshifted columns; the shift of every
+        # column is one constant, taken off once
+        shift = 0
         for column, low, k in zip(columns, lows, shape):
             code *= k
             code += column
-            code -= low
+            shift = shift * k + low
+        code -= shift
     else:
         shape = []
         for column, low in zip(columns, lows):
@@ -112,44 +116,66 @@ def _subsets(axes: Sequence[int]) -> list[tuple[int, ...]]:
 
 def _row_entropies(marginal: np.ndarray, totals: np.ndarray) -> np.ndarray:
     """Entropy, in bits, of each row of (B, K) ``marginal`` over its total."""
+    # only the columns some row has positive, and rows in order of support
+    # size, so that rows of one size form a slice
+    marginal = marginal[:, marginal.any(axis=0)]
     support = np.count_nonzero(marginal, axis=1)
-    # rows in order of support size, so that rows of one size form a slice,
-    # and only the columns some row has positive
     order = np.argsort(support, kind="stable")
     support = support[order]
-    marginal = marginal[:, marginal.any(axis=0)][order]
     # dividing by a row's total keeps the row's order, so sort the counts;
     # zeros sort first
-    ascending = np.sort(marginal, axis=1)[:, marginal.shape[1] - support[-1]:]
+    ascending = np.sort(marginal[order], axis=1)[:, marginal.shape[1] - support[-1]:]
     ascending = ascending / totals[order, None]
     # log2 runs on a reversed one-dimensional view: numpy's vector loop for
     # contiguous input can differ in the last bit
     descending = ascending.ravel()[::-1]
     with np.errstate(divide="ignore", invalid="ignore"):
-        terms = (descending * np.log2(descending)).reshape(ascending.shape)[::-1]
+        terms = np.log2(descending)
+        terms *= descending
+    terms = terms.reshape(ascending.shape)[::-1]
     # each row's positive terms lead in descending order; rows of one
     # support size are summed together, which keeps numpy's pairwise
     # summation order of a single row
-    h = np.empty(len(order))
+    sums = np.empty(len(order))
     edges = [0, *(np.flatnonzero(np.diff(support)) + 1), len(order)]
     for lo, hi in zip(edges[:-1], edges[1:]):
-        h[order[lo:hi]] = -terms[lo:hi, : support[lo]].sum(axis=1)
-    # + 0.0 turns a possible -0.0 (single-cell table) into plain 0.0
-    return h + 0.0
+        terms[lo:hi, :support[lo]].sum(axis=1, out=sums[lo:hi])
+    h = np.empty(len(order))
+    # subtracted from 0.0, not negated: a single-cell table's sum, 0.0,
+    # gives 0.0 and not -0.0
+    h[order] = 0.0 - sums
+    return h
 
 
 def stacked_subset_entropies(hists: np.ndarray) -> dict[tuple[int, ...], np.ndarray]:
     """Entropy, in bits, of the marginal on every non-empty axis subset of
     each of the B non-empty tables stacked along axis 0 of ``hists``."""
     b = len(hists)
-    totals = hists.reshape(b, -1).sum(axis=1)
     axes = tuple(range(hists.ndim - 1))
+    totals = hists.reshape(b, -1).sum(axis=1)
+    marginals = {axes: hists}
     out = {}
-    for subset in _subsets(axes):
-        other = tuple(a + 1 for a in axes if a not in subset)
-        marginal = hists.sum(axis=other) if other else hists
-        out[subset] = _row_entropies(marginal.reshape(b, -1), totals)
-    return out
+    for size in range(len(axes), 0, -1):
+        subsets = list(combinations(axes, size))
+        if size == len(axes):
+            rows = hists.reshape(b, -1)
+        else:
+            # each marginal is summed from one with an axis more, into its
+            # part of one zero-padded array: the marginals of one size go
+            # through one entropy pass
+            width = max(math.prod(hists.shape[a + 1] for a in s) for s in subsets)
+            padded = np.zeros((len(subsets), b, width), dtype=hists.dtype)
+            for part, subset in zip(padded, subsets):
+                extra = min(set(axes) - set(subset))
+                parent = tuple(sorted((*subset, extra)))
+                shape = [hists.shape[a + 1] for a in subset]
+                marginals[subset] = marginals[parent].sum(
+                    axis=1 + parent.index(extra), out=part[:, :math.prod(shape)].reshape(b, *shape)
+                )
+            rows = padded.reshape(-1, width)
+        h = _row_entropies(rows, np.tile(totals, len(subsets)))
+        out.update(zip(subsets, h.reshape(len(subsets), b)))
+    return {subset: out[subset] for subset in _subsets(axes)}
 
 
 def subset_entropies(hist: np.ndarray) -> dict[tuple[int, ...], float]:
@@ -368,19 +394,24 @@ def stacked_targets(
     :func:`mi_from_triples` gives for that block alone, or NaN where it
     has no vector left to evaluate.  ``code`` is the (B, n) scratch array
     :func:`joint_histograms` takes."""
-    b, n, _ = vectors.shape
-    hists = joint_histograms(vectors, code=code)
-    kept = np.full(b, n)
-    if not include_empty:
+    empty = None if include_empty else np.count_nonzero(~vectors.any(axis=2), axis=1)
+    return table_targets(joint_histograms(vectors, code=code), empty)
+
+
+def table_targets(hists: np.ndarray, empty: np.ndarray | None = None) -> np.ndarray:
+    """The :data:`TARGETS` of B stacked (B, k_C, k_D, k_E) tables of
+    non-negative count vectors from :func:`joint_histograms`, as a (4, B)
+    array, NaN for a table that counts nothing.  ``empty`` gives each
+    table's number of all-zero vectors, which are taken out first."""
+    b = len(hists)
+    if empty is not None:
         # zero is the smallest count on every axis, so a block's all-zero
         # vectors, if it has any, are exactly its cell (0, 0, 0)
-        empty = np.count_nonzero(~vectors.any(axis=2), axis=1)
         hists[:, 0, 0, 0] -= empty
-        kept -= empty
     out = np.full((len(TARGETS), b), np.nan)
-    valid = kept > 0
+    valid = hists.reshape(b, -1).any(axis=1)
     if valid.any():
-        h = stacked_subset_entropies(hists[valid])
+        h = stacked_subset_entropies(hists if valid.all() else hists[valid])
         for i, pair in enumerate(combinations((0, 1, 2), 2)):
             out[i, valid] = np.maximum(_information(h, pair), 0.0)
         out[3, valid] = _information(h, (0, 1, 2))

@@ -22,9 +22,10 @@ the ranges are joined in replicate order, so the values do not depend on
 the number of processes.  Only a single-threaded process on Linux forks;
 each worker is killed with it.  Within a range every
 generator shuffles the years in ascending order.  Each year's label pool
-is built once; the shuffles of one year are dealt together, in blocks of
-replicates, by one ``np.add.at`` and evaluated by one stacked histogram
-and one entropy pass.
+is built once.  Each replicate shuffles a copy of it in one reused row
+and deals the row into its own row of a block's counts; a block of
+replicates, as many as :data:`BLOCK_BYTES` pays for, is evaluated by one
+stacked histogram and one entropy pass.
 """
 
 from __future__ import annotations
@@ -43,13 +44,12 @@ import numpy as np
 from .corpus import Corpus
 from .counts import BranchStats, apply_count_map, pooled_branch_stats, triples_by_year
 from .errors import DataError
-from .infotheory import TARGETS, mi_from_triples, stacked_targets
+from .infotheory import TARGETS, joint_histograms, mi_from_triples, table_targets
 
-# A block of one year's replicates holds at most this many labels (or
-# publications, if the year has more), which bounds its label and count
-# buffers.  Blocks of 1 << 19 ran no faster, and with the label buffer
-# they raised the null command's peak RSS by about 5 MB.
-BLOCK_LABELS = 1 << 18
+# A block of one year's replicates holds about this many bytes (see
+# _replicate_bytes).  With 1 << 20 the null ran up to a fifth slower, and
+# with 1 << 22 its peak RSS rose by 2.5-3.7 MB.
+BLOCK_BYTES = 1 << 21
 
 # Each process shuffles at least this many labels (replicates times the
 # labels of all years).  On 2 cores, splitting runs of 0.2-0.6M labels in
@@ -112,34 +112,38 @@ def replicate_rng(seed: int, replicate: int) -> np.random.Generator:
 
 
 def _label_pool(triples: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """One year's branch labels in branch order, and the first cell (3 x
-    row) of the publication each position of the pool is dealt to."""
+    """One year's branch labels in branch order, each as the first count
+    cell of its branch (branch x n), and the publication each position of
+    the pool is dealt to."""
     # column by column: numpy's sums along an axis of length 3 are slow
     c, d, e = triples.T
-    pool = np.repeat(np.arange(3), [c.sum(), d.sum(), e.sum()])
-    cells = np.repeat(np.arange(0, 3 * len(triples), 3), c + d + e)
-    return pool, cells
+    pool = np.repeat(np.arange(3) * len(triples), [c.sum(), d.sum(), e.sum()])
+    pubs = np.repeat(np.arange(len(triples)), c + d + e)
+    return pool, pubs
 
 
-def _deal(labels: np.ndarray, cells: np.ndarray, counts: np.ndarray) -> None:
-    """Deal B shuffled pools, the rows of ``labels``, in runs to the
-    publications: ``counts`` (B, n, 3) receives each pool's branch counts.
-    ``labels`` is overwritten with the cell codes."""
-    labels += cells
-    labels += counts[0].size * np.arange(len(labels))[:, None]
-    counts.fill(0)
-    # counted in place: a bincount would allocate its result anew for every
-    # block (see the buffers in replicate_slice)
-    np.add.at(counts.reshape(-1), labels.reshape(-1), 1)
+def _shuffle(pool: np.ndarray, rng: np.random.Generator, row: np.ndarray) -> None:
+    """Shuffle a copy of ``pool`` into ``row``.  The row is int64, which
+    numpy shuffles fastest, and the permutation depends only on its length."""
+    row[:] = pool
+    rng.shuffle(row)
+
+
+def _deal(row: np.ndarray, pubs: np.ndarray, counts: np.ndarray) -> None:
+    """Deal the shuffled pool ``row`` in runs to the publications:
+    ``counts`` (3, n) receives the branch counts.  ``row`` is overwritten
+    with the count cells."""
+    row += pubs
+    counts[:] = np.bincount(row, minlength=counts.size).reshape(counts.shape)
 
 
 def shuffle_year(triples: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     """Randomize one year's (n, 3) branch counts under both constraints."""
-    pool, cells = _label_pool(triples)
+    pool, pubs = _label_pool(triples)
     rng.shuffle(pool)
-    counts = np.empty((1, *triples.shape), dtype=triples.dtype)
-    _deal(pool[None], cells, counts)
-    return counts[0]
+    counts = np.empty((3, len(triples)), dtype=np.int64)
+    _deal(pool, pubs, counts)
+    return np.ascontiguousarray(counts.T, dtype=triples.dtype)
 
 
 def percentile(sorted_values, p: float) -> float:
@@ -266,52 +270,82 @@ def replicate_slice(
     stop: int,
 ) -> np.ndarray:
     """Replicates [start, stop) of :func:`replicate_values`, as a
-    (4, stop - start, len(years)) array, all in this process."""
+    (4, stop - start, len(years)) array, all in this process.
+
+    Each replicate's pool is shuffled in one reused row and dealt into its
+    row of a block's counts; a block holds as many replicates as
+    :data:`BLOCK_BYTES` pays for (:func:`_replicate_bytes`)."""
     rngs = [replicate_rng(config.seed, r) for r in range(start, stop)]
     column = {year: i for i, year in enumerate(years)}
     values = np.full((len(TARGETS), len(rngs), len(years)), np.nan)
-    sizes = {year: int(triples.sum()) for year, triples in triples_per_year.items()}
-    steps = {
-        year: max(1, min(len(rngs), BLOCK_LABELS // max(sizes[year], len(triples), 1)))
-        for year, triples in triples_per_year.items()
-    }
-    # Every block's labels, counts and histogram cell codes are views of
-    # three buffers, sized for the largest block.  Blocks of varying sizes,
-    # freed and allocated again year after year, leave the allocator keeping
-    # heap in a pattern that depends on the process's memory layout, and
-    # peak RSS then differs from run to run.
-    label_buffer = np.empty(max((steps[y] * sizes[y] for y in sizes), default=0),
-                            dtype=np.int64)
-    count_buffer = np.empty(
-        max((steps[y] * t.size for y, t in triples_per_year.items()), default=0),
-        dtype=np.int64,
-    )
-    code_buffer = np.empty(
-        max((steps[y] * len(t) for y, t in triples_per_year.items()), default=0),
-        dtype=np.intp,
-    )
+    # Every block's counts and cell codes are views of one buffer, which
+    # grows to the largest block.  Blocks of varying sizes, freed and
+    # allocated again year after year, leave the allocator keeping heap in a
+    # pattern that depends on the process's memory layout, and peak RSS then
+    # differs from run to run.
+    buffer = np.empty(0, dtype=np.intp)
     for year in sorted(triples_per_year):
         triples = triples_per_year[year]
-        pool, cells = _label_pool(triples)
-        step = steps[year]
-        for lo in range(0, len(rngs), step):
+        n = len(triples)
+        pool, pubs = _label_pool(triples)
+        row = np.empty_like(pool)
+        if year not in column:
+            # every year is shuffled, evaluated or not, to keep each stream
+            for rng in rngs:
+                _shuffle(pool, rng, row)
+            continue
+        # a table spans at most 4n + 64 cells unless it is compacted; after
+        # the first block, the block before gives its cells
+        table = 4 * n + 64
+        lo = 0
+        while lo < len(rngs):
+            step = max(1, BLOCK_BYTES // _replicate_bytes(n, table, config.map_kind))
             batch = rngs[lo:lo + step]
-            labels = label_buffer[:len(batch) * pool.size].reshape(len(batch), pool.size)
-            labels[:] = pool
-            # every year is shuffled, evaluated or not, to keep each stream;
-            # a permutation depends only on the pool's length
-            for row, rng in zip(labels, batch):
-                rng.shuffle(row)
-            if year in column:
-                counts = count_buffer[:len(batch) * triples.size].reshape(
-                    len(batch), *triples.shape)
-                _deal(labels, cells, counts)
-                vectors = apply_count_map(counts.reshape(-1, 3), config.map_kind, medians)
-                code = code_buffer[:len(batch) * len(triples)].reshape(len(batch), len(triples))
-                values[:, lo:lo + len(batch), column[year]] = stacked_targets(
-                    vectors.reshape(counts.shape), config.include_empty, code
-                )
+            if buffer.size < 4 * len(batch) * n:
+                buffer = None  # the old buffer goes before the new one comes
+                buffer = np.empty(4 * len(batch) * n, dtype=np.intp)
+            targets, table = _block_targets(pool, pubs, n, batch, row, buffer, config, medians)
+            values[:, lo:lo + len(batch), column[year]] = targets
+            lo += len(batch)
     return values
+
+
+def _block_targets(
+    pool: np.ndarray,
+    pubs: np.ndarray,
+    n: int,
+    batch: list[np.random.Generator],
+    row: np.ndarray,
+    buffer: np.ndarray,
+    config: ShuffleConfig,
+    medians: BranchStats | None,
+) -> tuple[np.ndarray, int]:
+    """The (4, B) targets of one block of a year of ``n`` publications, and
+    the cells of each of its tables.  Each of the B generators of ``batch``
+    shuffles the ``pool`` in ``row`` and deals it into its own row of the
+    counts; the counts and the cell codes are views of ``buffer``."""
+    size = len(batch) * n
+    counts = buffer[:3 * size].reshape(len(batch), 3, n)
+    for rng, replicate in zip(batch, counts):
+        _shuffle(pool, rng, row)
+        _deal(row, pubs, replicate)
+    # (B, n, 3) views of the (B, 3, n) counts: each branch's column is
+    # contiguous
+    vectors = apply_count_map(counts.transpose(0, 2, 1), config.map_kind, medians)
+    hists = joint_histograms(vectors, code=buffer[3 * size:4 * size].reshape(len(batch), n))
+    empty = None
+    if not config.include_empty:
+        empty = np.count_nonzero(~vectors.any(axis=2), axis=1)
+    return table_targets(hists, empty), hists[0].size
+
+
+def _replicate_bytes(n: int, table: int, map_kind: str) -> int:
+    """Bytes one replicate of a year of ``n`` publications holds in a block
+    whose tables have ``table`` cells: its counts, the vectors a count map
+    other than the full one makes of them, its cell codes, and its table
+    twice, as the entropy pass holds at most about one copy of it."""
+    vectors = 0 if map_kind == "full" else 3 * n
+    return 8 * (3 * n + vectors + n + 2 * table)
 
 
 def null_band_from_triples(

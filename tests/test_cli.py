@@ -177,6 +177,18 @@ def test_uncreatable_out_is_reported(synth_dir, tmp_path, capsys, cache_home):
     assert not (cache_home / "helixmi").exists()
 
 
+def test_a_data_error_removes_only_an_out_it_made(tmp_path, capsys):
+    io = ["--corpus", tmp_path / "missing.jsonl", "--mesh", tmp_path / "missing.tsv"]
+    made = tmp_path / "out"
+    assert run(["mi", *io, "--out", made]) == 2
+    assert "helixmi mi: error: " in capsys.readouterr().err
+    assert not made.exists()
+    existing = tmp_path / "existing"
+    existing.mkdir()
+    assert run(["mi", *io, "--out", existing]) == 2
+    assert existing.is_dir()
+
+
 def test_synth_outputs(synth_dir):
     assert (synth_dir / "corpus.jsonl").exists()
     assert (synth_dir / "mesh.tsv").exists()
@@ -341,7 +353,8 @@ def test_null_command_and_thread_invariance(synth_dir, tmp_path, monkeypatch):
         assert set(stages) == {"vocabulary_s", "ingest_s", "null_s", "null_workers",
                                "command_s", "peak_rss_mb", "cache", "ingest_template_lines",
                                "ingest_json_lines", "load_peak_rss_mb", "digests",
-                               "digest_s"}
+                               "digest_s", "null_peak_rss_mb"}
+        assert stages["load_peak_rss_mb"] <= stages["null_peak_rss_mb"] <= stages["peak_rss_mb"]
         assert stages["null_workers"] == (cores if sys.platform == "linux" else 1)
         assert 0 < stages["null_s"] < stages["command_s"]
     assert all(o == outputs[0] for o in outputs)

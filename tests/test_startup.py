@@ -5,6 +5,7 @@ with one OpenBLAS thread unless the user chose a count."""
 import importlib
 import json
 import os
+import platform
 import subprocess
 import sys
 
@@ -39,6 +40,29 @@ os.register_at_fork(before=lambda: FORKS.append(_threads()))
 # how ``python -m helixmi.cli`` runs the module, and the console script
 AS_MODULE = "import runpy; runpy.run_module('helixmi.cli', run_name='__main__', alter_sys=True)"
 AS_SCRIPT = "from helixmi.cli import entry; entry()"
+
+
+# prints at exit whether a 1 MB block gets pages of its own after a freed
+# 4 MB one, which raises glibc's mmap threshold above 1 MB unless it is fixed
+MAPPED = """
+import atexit, ctypes
+def _mapped():
+    class Info(ctypes.Structure):
+        _fields_ = [(name, ctypes.c_size_t) for name in (
+            "arena", "ordblks", "smblks", "hblks", "hblkhd", "usmblks", "fsmblks",
+            "uordblks", "fordblks", "keepcost")]
+    libc = ctypes.CDLL(None)
+    libc.mallinfo2.restype = Info
+    libc.malloc.restype = ctypes.c_void_p
+    libc.malloc.argtypes = [ctypes.c_size_t]
+    libc.free.argtypes = [ctypes.c_void_p]
+    libc.free(libc.malloc(4 << 20))
+    before = libc.mallinfo2().hblks
+    block = libc.malloc(1 << 20)
+    print(libc.mallinfo2().hblks - before)
+    libc.free(block)
+atexit.register(_mapped)
+"""
 
 
 def probe(code, args, **env):
@@ -117,6 +141,17 @@ def test_one_blas_thread_unless_the_user_sets_a_count(synth_dir, tmp_path, code)
         expected = dict.fromkeys(BLAS_VARIABLES)
         expected[name] = "2"
         assert report["env"] == expected, name
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc's mmap threshold")
+@pytest.mark.parametrize("code", [AS_MODULE, AS_SCRIPT, ""], ids=["module", "script", "library"])
+def test_the_cli_fixes_the_mmap_threshold(code):
+    proc = subprocess.run([sys.executable, "-c", MAPPED + code, "--version"],
+                          env=dict(os.environ, PYTHONPATH=SRC), capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    # a library caller's process is left as it is
+    assert proc.stdout.splitlines()[-1] == ("1" if code else "0")
 
 
 @pytest.mark.skipif(sys.platform != "linux", reason="workers are forked on Linux only")
