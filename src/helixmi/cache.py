@@ -327,12 +327,25 @@ def _write(name: str, write) -> bool:
     return True
 
 
+def _savez(fh, arrays: dict) -> None:
+    """``np.savez(fh, **arrays)``, each array written from its own buffer:
+    numpy's writer first copies an array of up to 16 MB into one bytes
+    object, which set the peak of a cold 62k-publication ``ingest``."""
+    with zipfile.ZipFile(fh, "w", allowZip64=True) as archive:
+        for name, array in arrays.items():
+            array = np.ascontiguousarray(array)
+            with archive.open(f"{name}.npy", "w", force_zip64=True) as member:
+                header = np.lib.format.header_data_from_array_1_0(array)
+                np.lib.format.write_array_header_1_0(member, header)
+                member.write(array.data)
+
+
 def store(key: str, corpus: Corpus, report: IngestReport) -> bool:
     """Write the entry ``key`` through a temporary file and a rename, then
     keep the ``CAPACITY`` entries used last; False when nothing could be
     written."""
     arrays = _arrays(corpus, report)
-    if not _write(f"{key}.npz", lambda fh: np.savez(fh, **arrays)):
+    if not _write(f"{key}.npz", lambda fh: _savez(fh, arrays)):
         return False
     _evict(cache_dir())
     return True

@@ -21,7 +21,7 @@ import time
 from dataclasses import asdict, dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Iterable
 
 from . import __version__
 from .errors import DataError
@@ -60,7 +60,7 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
+def _write_csv(path: Path, header: list[str], rows: Iterable) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
@@ -82,7 +82,8 @@ class RunManifest:
     config: dict = field(default_factory=dict)
     diagnostics: dict = field(default_factory=dict)
     # wall seconds of the vocabulary load, the ingest and the whole command,
-    # the process's peak resident set size, whether the inputs' digests came
+    # the process's peak resident set size (and, for a run that parses, its
+    # peak once the vocabulary is loaded), whether the inputs' digests came
     # from the digest index and how long finding them took, whether the
     # parsed inputs came from the cache and, for a JSONL corpus, how many
     # lines took each of its parser's paths; for ``synth``, the seconds and
@@ -186,6 +187,7 @@ def _load_inputs(args, manifest: RunManifest) -> tuple[Corpus, IngestReport]:
         start = time.perf_counter()
         vocabulary = _detect_and_load_mesh(args.mesh)
         stages["vocabulary_s"] = time.perf_counter() - start
+        stages["vocabulary_peak_rss_mb"] = _peak_rss_mb()
         start = time.perf_counter()
         ingest = ingest_jsonl if _is_jsonl(args.corpus) else ingest_medline_text
         parsed = ingest(args.corpus, vocabulary, args.years, label)
@@ -348,26 +350,30 @@ def _cmd_null(corpus, report, args, out_dir: Path, manifest: RunManifest) -> Non
 
 
 def _cmd_scaling(corpus, report, args, out_dir: Path, manifest: RunManifest) -> None:
-    from .corpus import yearly_sizes
-    from .scaling import heaps_fit, rank_table, zipf_fit
+    import numpy as np
 
-    table = rank_table(corpus, "all")
-    zipf = zipf_fit(table, min_count=args.min_count)
-    sizes = yearly_sizes(corpus)
-    heaps = heaps_fit([(r.total_descriptors, r.distinct_descriptors) for r in sizes])
+    from .corpus import year_volumes
+    from .scaling import heaps_fit, ranked_counts, zipf_fit_points
+
+    columns, counts = ranked_counts(corpus, "all")
+    ranks = np.arange(1, len(columns) + 1)
+    zipf = zipf_fit_points(ranks.astype(float), counts.astype(float), args.min_count)
+    volumes, vocabularies = year_volumes(corpus)
+    heaps = heaps_fit(zip(volumes.tolist(), vocabularies.tolist()))
     _write_json(
         out_dir / "scaling.json",
         {"zipf": asdict(zipf), "heaps": asdict(heaps)},
     )
+    ids = corpus.vocabulary.column_ids
     _write_csv(
         out_dir / "zipf_points.csv",
         ["rank", "descriptor", "count"],
-        [[e.rank, e.descriptor_id, e.count] for e in table.entries],
+        zip(ranks.tolist(), map(ids.__getitem__, columns.tolist()), counts.tolist()),
     )
     _write_csv(
         out_dir / "heaps_points.csv",
         ["year", "M_q", "V_q"],
-        [[r.year, r.total_descriptors, r.distinct_descriptors] for r in sizes],
+        zip(corpus.years(), volumes.tolist(), vocabularies.tolist()),
     )
 
 
@@ -379,7 +385,7 @@ def _cmd_dynamics(corpus, report, args, out_dir: Path, manifest: RunManifest) ->
     vocabulary = corpus.vocabulary
     rows = []
     for i, uid in enumerate(matrix.descriptor_ids):
-        branch = vocabulary.primary_branches[vocabulary.column_of[uid]]
+        branch = vocabulary.primary_branches[vocabulary.column(uid)]
         rows.append([uid, branch] + [int(c) for c in matrix.cells[i]])
     _write_csv(out_dir / "trajectories.csv", header, rows)
 
@@ -409,8 +415,8 @@ def _write_pairs(corpus: Corpus, branches: tuple[str, str], args, out_dir: Path)
     vocabulary = corpus.vocabulary
     rows = []
     for p in pairs:
-        name_a = vocabulary.names[vocabulary.column_of[p.descriptor_a]]
-        name_b = vocabulary.names[vocabulary.column_of[p.descriptor_b]]
+        name_a = vocabulary.names[vocabulary.column(p.descriptor_a)]
+        name_b = vocabulary.names[vocabulary.column(p.descriptor_b)]
         rows.append(
             [branch_a, p.descriptor_a, name_a, branch_b, p.descriptor_b, name_b,
              p.co_count, p.window[0], p.window[1]]

@@ -16,24 +16,25 @@ writer gives, are parsed with array operations; every other line goes to
 ``json.loads``, and the first line in file order that is not UTF-8, not
 JSON or not a record is reported by its number.  MEDLINE lines are
 classified from their first bytes with array operations.  The sink
-resolves every distinct term once and appends the kept records to flat
-arrays: ids, years and the descriptor columns of each.  The corpus is
-those arrays, sorted once when they are not in order, with its ids
-packed into one UTF-8 column; ``Publication`` objects are built only
-when asked for.
+resolves every distinct term once, packs each block's ids into one
+growing UTF-8 column with an offset per id, and appends the years and
+descriptor columns of the records that pass the year and mesh rules to
+flat arrays; no string per record outlives its block.  The duplicate
+rule and the (year, id) order are then found from the ranks of the
+packed ids (``string_ranks``), and the corpus is those arrays, gathered
+only when rows go or move.  ``Publication`` objects are built only when
+asked for.
 """
 
 from __future__ import annotations
 
 import codecs
 import json
-import operator
 import re
 from array import array
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import compress
 from typing import Iterator, NamedTuple
 
 import numpy as np
@@ -134,18 +135,25 @@ def _row_runs(starts: np.ndarray, lengths: np.ndarray, offsets: np.ndarray) -> n
 # smaller chunks made the pairs pass slower, larger ones the others bigger.
 CHUNK_ENTRIES = 1 << 17
 
+# The canonical writer's chunks are smaller: its temporaries are Python
+# objects, a reference per entry and a line per row.  A 62k-publication
+# ``ingest`` held 5.3 MB more than its load while writing with chunks of
+# 2^17 entries, and 0.8 MB with chunks of 2^15, which wrote as fast.
+LINE_CHUNK_ENTRIES = 1 << 15
+
 
 def row_chunks(
-    indptr: np.ndarray, first: int = 0, stop: int | None = None
+    indptr: np.ndarray, first: int = 0, stop: int | None = None, entries: int | None = None
 ) -> Iterator[tuple[int, int]]:
     """Consecutive ``(lo, hi)`` row ranges that tile rows ``first`` to
-    ``stop`` of a CSR ``indptr``: each holds at most ``CHUNK_ENTRIES``
-    entries, or is one row that alone holds more."""
+    ``stop`` of a CSR ``indptr``: each holds at most ``entries`` entries
+    (``CHUNK_ENTRIES`` when None), or is one row that alone holds more."""
     stop = len(indptr) - 1 if stop is None else stop
+    entries = CHUNK_ENTRIES if entries is None else entries
     lo = first
     while lo < stop:
-        # the last row boundary within CHUNK_ENTRIES entries of row lo's start
-        hi = int(np.searchsorted(indptr, indptr[lo] + CHUNK_ENTRIES, side="right")) - 1
+        # the last row boundary within that many entries of row lo's start
+        hi = int(np.searchsorted(indptr, indptr[lo] + entries, side="right")) - 1
         hi = min(max(hi, lo + 1), stop)
         yield lo, hi
         lo = hi
@@ -168,8 +176,9 @@ class PackedStrings(NamedTuple):
     data: np.ndarray  # uint8
 
 
-def pack_strings(strings) -> PackedStrings:
-    """A sequence of strings as one packed column."""
+def _encoded(strings) -> tuple[bytes, np.ndarray]:
+    """The UTF-8 bytes of a sequence of strings, lone surrogates passed
+    through, and the int64 byte length of each string."""
     text = "".join(strings)
     data = text.encode("utf-8", "surrogatepass")
     if len(data) == len(text):
@@ -177,9 +186,14 @@ def pack_strings(strings) -> PackedStrings:
         lengths = map(len, strings)
     else:
         lengths = (len(s.encode("utf-8", "surrogatepass")) for s in strings)
+    return data, np.fromiter(lengths, dtype=np.int64, count=len(strings))
+
+
+def pack_strings(strings) -> PackedStrings:
+    """A sequence of strings as one packed column."""
+    data, lengths = _encoded(strings)
     offsets = np.zeros(len(strings) + 1, dtype=np.int64)
-    offsets[1:] = np.fromiter(lengths, dtype=np.int64, count=len(strings))
-    np.cumsum(offsets, out=offsets)
+    np.cumsum(lengths, out=offsets[1:])
     return PackedStrings(offsets, np.frombuffer(data, dtype=np.uint8))
 
 
@@ -196,6 +210,96 @@ def unpack_strings(packed: PackedStrings, lo: int = 0, hi: int | None = None) ->
     return [raw[a:b].decode("utf-8", "surrogatepass") for a, b in zip(bounds, bounds[1:])]
 
 
+# the high i bytes of a uint64, for i = 0..8
+_HIGH_BYTES = np.array([~((1 << 8 * (8 - i)) - 1) & (2**64 - 1) for i in range(9)],
+                       dtype=np.uint64)
+
+
+def _chunk_words(data: np.ndarray, starts: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """The ``sizes[i]`` (at most eight) bytes from ``data[starts[i]]`` as a
+    big-endian uint64, zero-padded: the eight bytes from each start are
+    read, or the last eight of ``data``, shifted, for a start within them."""
+    if len(data) < 8:
+        data = np.concatenate((data, np.zeros(8, dtype=np.uint8)))
+    last = len(data) - 8
+    windows = np.ndarray((last + 1,), dtype="<u8", buffer=data, strides=(1,))
+    read = np.minimum(starts, last)
+    words = windows[read]
+    words.byteswap(inplace=True)
+    read -= starts
+    if read.any():
+        words <<= (-8 * read).astype(np.uint64)
+    del read
+    words &= _HIGH_BYTES[sizes]
+    return words
+
+
+def string_ranks(packed: PackedStrings) -> np.ndarray:
+    """The rank of each string of a packed column: how many of its strings
+    are smaller, in code point order, so that equal strings share a rank.
+
+    UTF-8 bytes, lone surrogates included, compare as their code points
+    do, so the strings are sorted by their bytes, eight at a time: a chunk
+    of up to eight bytes is its big-endian word, zero-padded, then its
+    length.  All first chunks are sorted at once; after that only strings
+    that tie with another so far and hold a full chunk read their next
+    one, all of them at once, each sorted within its ties.
+    """
+    offsets, data = packed
+    ranks = None  # set by the first chunks
+    todo = None  # every string
+    pos = 0
+    while todo is None or len(todo) > 1:
+        if todo is None:
+            starts, lengths = offsets[:-1], np.diff(offsets)
+        else:
+            starts = offsets[todo] + pos
+            lengths = offsets[todo + 1] - starts
+        sizes = np.minimum(lengths, 8, out=lengths).astype(np.uint8)
+        del lengths
+        words = _chunk_words(data, starts, sizes)
+        del starts
+        # each string's rank so far, which the strings it ties with share
+        tied = None if todo is None else ranks[todo]
+        if tied is None:
+            order = np.lexsort((sizes, words))
+            todo = order
+            words.sort()  # as the order has them, without a gather
+        else:
+            order = np.lexsort((sizes, words, tied))
+            todo, words, tied = todo[order], words[order], tied[order]
+        sizes = sizes[order]
+        del order
+        runs = _firsts(words)
+        runs[1:] |= sizes[1:] != sizes[:-1]
+        del words
+        # a run of strings that tie on this chunk as well ranks after the
+        # strings before it in its group: from the group's rank, plus the
+        # run's start less the group's
+        run_ranks = np.arange(len(todo))
+        if tied is not None:
+            groups = _firsts(tied)
+            runs |= groups
+            group_starts = np.where(groups, run_ranks, 0)
+            tied -= np.maximum.accumulate(group_starts, out=group_starts)
+            del groups, group_starts
+        run_ranks[~runs] = 0
+        np.maximum.accumulate(run_ranks, out=run_ranks)
+        if tied is not None:
+            run_ranks += tied
+            del tied
+        if ranks is None:
+            ranks = np.empty_like(run_ranks)
+        ranks[todo] = run_ranks
+        del run_ranks
+        # the strings of a run that hold a full chunk may differ later on
+        alone = runs.copy()
+        alone[:-1] &= runs[1:]
+        todo = todo[~alone & (sizes == 8)]
+        pos += 8
+    return ranks
+
+
 def _year_cuts(years: np.ndarray) -> list[int]:
     """0, each row whose year differs from the row before's, and the row
     count: the bounds of the runs of equal years.  The years are compared,
@@ -203,14 +307,12 @@ def _year_cuts(years: np.ndarray) -> list[int]:
     return [0, *(np.flatnonzero(years[1:] != years[:-1]) + 1).tolist(), len(years)]
 
 
-def _in_order(pub_ids, years: np.ndarray) -> bool:
-    """Whether rows are in (year, id) order: years never fall, nor ids
-    within a year."""
-    if (years[1:] < years[:-1]).any():
-        return False
-    cuts = _year_cuts(years)
-    return all(all(map(operator.le, pub_ids[a:b - 1], pub_ids[a + 1:b]))
-               for a, b in zip(cuts, cuts[1:]))
+def _row_order(ranks: np.ndarray, years: np.ndarray) -> np.ndarray | None:
+    """The (year, id) order of rows whose ids have ``ranks``, rows with
+    equal keys in their own order; None when the rows are in it already."""
+    later = years[1:] > years[:-1]
+    later |= (years[1:] == years[:-1]) & (ranks[1:] >= ranks[:-1])
+    return None if later.all() else np.lexsort((ranks, years))
 
 
 @dataclass(eq=False)
@@ -257,21 +359,18 @@ class Corpus:
         """Rows given as flat arrays, sorted by (year, id) unless they are
         in that order already, with their ids packed; rows with equal keys
         keep their order."""
+        ids = pack_strings(pub_ids)
         years = np.asarray(pub_years, dtype=np.int64)
         indptr = np.asarray(indptr, dtype=np.int64)
         indices = np.asarray(indices, dtype=np.int32)
         # rows already in order (the canonical JSONL that ``ingest`` writes)
         # keep their arrays, as the gather holds one more index per entry
-        if not _in_order(pub_ids, years):
-            n = len(pub_ids)
-            id_rank = np.empty(n, dtype=np.int64)
-            id_rank[sorted(range(n), key=pub_ids.__getitem__)] = np.arange(n)
-            order = np.lexsort((id_rank, years))
-            pub_ids = [pub_ids[i] for i in order.tolist()]
+        order = _row_order(string_ranks(ids), years)
+        if order is not None:
+            ids = PackedStrings(*_take_rows(*ids, order))
             years = years[order]
             indptr, indices = _take_rows(indptr, indices, order)
-        return cls.from_sorted_arrays(query_label, vocabulary, pack_strings(pub_ids), years,
-                                      indptr, indices)
+        return cls.from_sorted_arrays(query_label, vocabulary, ids, years, indptr, indices)
 
     @classmethod
     def from_sorted_arrays(
@@ -325,17 +424,25 @@ class Corpus:
     def year_counts(self) -> np.ndarray:
         """(years x descriptors) publication counts, rows in ``years()`` order.
 
-        Each year's row is summed from ``np.bincount`` of its entries, a
-        chunk of rows at a time, so beyond the result this holds one
-        chunk's counts."""
-        indptr, indices = self.incidence
-        width = len(self.vocabulary.column_ids)
-        counts = np.zeros((len(self.by_year), width), dtype=np.int64)
+        Each year's row is ``column_counts`` of its rows, so beyond the
+        result this holds one chunk's counts."""
+        counts = np.zeros((len(self.by_year), len(self.vocabulary.column_ids)), dtype=np.int64)
         for row, year in zip(counts, self.years()):
-            rows = self.by_year[year]
-            for lo, hi in row_chunks(indptr, rows.start, rows.stop):
-                row += np.bincount(indices[indptr[lo]:indptr[hi]], minlength=width)
+            row[:] = column_counts(self, self.by_year[year])
         return counts
+
+
+def column_counts(corpus: Corpus, rows: range | None = None) -> np.ndarray:
+    """Publications per descriptor column over a range of rows (all of
+    them when None), summed from ``np.bincount`` of the entries a chunk of
+    rows at a time."""
+    indptr, indices = corpus.incidence
+    rows = range(len(corpus)) if rows is None else rows
+    width = len(corpus.vocabulary.column_ids)
+    counts = np.zeros(width, dtype=np.int64)
+    for lo, hi in row_chunks(indptr, rows.start, rows.stop):
+        counts += np.bincount(indices[indptr[lo]:indptr[hi]], minlength=width)
+    return counts
 
 
 class _TermColumns(dict):
@@ -354,7 +461,7 @@ class _TermColumns(dict):
             code = -1 - len(self.unresolved)
             self.unresolved.append(term)
         else:
-            code = self.vocabulary.column_of[uid]
+            code = self.vocabulary.column(uid)
         self[term] = code
         return code
 
@@ -375,10 +482,12 @@ class _RecordSink:
 
     Each block's year and mesh rules are array operations, and one sort
     deduplicates and orders the columns of every row that passes them.
-    The duplicate rule runs once, over the ids of all records in order,
-    when the corpus is built; a row it turns away is dropped then.  Only
-    strings and ints outlive a block, so the kept rows add no objects for
-    the garbage collector to walk.
+    Every record's id is packed into one growing UTF-8 column as its block
+    comes in.  The duplicate rule runs once, over the ranks of all those
+    ids (``string_ranks``), when the corpus is built; a row it turns away
+    is dropped then, and the same ranks give the rows' (year, id) order.
+    Only bytes and ints outlive a block, so the kept records hold no
+    objects.
     """
 
     def __init__(
@@ -388,8 +497,10 @@ class _RecordSink:
         self.year_range = year_range
         self.report = report
         self.columns = columns
-        # every record's id and verdict; years and columns of the admissible
-        self.ids: list[str] = []
+        # every record's id, packed, and verdict; years and columns of the
+        # admissible
+        self.id_offsets = array("q", [0])
+        self.id_data = bytearray()
         self.verdicts = array("b")
         self.years = array("q")
         self.indptr = array("q", [0])
@@ -416,7 +527,9 @@ class _RecordSink:
         keys = (np.cumsum(kept) - 1)[rows[entries]] * width + codes[entries]
         keys.sort()
         keys = keys[_firsts(keys)]
-        self.ids += ids
+        data, sizes = _encoded(ids)
+        self.id_offsets.frombytes((np.cumsum(sizes) + len(self.id_data)).tobytes())
+        self.id_data += data
         self.verdicts.frombytes(verdicts.tobytes())
         self.years.frombytes(years[kept].tobytes())
         ends = np.cumsum(np.bincount(keys // width, minlength=int(kept.sum())))
@@ -424,42 +537,55 @@ class _RecordSink:
         self.indices.frombytes((keys % width).astype(np.int32).tobytes())
 
     def corpus(self, query_label: str) -> Corpus:
+        # the arrays view the buffers they were appended to
+        verdicts = np.frombuffer(self.verdicts, dtype=np.int8)
+        ids = PackedStrings(np.frombuffer(self.id_offsets, dtype=np.int64),
+                            np.frombuffer(self.id_data, dtype=np.uint8))
+        years = np.frombuffer(self.years, dtype=np.int64)
+        indptr = np.frombuffer(self.indptr, dtype=np.int64)
+        indices = np.frombuffer(self.indices, dtype=np.int32)
         report = self.report
-        seen = set(self.ids)
-        dropped: list[int] = []
-        if len(seen) == len(self.ids):
-            # no id repeats, so no record is a duplicate
-            verdicts = np.frombuffer(self.verdicts, dtype=np.int8)
-            report.excluded_year += int(np.count_nonzero(verdicts == _OUT_OF_WINDOW))
-            report.excluded_no_mesh += int(np.count_nonzero(verdicts == _NO_MESH))
-            admitted = list(compress(self.ids, (verdicts == _ADMISSIBLE).tolist()))
-        else:
-            seen.clear()
-            admitted = []
-            row = 0
-            for pub_id, verdict in zip(self.ids, self.verdicts):
-                if pub_id in seen:
-                    report.excluded_duplicate += 1
-                    if verdict == _ADMISSIBLE:
-                        dropped.append(row)
-                elif verdict == _OUT_OF_WINDOW:
-                    report.excluded_year += 1
-                elif verdict == _NO_MESH:
-                    report.excluded_no_mesh += 1
-                else:
-                    seen.add(pub_id)
-                    admitted.append(pub_id)
-                row += verdict == _ADMISSIBLE
-        # the ids and the set go before the rows are sorted
-        del seen, self.ids
-        years = np.asarray(self.years, dtype=np.int64)
-        indptr = np.asarray(self.indptr, dtype=np.int64)
-        indices = np.asarray(self.indices, dtype=np.int32)
-        if dropped:
-            keep = np.delete(np.arange(len(years)), dropped)
-            years = years[keep]
-            indptr, indices = _take_rows(indptr, indices, keep)
-        return Corpus.from_arrays(query_label, self.vocabulary, admitted, years, indptr, indices)
+        # every block is in, so the memo of terms goes before the sorts
+        self.columns = None
+
+        ranks = string_ranks(ids)
+        records = len(verdicts)
+        # the admissible records, less the duplicates below: the corpus rows
+        admitted = np.flatnonzero(verdicts == _ADMISSIBLE)
+        own = verdicts  # the verdicts of the records that are no duplicate
+        rows = None  # the sink's rows kept, when not all of them
+        # a rank is at most its string's place in the sorted order, and every
+        # rank is its place only when no two ids are equal: the ranks then sum
+        # to 0 + 1 + ... + (records - 1)
+        if int(ranks.sum()) < records * (records - 1) // 2:
+            # an id's first admissible record is admitted, and its every
+            # later record is a duplicate, whatever that record's own verdict
+            first = np.full(records, records, dtype=np.int64)
+            np.minimum.at(first, ranks[admitted], admitted)
+            first = first[ranks]
+            duplicate = first < np.arange(records)
+            report.excluded_duplicate += int(np.count_nonzero(duplicate))
+            own = verdicts[~duplicate]
+            kept = first[admitted] == admitted
+            del first, duplicate
+            if not kept.all():
+                rows = np.flatnonzero(kept)
+                admitted, years = admitted[rows], years[rows]
+        report.excluded_year += int(np.count_nonzero(own == _OUT_OF_WINDOW))
+        report.excluded_no_mesh += int(np.count_nonzero(own == _NO_MESH))
+
+        # the kept rows in (year, id) order; the arrays are gathered only
+        # when rows go or move
+        order = _row_order(ranks[admitted], years)
+        del ranks
+        if order is not None:
+            rows = order if rows is None else rows[order]
+            admitted, years = admitted[order], years[order]
+        if rows is not None:
+            indptr, indices = _take_rows(indptr, indices, rows)
+        if order is not None or len(admitted) < records:
+            ids = PackedStrings(*_take_rows(*ids, admitted))
+        return Corpus.from_sorted_arrays(query_label, self.vocabulary, ids, years, indptr, indices)
 
 
 # bytes per read of the block reader, for MEDLINE text and for JSONL; a
@@ -849,8 +975,16 @@ def ingest_jsonl(
     ``json_lines``).
     """
     report = IngestReport()
-    columns = _TermColumns(vocabulary)
-    sink = _RecordSink(columns, year_range, report)
+    sink = _RecordSink(_TermColumns(vocabulary), year_range, report)
+    # the block buffers and the term table go once the file is read
+    _read_jsonl(path, sink)
+    return sink.corpus(query_label or path), report
+
+
+def _read_jsonl(path: str, sink: _RecordSink) -> None:
+    """Hand the records of a JSONL file to the sink, a block at a time."""
+    report = sink.report
+    columns = sink.columns
     terms = _TermKeys(columns)
     line_base = 0
     with open(path, "rb") as fh:
@@ -871,7 +1005,6 @@ def ingest_jsonl(
             if len(records[0]):
                 sink.add_block(*records)
             line_base += len(starts)
-    return sink.corpus(query_label or path), report
 
 
 # line classes, in this order: a class from _SKIP up is a field line
@@ -1090,12 +1223,18 @@ def ingest_medline_text(
     """
     report = IngestReport()
     sink = _RecordSink(_MeshColumns(vocabulary), year_range, report)
+    # the block buffers go once the file is read
+    _read_medline(path, sink)
+    return sink.corpus(query_label or path), report
+
+
+def _read_medline(path: str, sink: _RecordSink) -> None:
+    """Hand the records of a MEDLINE text file to the sink, a block at a time."""
     with open(path, "rb") as fh:
         blocks = _line_blocks(fh, _BLOCK_BYTES, after_empty_line=True)
         for data, starts, ends, windows, marks in blocks:
             if len(starts):
                 _medline_block(data, starts, ends, windows[starts], marks, sink)
-    return sink.corpus(query_label or path), report
 
 
 # what ``json.JSONEncoder`` (``ensure_ascii`` by default) applies to a str
@@ -1113,7 +1252,7 @@ def corpus_canonical_lines(corpus: Corpus) -> Iterator[bytes]:
     indptr, indices = corpus.incidence
     names = np.array([_encode_str(uid) for uid in corpus.vocabulary.column_ids], dtype=object)
     join = ",".join
-    for lo, hi in row_chunks(indptr):
+    for lo, hi in row_chunks(indptr, entries=LINE_CHUNK_ENTRIES):
         start = indptr[lo]
         mesh = names[indices[start:indptr[hi]]].tolist()
         bounds = (indptr[lo:hi + 1] - start).tolist()
@@ -1141,6 +1280,18 @@ class YearlySizes:
     total_descriptors: int
     distinct_descriptors: int
     mean_per_publication: float
+
+
+def year_volumes(corpus: Corpus) -> tuple[np.ndarray, np.ndarray]:
+    """Each year's descriptor assignments M and distinct descriptors V, in
+    ``years()`` order, as int64 arrays: M from the year's row bounds, V
+    from its ``column_counts``, one year's counts at a time."""
+    indptr = corpus.incidence.indptr
+    years = [corpus.by_year[year] for year in corpus.years()]
+    total = np.array([indptr[rows.stop] - indptr[rows.start] for rows in years], dtype=np.int64)
+    distinct = np.array([np.count_nonzero(column_counts(corpus, rows)) for rows in years],
+                        dtype=np.int64)
+    return total, distinct
 
 
 def yearly_sizes(corpus: Corpus) -> list[YearlySizes]:

@@ -10,8 +10,10 @@ It is immutable after loading and safe to share across workers.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import cached_property
+from typing import Iterator
 
 import numpy as np
 
@@ -137,10 +139,11 @@ class Vocabulary:
         """Descriptor id of each normalized name."""
         return {normalize_name(name): uid for uid, name in zip(self.column_ids, self.names)}
 
-    @cached_property
-    def column_of(self) -> dict[str, int]:
-        """Column position of each descriptor id."""
-        return {uid: j for j, uid in enumerate(self.column_ids)}
+    def column(self, uid: str) -> int | None:
+        """Column position of descriptor id ``uid``, or None: a bisection
+        of the sorted ids, so no id-to-column dict is built."""
+        j = bisect_left(self.column_ids, uid)
+        return j if j < len(self.column_ids) and self.column_ids[j] == uid else None
 
     @cached_property
     def primary_branches(self) -> tuple[str, ...]:
@@ -177,7 +180,7 @@ class Vocabulary:
 
     def resolve(self, token: str) -> str | None:
         """Map a descriptor id or display name to a descriptor id."""
-        if token in self.column_of:
+        if self.column(token) is not None:
             return token
         return self.name_index.get(normalize_name(token))
 
@@ -252,6 +255,50 @@ def _decode(raw: bytes) -> str:
         return raw.decode("latin-1")
 
 
+# bytes per read of the NLM ASCII loader; the file's lines are read a
+# block at a time, so the loader holds one block of the file at once
+_ASCII_BLOCK_BYTES = 1 << 17
+
+# the lines the loader reads, by their first bytes as a little-endian
+# integer: a record's first line, ``*NEWRECORD``, its eight bytes from the
+# first and from the third, and the three fields, ``MH = `` and the like
+_NEWRECORD_HEADS = (int.from_bytes(b"*NEWRECO", "little"), int.from_bytes(b"EWRECORD", "little"))
+_NEWRECORD, _MH, _MN, _UI = range(1, 5)
+_FIELD_HEADS = {int.from_bytes(key + b" = ", "little"): kind
+                for key, kind in ((b"MH", _MH), (b"MN", _MN), (b"UI", _UI))}
+
+
+def _ascii_lines(path: str) -> Iterator[tuple[int, int, str]]:
+    """The lines of an NLM ASCII file the loader reads, in file order:
+    ``(kind, offset, value)`` with the byte offset where the line starts
+    and, for a field line, its value decoded and stripped.
+
+    Lines end with LF, CRLF or CR and are read a block at a time; a line is
+    told apart by its first bytes, so only the field values are decoded,
+    each as UTF-8 or else as latin-1.
+    """
+    from .corpus import _line_blocks  # corpus imports this module
+
+    with open(path, "rb") as fh:
+        for data, starts, ends, windows, _ in _line_blocks(fh, _ASCII_BLOCK_BYTES, after_empty_line=False):
+            base = fh.tell() - len(data)
+            sizes = ends - starts
+            heads = windows[starts]
+            kinds = np.zeros(len(starts), dtype=np.int8)
+            fields = np.flatnonzero(sizes >= 5)
+            prefixes = heads[fields] & 0xFF_FFFF_FFFF
+            for head, kind in _FIELD_HEADS.items():
+                kinds[fields[prefixes == head]] = kind
+            first, third = _NEWRECORD_HEADS
+            opens = np.flatnonzero((sizes == 10) & (heads == first))
+            kinds[opens[windows[starts[opens] + 2] == third]] = _NEWRECORD
+            lines = np.flatnonzero(kinds)
+            raw = data.tobytes()
+            for kind, lo, hi in zip(kinds[lines].tolist(), starts[lines].tolist(),
+                                    ends[lines].tolist()):
+                yield kind, base + lo, "" if kind == _NEWRECORD else _decode(raw[lo + 5:hi]).strip()
+
+
 def load_mesh_ascii(path: str) -> Vocabulary:
     """Load an NLM ASCII descriptor file.
 
@@ -259,11 +306,11 @@ def load_mesh_ascii(path: str) -> Vocabulary:
     records without tree numbers (qualifier records and the like) are
     skipped and counted in the load report.  A record that has tree
     numbers but is missing its ``MH =`` or ``UI =`` field is malformed
-    and reported with the byte offset where the record starts.
+    and reported with the byte offset where the record starts.  Within a
+    record the last ``MH =`` and ``UI =`` line count.  Lines end with LF,
+    CRLF or CR, a line that is not UTF-8 reads as latin-1, and one UTF-8
+    byte order mark at the start of the file is skipped.
     """
-    with open(path, "rb") as fh:
-        data = fh.read()
-
     ids: list[str] = []
     names: list[str] = []
     counts: list[int] = []
@@ -295,23 +342,17 @@ def load_mesh_ascii(path: str) -> Vocabulary:
             codes.extend(trees)
         name, uid, trees = None, None, []
 
-    offset = 0
-    for raw_line in data.splitlines(keepends=True):
-        line = _decode(raw_line).rstrip("\r\n")
-        if line == "*NEWRECORD":
+    for kind, offset, value in _ascii_lines(path):
+        if kind == _NEWRECORD:
             finish(record_offset)
             in_record = True
             record_offset = offset
+        elif kind == _MH:
+            name = value
+        elif kind == _MN:
+            trees.append(value)
         else:
-            key, sep, value = line.partition(" = ")
-            if sep:
-                if key == "MH":
-                    name = value.strip()
-                elif key == "MN":
-                    trees.append(value.strip())
-                elif key == "UI":
-                    uid = value.strip()
-        offset += len(raw_line)
+            uid = value
     finish(record_offset)
 
     return Vocabulary.from_columns(ids, names, counts, codes, skipped_no_tree=skipped)

@@ -15,7 +15,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .corpus import Corpus
+from .corpus import Corpus, column_counts
 from .errors import DataError
 
 
@@ -45,13 +45,14 @@ class ScalingFit:
 
 
 def _scope_counts(corpus: Corpus, scope: str | int) -> np.ndarray:
-    """Publications per descriptor column, over all years or one year."""
+    """Publications per descriptor column, over all years or one year,
+    from that scope's entries alone."""
     if scope == "all":
-        return corpus.year_counts.sum(axis=0)
+        return column_counts(corpus)
     year = int(scope)
     if year not in corpus.by_year:
         return np.zeros(len(corpus.vocabulary), dtype=np.int64)
-    return corpus.year_counts[corpus.years().index(year)]
+    return column_counts(corpus, corpus.by_year[year])
 
 
 def ranked_columns(counts: np.ndarray) -> np.ndarray:
@@ -71,13 +72,20 @@ def descriptor_counts(corpus: Corpus, scope: str | int = "all") -> dict[str, int
     return {ids[j]: c for j, c in zip(used.tolist(), counts[used].tolist())}
 
 
-def rank_table(corpus: Corpus, scope: str | int = "all") -> RankTable:
+def ranked_counts(corpus: Corpus, scope: str | int = "all") -> tuple[np.ndarray, np.ndarray]:
+    """The used descriptor columns by rank (``ranked_columns``), over all
+    years or one year, and their publication counts."""
     counts = _scope_counts(corpus, scope)
+    columns = ranked_columns(counts)
+    return columns, counts[columns]
+
+
+def rank_table(corpus: Corpus, scope: str | int = "all") -> RankTable:
+    columns, counts = ranked_counts(corpus, scope)
     ids = corpus.vocabulary.column_ids
-    order = ranked_columns(counts)
     entries = [
         RankEntry(rank=i, descriptor_id=ids[j], count=c)
-        for i, (j, c) in enumerate(zip(order.tolist(), counts[order].tolist()), start=1)
+        for i, (j, c) in enumerate(zip(columns.tolist(), counts.tolist()), start=1)
     ]
     return RankTable(scope=str(scope), entries=entries)
 
@@ -112,13 +120,17 @@ def _ols_loglog(x: np.ndarray, y: np.ndarray) -> tuple[float, float, float, floa
 
 def zipf_fit(table: RankTable, min_count: int = 5) -> ScalingFit:
     """OLS fit of log10 C(r) on log10 r over ranks with count >= min_count."""
-    rows = [e for e in table.entries if e.count >= min_count]
-    if len(rows) < 3:
-        raise DataError(
-            f"need at least 3 ranks with count >= {min_count}, found {len(rows)}"
-        )
-    ranks = np.array([e.rank for e in rows], dtype=float)
-    counts = np.array([e.count for e in rows], dtype=float)
+    ranks = np.array([e.rank for e in table.entries], dtype=float)
+    counts = np.array([e.count for e in table.entries], dtype=float)
+    return zipf_fit_points(ranks, counts, min_count)
+
+
+def zipf_fit_points(ranks: np.ndarray, counts: np.ndarray, min_count: int = 5) -> ScalingFit:
+    """``zipf_fit`` of the points (ranks[i], counts[i]), as float arrays."""
+    kept = counts >= min_count
+    ranks, counts = ranks[kept], counts[kept]
+    if len(ranks) < 3:
+        raise DataError(f"need at least 3 ranks with count >= {min_count}, found {len(ranks)}")
     slope, intercept, stderr, r2 = _ols_loglog(ranks, counts)
     return ScalingFit(
         exponent=-slope,
@@ -126,7 +138,7 @@ def zipf_fit(table: RankTable, min_count: int = 5) -> ScalingFit:
         stderr_exponent=stderr,
         r_squared=r2,
         fit_range=(float(ranks.min()), float(ranks.max())),
-        n_points=len(rows),
+        n_points=len(ranks),
     )
 
 

@@ -15,7 +15,9 @@ The object parsers at the end are the record-by-record ingestion the
 array parsers replaced: each record becomes a ``Publication`` and the
 rules run on those objects.  They use only the package's record and
 report types and the vocabulary's lookups; like the package, they skip
-one UTF-8 byte order mark at the start of a file.  Likewise the synthetic
+one UTF-8 byte order mark at the start of a file.
+``load_mesh_ascii_lines`` is the NLM ASCII loader the block reader
+replaced, which splits the whole file into lines.  Likewise the synthetic
 corpus reference builds one ``Publication`` per row and draws each
 row's descriptor picks with its own ``rng.choice`` call, and the
 canonical writer reference hands each row to ``json.JSONEncoder``.
@@ -392,12 +394,72 @@ def ingest_medline_objects(path, vocabulary, year_range=None):
     return _in_corpus_order(out), report
 
 
+def load_mesh_ascii_lines(path):
+    """The vocabulary of an NLM ASCII file read whole and split with
+    ``bytes.splitlines`` (LF, CRLF or CR), each line decoded as UTF-8 or
+    else as latin-1 and parsed by ``str.partition``; a record's byte offset
+    counts from the file's first byte, and a byte order mark is not
+    skipped."""
+    from helixmi.mesh import MeshFormatError, Vocabulary, _check_tree_numbers
+
+    with open(path, "rb") as fh:
+        data = fh.read()
+    ids, names, counts, codes = [], [], [], []
+    skipped = 0
+    record = {"offset": 0, "name": None, "uid": None, "trees": [], "open": False}
+
+    def finish():
+        nonlocal skipped
+        if not record["trees"]:
+            skipped += record["open"]
+        elif record["name"] is None or record["uid"] is None:
+            _check_tree_numbers(codes)
+            missing = "MH" if record["name"] is None else "UI"
+            raise MeshFormatError(f"{path}: malformed record at byte {record['offset']}: "
+                                  f"missing '{missing} =' field")
+        else:
+            ids.append(record["uid"])
+            names.append(record["name"])
+            counts.append(len(record["trees"]))
+            codes.extend(record["trees"])
+        record.update(name=None, uid=None, trees=[])
+
+    offset = 0
+    for raw in data.splitlines(keepends=True):
+        try:
+            line = raw.decode("utf-8")
+        except UnicodeDecodeError:
+            line = raw.decode("latin-1")
+        line = line.rstrip("\r\n")
+        if line == "*NEWRECORD":
+            finish()
+            record.update(open=True, offset=offset)
+        else:
+            key, sep, value = line.partition(" = ")
+            if sep and key == "MH":
+                record["name"] = value.strip()
+            elif sep and key == "MN":
+                record["trees"].append(value.strip())
+            elif sep and key == "UI":
+                record["uid"] = value.strip()
+        offset += len(raw)
+    finish()
+    return Vocabulary.from_columns(ids, names, counts, codes, skipped_no_tree=skipped)
+
+
 def csr_of(publications, vocabulary):
-    """Ids, years, indptr and indices of publications, one walk over them."""
+    """Ids, years, indptr and indices of publications, one walk over them;
+    an id missing from the vocabulary raises KeyError."""
+    def column(uid):
+        j = vocabulary.column(uid)
+        if j is None:
+            raise KeyError(uid)
+        return j
+
     indptr = [0]
     indices = []
     for p in publications:
-        indices.extend(vocabulary.column_of[uid] for uid in p.mesh_ids)
+        indices.extend(map(column, p.mesh_ids))
         indptr.append(len(indices))
     return [p.id for p in publications], [p.year for p in publications], indptr, indices
 

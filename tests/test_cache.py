@@ -159,7 +159,8 @@ def test_hit_writes_the_bytes_of_a_miss(inputs, kind, tmp_path, monkeypatch):
         assert (files, manifest) == misses[name][:2], name
         assert stages["cache"] == "hit"
         assert misses[name][2]["cache"] == "stored"
-        assert set(stages) == set(misses[name][2]), name
+        # only a run that parses records its peak after the vocabulary load
+        assert set(stages) == set(misses[name][2]) - {"vocabulary_peak_rss_mb"}, name
     if kind == "mixed-jsonl":
         report = json.loads((tmp_path / "hit" / "ingest" / "ingest_report.json").read_text())
         assert report["unresolved_terms"] and stages["ingest_json_lines"] > 0

@@ -2,12 +2,13 @@
 
 ``Corpus.year_counts``, ``counts.corpus_triples``, ``dynamics.top_pairs``
 and ``corpus.corpus_canonical_lines`` read the rows in chunks of at most
-``corpus.CHUNK_ENTRIES`` entries.  Their results must not depend on that
-size: each is checked against a per-publication reference with the
-constant set to 1 (every row with entries a chunk of its own), 3 (rows
-longer than a chunk next to rows that share one) and 2^30 (the whole
-corpus one chunk).  A second test checks that the temporaries of each
-pass stay within a bound set by one chunk, not by the corpus.
+``corpus.CHUNK_ENTRIES`` entries (``LINE_CHUNK_ENTRIES`` for the lines).
+Their results must not depend on that size: each is checked against a
+per-publication reference with the constant set to 1 (every row with
+entries a chunk of its own), 3 (rows longer than a chunk next to rows
+that share one) and 2^30 (the whole corpus one chunk).  A second test
+checks that the temporaries of each pass stay within a bound set by one
+chunk, not by the corpus.
 """
 
 import tracemalloc
@@ -63,6 +64,7 @@ def _limits(ranked):
 def check_passes(corpus, chunk, branches, window):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(corpus_module, "CHUNK_ENTRIES", chunk)
+        patch.setattr(corpus_module, "LINE_CHUNK_ENTRIES", chunk)
         indptr = corpus.incidence.indptr
         for first, stop in [(0, len(corpus)), (len(corpus) // 2, len(corpus))]:
             chunks = list(row_chunks(indptr, first, stop))
@@ -145,8 +147,8 @@ def test_passes_hold_one_chunk_of_temporaries():
     vocab = make_vocab({**{f"C{i:02d}": [f"C{i:02d}.1"] for i in range(64)},
                         **{f"D{i}": [f"D0{i}.1"] for i in range(4)},
                         **{f"E{i}": [f"E0{i}.1"] for i in range(4)}})
-    column = vocab.column_of
-    c_of, d_of, e_of = (np.array([column[uid] for uid in sorted(column) if uid[0] == letter])
+    c_of, d_of, e_of = (np.array([vocab.column(uid) for uid in vocab.column_ids
+                                  if uid[0] == letter])
                         for letter in "CDE")
     r = np.arange(n_rows)
     c_cols = c_of[(4 * (r % 16))[:, None] + np.arange(4)]

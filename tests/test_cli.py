@@ -251,7 +251,7 @@ def test_manifest_records_stage_times(synth_dir, tmp_path):
     stages = manifest["stages"]
     assert set(stages) == {"vocabulary_s", "ingest_s", "command_s", "peak_rss_mb", "cache",
                            "ingest_template_lines", "ingest_json_lines", "load_peak_rss_mb",
-                           "digests", "digest_s"}
+                           "vocabulary_peak_rss_mb", "digests", "digest_s"}
     assert stages["cache"] == "stored"
     # the cache home is the test's own, so its digest index is empty
     assert stages["digests"] == "hashed"
@@ -261,6 +261,8 @@ def test_manifest_records_stage_times(synth_dir, tmp_path):
     assert (stages["ingest_template_lines"], stages["ingest_json_lines"]) == (lines, 0)
     assert 0 < stages["vocabulary_s"] + stages["ingest_s"] < stages["command_s"]
     assert 1 < stages["load_peak_rss_mb"] <= stages["peak_rss_mb"]
+    # a run that parses records its peak once the vocabulary is loaded
+    assert 1 < stages["vocabulary_peak_rss_mb"] <= stages["load_peak_rss_mb"]
     assert "stages" not in manifest["diagnostics"]
     synth = json.loads((synth_dir / "manifest.json").read_text())["stages"]
     assert set(synth) == {"command_s", "peak_rss_mb", "synth_s", "synth_peak_rss_mb", "write_s"}
@@ -268,7 +270,8 @@ def test_manifest_records_stage_times(synth_dir, tmp_path):
     assert 1 < synth["synth_peak_rss_mb"] <= synth["peak_rss_mb"]
     assert run(["ingest", *io, "--out", tmp_path / "ingest"]) == 0
     ingest = json.loads((tmp_path / "ingest" / "manifest.json").read_text())["stages"]
-    assert set(ingest) == set(stages) | {"write_s"}
+    # a hit loads no vocabulary file
+    assert set(ingest) == set(stages) - {"vocabulary_peak_rss_mb"} | {"write_s"}
     assert ingest["cache"] == "hit"
     assert 0 < ingest["ingest_s"] + ingest["write_s"] < ingest["command_s"]
 
@@ -350,11 +353,14 @@ def test_null_command_and_thread_invariance(synth_dir, tmp_path, monkeypatch):
         # the synth corpus file is already in canonical form
         assert null_manifest["corpus_hash"] == cache.file_sha256(synth_dir / "corpus.jsonl")
         stages = json.loads((out / "manifest.json").read_text())["stages"]
+        parsed = {"vocabulary_peak_rss_mb"} if stages["cache"] != "hit" else set()
         assert set(stages) == {"vocabulary_s", "ingest_s", "null_s", "null_workers",
                                "command_s", "peak_rss_mb", "cache", "ingest_template_lines",
                                "ingest_json_lines", "load_peak_rss_mb", "digests",
-                               "digest_s", "null_peak_rss_mb"}
+                               "digest_s", "null_peak_rss_mb"} | parsed
         assert stages["load_peak_rss_mb"] <= stages["null_peak_rss_mb"] <= stages["peak_rss_mb"]
+        if parsed:
+            assert stages["vocabulary_peak_rss_mb"] <= stages["load_peak_rss_mb"]
         assert stages["null_workers"] == (cores if sys.platform == "linux" else 1)
         assert 0 < stages["null_s"] < stages["command_s"]
     assert all(o == outputs[0] for o in outputs)

@@ -530,6 +530,101 @@ def test_medline_fixture_in_small_blocks(tmp_path, name, block):
 
 
 # ---------------------------------------------------------------------------
+# Packed ids: the duplicate rule and the row order on the packed column
+# ---------------------------------------------------------------------------
+
+# ids that differ in their first eight bytes, in a later chunk or only in
+# their length, ids with NUL bytes after a prefix, and ids that are not
+# ASCII; a small pool, so that most ids repeat
+PACKED_IDS = ["1", "10", "2", "9", "a", "a\x00", "a\x00\x00", "\x00", "12345678",
+              "123456789", "12345678\x00", "1234567", "PMID00000001", "PMID00000001x",
+              "PMID000000010", "\u00e9", "e\u0301", "\u00e9\u00e9\u00e9\u00e9\u00e9",
+              "\U0001f600", "\uffff"]
+
+# the terms of a record: none (no mesh), unresolved only, or some that resolve
+packed_terms = st.lists(st.sampled_from(["C1", "D1", "Term E1", "No Such Term"]), max_size=3)
+
+packed_records = st.lists(
+    # years in no order, so that rows come out of (year, id) order
+    st.tuples(st.sampled_from(PACKED_IDS), st.integers(1998, 2002), packed_terms),
+    max_size=30,
+)
+
+
+@examples
+@given(packed_records, st.sampled_from(PACKED_IDS + ["\ud800", "\udfff", "\ud800\udc00"]),
+       year_windows, st.sampled_from(BLOCK_SIZES), st.booleans())
+def test_jsonl_packed_ids_match_object_parser(tmp_path_factory, records, surrogate,
+                                              year_range, block, canonical):
+    """JSONL ids of every kind, lone surrogates (``\\ud800``) among them,
+    repeated with their first record excluded for its year or for having
+    no descriptor and a later one admitted, in rows out of order."""
+    records = [(surrogate if i % 5 == 4 else pub_id, year, terms)
+               for i, (pub_id, year, terms) in enumerate(records)]
+    dump = (lambda r: json.dumps(r, sort_keys=True, separators=(",", ":"))) if canonical \
+        else json.dumps
+    data = "".join(dump({"id": pub_id, "year": year, "mesh": terms}) + "\n"
+                   for pub_id, year, terms in records)
+    path = tmp_path_factory.mktemp("packed") / "c.jsonl"
+    path.write_bytes(data.encode("ascii"))
+    with with_size("_JSONL_BLOCK_BYTES", block):
+        assert_same_outcome(path, year_range)
+
+
+@examples
+@given(packed_records, year_windows, st.sampled_from(BLOCK_SIZES),
+       st.sampled_from(["\n", "\r\n", "\r"]))
+def test_medline_packed_ids_match_object_parser(tmp_path_factory, records, year_range, block,
+                                                ending):
+    """MEDLINE ids of every kind, repeated with their first record excluded
+    for its year or for having no descriptor and a later one admitted, in
+    rows out of order."""
+    text = ending.join(
+        ending.join([f"PMID- {pub_id}", f"DP  - {year} Jan", *(f"MH  - {t}" for t in terms)])
+        + ending
+        for pub_id, year, terms in records
+    )
+    path = tmp_path_factory.mktemp("packed") / "m.txt"
+    path.write_bytes(text.encode("utf-8"))
+    expected = ingest_medline_objects(str(path), VOCAB, year_range)
+    with with_size("_BLOCK_BYTES", block):
+        corpus, report = ingest_medline_text(str(path), VOCAB, year_range)
+    assert_same_ingest(corpus, report, *expected)
+
+
+def test_packed_ids_first_admitted_record_wins(tmp_path):
+    # "7" is out of the window, then has no descriptor, then is admitted in
+    # 2001, then repeats in 1999; "10" sorts before "7" and "7\x00" after
+    path = tmp_path / "c.jsonl"
+    path.write_text("".join(json.dumps(r) + "\n" for r in [
+        {"id": "7", "year": 1990, "mesh": ["C1"]},
+        {"id": "7", "year": 2000, "mesh": ["No Such Term"]},
+        {"id": "7", "year": 2001, "mesh": ["D1"]},
+        {"id": "7\u0000", "year": 2001, "mesh": ["C1"]},
+        {"id": "10", "year": 2001, "mesh": ["E1"]},
+        {"id": "7", "year": 1999, "mesh": ["C1"]},
+    ]), encoding="ascii")
+    corpus, report = ingest_jsonl(str(path), VOCAB, (1995, 2005))
+    assert corpus.pub_ids == ("10", "7", "7\x00")
+    assert corpus.pub_years.tolist() == [2001, 2001, 2001]
+    assert [p.mesh_ids for p in corpus.publications] == [("E1",), ("D1",), ("C1",)]
+    assert (report.excluded_year, report.excluded_no_mesh, report.excluded_duplicate) == (1, 1, 1)
+    assert_same_outcome(path, (1995, 2005))
+
+
+@examples
+@given(st.lists(st.text(st.sampled_from("ab\x00\u00e9\ud800"), max_size=20), max_size=40))
+def test_string_ranks_order_code_points(strings):
+    # ties over eight bytes and more, in several groups at once, and one
+    # group's last next chunk equal to the next group's first
+    strings = strings + PACKED_IDS + ["\udfff", "\ud800\udc00", "", "", "\x00" * 9, "\x00" * 8,
+                                      "b" * 17, "b" * 16 + "a", "b" * 16,
+                                      "AAAAAAAAw", "AAAAAAAAx", "BBBBBBBBx", "BBBBBBBBz"]
+    ranks = corpus_module.string_ranks(corpus_module.pack_strings(strings))
+    assert ranks.tolist() == [sum(t < s for t in strings) for s in strings]
+
+
+# ---------------------------------------------------------------------------
 # Canonical writer
 # ---------------------------------------------------------------------------
 

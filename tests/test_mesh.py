@@ -1,8 +1,12 @@
+import codecs
+
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helixmi import mesh as mesh_module
 from helixmi.mesh import (
+    LoadReport,
     MeshDescriptor,
     MeshFormatError,
     TreeNumber,
@@ -11,6 +15,8 @@ from helixmi.mesh import (
     load_mesh_tsv,
     write_mesh_tsv,
 )
+
+from oracles import load_mesh_ascii_lines
 
 
 def test_tree_number_fields():
@@ -196,3 +202,134 @@ def test_ascii_and_tsv_agree(tmp_path):
     from_tsv = load_mesh_tsv(str(tsv_path))
     assert set(from_tsv.descriptors) == set(from_ascii.descriptors)
     assert from_tsv.name_index == from_ascii.name_index
+
+
+# ---------------------------------------------------------------------------
+# The NLM ASCII loader reads a block of lines at a time
+# ---------------------------------------------------------------------------
+
+# field lines and others: values with outer spaces, non-ASCII and latin-1
+# text, keys that are not quite a field's, invalid and empty tree numbers
+ascii_lines = st.sampled_from([
+    "*NEWRECORD", "*NEWRECORD ", " *NEWRECORD", "*NEWRECORDS",
+    "MH = Brain", "MH =  Heart  ", "MH = Café", "MH = ", "MH =", "MH  = Lung",
+    "MN = A08.186", "MN = C04.557", "MN =  E05.200 ", "MN = X01", "MN = ",
+    "UI = D001", "UI = D002", "UI =  D003 ", "UI = Dé", "UI = ",
+    "RECTYPE = D", "ENTRY = Brain|T023", "MS = A note = with equals", "", "   ",
+    "xMH = Brain", "M", "MH = N\u00a0B\u00a0", "MH = \u00a0Liver\u2003",
+]).map(lambda line: line.encode("utf-8")) | st.sampled_from([
+    # latin-1 text, whose 0x85 and 0xA0 are whitespace that strip() drops
+    b"MH = Caf\xe9", b"UI = D\xe9", b"MN = C\xff", b"ENTRY = \xff\xfe", b"MH = \xa0Lung\x85",
+])
+
+ENDINGS = {"LF": b"\n", "CRLF": b"\r\n", "CR": b"\r"}
+
+
+@st.composite
+def ascii_files(draw):
+    """NLM ASCII text: records of drawn lines, each opening with a
+    ``*NEWRECORD`` line but perhaps the first, one line ending throughout
+    or a mix, and the last line with or without its line end."""
+    lines = []
+    for _ in range(draw(st.integers(0, 6))):
+        if lines or draw(st.booleans()):
+            lines.append(b"*NEWRECORD")
+        lines += draw(st.lists(ascii_lines, max_size=7))
+    ending = draw(st.sampled_from(sorted(ENDINGS) + ["mixed"]))
+    ends = [ENDINGS[ending] if ending != "mixed" else draw(st.sampled_from(list(ENDINGS.values())))
+            for _ in lines]
+    if lines and draw(st.booleans()):
+        ends[-1] = b""
+    return b"".join(line + end for line, end in zip(lines, ends))
+
+
+def assert_same_vocabulary(path):
+    """``load_mesh_ascii`` gives the line-by-line loader's vocabulary, or
+    raises its error with the same message (and so the same byte offset)."""
+    try:
+        expected = load_mesh_ascii_lines(str(path))
+    except MeshFormatError as exc:
+        with pytest.raises(MeshFormatError) as raised:
+            load_mesh_ascii(str(path))
+        assert str(raised.value) == str(exc)
+        return
+    vocab = load_mesh_ascii(str(path))
+    assert vocab.column_ids == expected.column_ids
+    assert vocab.names == expected.names
+    assert vocab.tree_numbers == expected.tree_numbers
+    assert vocab.tree_ptr.tolist() == expected.tree_ptr.tolist()
+    assert vocab.load_report == expected.load_report
+    assert vocab.name_index == expected.name_index
+
+
+@settings(max_examples=200, deadline=None)
+@given(ascii_files(), st.sampled_from([1, 5, 16, None]))
+def test_ascii_loader_matches_the_line_loader(tmp_path_factory, data, block):
+    path = tmp_path_factory.mktemp("ascii") / "d.bin"
+    path.write_bytes(data)
+    with pytest.MonkeyPatch.context() as patch:
+        if block is not None:
+            # blocks smaller than a line grow until they hold one
+            patch.setattr(mesh_module, "_ASCII_BLOCK_BYTES", block)
+        assert_same_vocabulary(path)
+
+
+ASCII_RECORDS = (b"*NEWRECORD", b"MH = Brain", b"MN = A08.186.211", b"UI = D001921", b"",
+                 b"*NEWRECORD", b"RECTYPE = Q", b"MH = analysis", b"UI = Q000032", b"",
+                 b"*NEWRECORD", b"MH = Dual Homed", b"MN = C04.557", b"MN = E05.200",
+                 b"UI = D999999")
+
+
+@pytest.mark.parametrize("ending", sorted(ENDINGS))
+@pytest.mark.parametrize("last_end", [True, False])
+def test_ascii_loader_line_ends(tmp_path, ending, last_end):
+    data = ENDINGS[ending].join(ASCII_RECORDS) + (ENDINGS[ending] if last_end else b"")
+    path = tmp_path / "d.bin"
+    path.write_bytes(data)
+    assert_same_vocabulary(path)
+    vocab = load_mesh_ascii(str(path))
+    assert vocab.column_ids == ("D001921", "D999999")
+    assert vocab.tree_numbers == ("A08.186.211", "C04.557", "E05.200")
+    assert vocab.load_report == LoadReport(loaded=2, skipped_no_tree=1)
+
+
+def test_ascii_loader_reads_a_latin1_line(tmp_path):
+    path = tmp_path / "d.bin"
+    path.write_bytes(b"*NEWRECORD\nMH = Caf\xe9 Au Lait\nMN = C01\nUI = D1\n"
+                     b"*NEWRECORD\nMH = Caf\xc3\xa9\nMN = C02\nUI = D2\n")
+    assert_same_vocabulary(path)
+    assert load_mesh_ascii(str(path)).names == ("Café Au Lait", "Café")
+
+
+@pytest.mark.parametrize("ending", sorted(ENDINGS))
+@pytest.mark.parametrize("missing", [b"MH = Heart", b"UI = D000002"])
+def test_ascii_loader_malformed_record_offset(tmp_path, ending, missing):
+    end = ENDINGS[ending]
+    good = end.join([b"*NEWRECORD", b"MH = Brain", b"MN = A08.186.211", b"UI = D001921", b""])
+    bad = end.join(line for line in [b"*NEWRECORD", b"MH = Heart", b"MN = C14.280",
+                                     b"UI = D000002"] if line != missing)
+    path = tmp_path / "bad.bin"
+    path.write_bytes(good + end + bad)
+    assert_same_vocabulary(path)
+    with pytest.raises(MeshFormatError) as err:
+        load_mesh_ascii(str(path))
+    field = missing[:2].decode()
+    assert str(err.value) == (f"{path}: malformed record at byte {len(good + end)}: "
+                              f"missing '{field} =' field")
+
+
+def test_ascii_loader_skips_a_byte_order_mark(tmp_path):
+    first = b"*NEWRECORD\nMH = Brain\nMN = A08\nUI = D1\n"
+    body = first + b"*NEWRECORD\nMN = C04\nUI = D2\n"
+    plain = tmp_path / "plain.bin"
+    plain.write_bytes(body)
+    marked = tmp_path / "marked.bin"
+    marked.write_bytes(codecs.BOM_UTF8 + body)
+    # the offsets stay those of the file's bytes, the mark's included
+    for path, start in ((plain, 0), (marked, 3)):
+        with pytest.raises(MeshFormatError, match=f"at byte {start + len(first)}: missing 'MH ='"):
+            load_mesh_ascii(str(path))
+    body = body.replace(b"MN = C04\n", b"MH = Heart\nMN = C04\n")
+    plain.write_bytes(body)
+    marked.write_bytes(codecs.BOM_UTF8 + body)
+    assert load_mesh_ascii(str(marked)).column_ids == load_mesh_ascii(str(plain)).column_ids

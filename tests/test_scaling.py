@@ -1,8 +1,16 @@
+import csv
+import io
+import json
+from dataclasses import asdict
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from helixmi import cli
+from helixmi.corpus import year_volumes, yearly_sizes
 from helixmi.errors import DataError
 from helixmi.scaling import (
     RankEntry,
@@ -14,7 +22,7 @@ from helixmi.scaling import (
     zipf_fit,
 )
 
-from conftest import make_corpus
+from conftest import make_corpus, make_vocab
 from oracles import ols_loglog_scipy
 
 
@@ -219,3 +227,74 @@ class TestMarginalReturns:
         )
         with pytest.raises(ValueError):
             marginal_returns(bad, 10.0)
+
+
+# ---------------------------------------------------------------------------
+# The scaling command writes, from arrays, what the tables give
+# ---------------------------------------------------------------------------
+
+# ids that CSV quotes, or not
+SCALING_VOCAB = make_vocab({
+    "C1": ["C04.100"], "C,2": ["C08.200"], 'D"3': ["D02.300"], "D 4": ["D03.400"],
+    "E\n5": ["E05.500"], "E6": ["E07.600"], "CE7": ["C04.700", "E05.800"], "Z8": ["Z01.900"],
+})
+
+
+@st.composite
+def scaling_corpora(draw):
+    pubs = draw(st.lists(
+        st.tuples(st.integers(2000, 2005),
+                  st.lists(st.sampled_from(sorted(SCALING_VOCAB.column_ids)), min_size=1,
+                           unique=True)),
+        min_size=1, max_size=60,
+    ))
+    return make_corpus(SCALING_VOCAB, [(f"p{i:03d}", y, ids) for i, (y, ids) in enumerate(pubs)])
+
+
+def csv_bytes(header, rows):
+    text = io.StringIO()
+    writer = csv.writer(text, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows([[str(v) for v in row] for row in rows])
+    return text.getvalue().encode("utf-8")
+
+
+@settings(max_examples=150, deadline=None)
+@given(scaling_corpora(), st.integers(1, 6))
+def test_scaling_command_writes_the_table_bytes(tmp_path_factory, corpus, min_count):
+    """``zipf_points.csv``, ``heaps_points.csv`` and ``scaling.json`` hold
+    the bytes built from ``rank_table`` and ``yearly_sizes``, or the
+    command raises the error the fits raise on those tables."""
+    out = tmp_path_factory.mktemp("scaling")
+    args = SimpleNamespace(min_count=min_count)
+    table = rank_table(corpus)
+    sizes = yearly_sizes(corpus)
+    try:
+        fits = {"zipf": asdict(zipf_fit(table, min_count=min_count)),
+                "heaps": asdict(heaps_fit([(r.total_descriptors, r.distinct_descriptors)
+                                           for r in sizes]))}
+    except DataError as exc:
+        with pytest.raises(DataError) as raised:
+            cli._cmd_scaling(corpus, None, args, out, cli.RunManifest("scaling"))
+        assert str(raised.value) == str(exc)
+        return
+    cli._cmd_scaling(corpus, None, args, out, cli.RunManifest("scaling"))
+    assert (out / "scaling.json").read_text(encoding="utf-8") == (
+        json.dumps(fits, indent=2, sort_keys=True) + "\n")
+    assert (out / "zipf_points.csv").read_bytes() == csv_bytes(
+        ["rank", "descriptor", "count"],
+        [[e.rank, e.descriptor_id, e.count] for e in table.entries])
+    assert (out / "heaps_points.csv").read_bytes() == csv_bytes(
+        ["year", "M_q", "V_q"],
+        [[r.year, r.total_descriptors, r.distinct_descriptors] for r in sizes])
+
+
+def test_scope_counts_read_only_their_year(tiny_vocab):
+    corpus = make_corpus(tiny_vocab, [("1", 2000, ["C1", "D1"]), ("2", 2001, ["C1"]),
+                                      ("3", 2001, ["E1", "C1"])])
+    assert rank_table(corpus, 2001).entries == [RankEntry(1, "C1", 2), RankEntry(2, "E1", 1)]
+    assert rank_table(corpus, 1999).entries == []
+    total, distinct = year_volumes(corpus)
+    assert (total.tolist(), distinct.tolist()) == ([2, 3], [2, 2])
+    # neither one scope's counts nor the yearly volumes build every year's counts
+    assert "year_counts" not in corpus.__dict__
