@@ -12,18 +12,18 @@ __version__ = "0.1.0"
 
 # public name -> the module that defines it
 _MODULE_OF = {
-    **dict.fromkeys(["Corpus", "IngestReport", "Publication", "ingest_jsonl",
-                     "ingest_medline_text"], "corpus"),
+    **dict.fromkeys(["Corpus", "IngestReport", "Publication"], "corpus"),
     **dict.fromkeys(["BranchStats", "BranchTriple", "CountVector", "branch_stats",
                      "branch_triple", "count_map", "distribution_of_counts",
                      "wilcoxon_signed_rank"], "counts"),
     **dict.fromkeys(["branch_share_series", "detect_entries", "rank_trajectories",
                      "top_pairs"], "dynamics"),
     "DataError": "errors",
+    **dict.fromkeys(["ingest_jsonl", "ingest_medline_text", "load_mesh_ascii",
+                     "load_mesh_tsv"], "formats"),
     **dict.fromkeys(["JointTable", "MiSeries", "decomposition", "efficiency", "entropy",
                      "mutual_info_2", "mutual_info_3", "yearly_mi"], "infotheory"),
-    **dict.fromkeys(["MeshDescriptor", "TreeNumber", "Vocabulary", "load_mesh_ascii",
-                     "load_mesh_tsv"], "mesh"),
+    **dict.fromkeys(["MeshDescriptor", "TreeNumber", "Vocabulary"], "mesh"),
     **dict.fromkeys(["NullBand", "ShuffleConfig", "null_band", "percentile",
                      "shuffle_year"], "nullmodel"),
     **dict.fromkeys(["RankTable", "ScalingFit", "heaps_fit", "marginal_returns",

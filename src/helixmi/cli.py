@@ -11,7 +11,6 @@ surfaces as a traceback.
 from __future__ import annotations
 
 import argparse
-import codecs
 import csv
 import json
 import os
@@ -28,7 +27,6 @@ from .errors import DataError
 
 if TYPE_CHECKING:
     from .corpus import Corpus, IngestReport
-    from .mesh import Vocabulary
 
 # Each command imports the modules it runs when it runs, so that a command
 # loads no analysis module it does not use, and numpy only after ``entry``
@@ -98,28 +96,6 @@ class RunManifest:
         _write_json(out_dir / "manifest.json", asdict(self))
 
 
-def _detect_and_load_mesh(path: str) -> Vocabulary:
-    """The vocabulary of a TSV or NLM ASCII file, reporting a TSV that is
-    not UTF-8 text as a data error."""
-    from .mesh import load_mesh_ascii, load_mesh_tsv
-
-    with open(path, "rb") as fh:
-        head = fh.read(4096)
-    first = head.split(b"\n", 1)[0]
-    if b"\t" not in first:
-        return load_mesh_ascii(path)
-    try:
-        return load_mesh_tsv(path)
-    except UnicodeDecodeError as exc:
-        raise DataError(f"{path}: not UTF-8 text ({exc})") from None
-
-
-def _is_jsonl(path: str) -> bool:
-    with open(path, "rb") as fh:
-        head = fh.read(4096).removeprefix(codecs.BOM_UTF8).lstrip()
-    return head.startswith(b"{")
-
-
 def _positive_int_arg(text: str) -> int:
     try:
         value = int(text)
@@ -181,22 +157,21 @@ def _load_inputs(args, manifest: RunManifest) -> tuple[Corpus, IngestReport]:
     stages = manifest.stages
 
     def parse():
-        # the parsers are looked up where they are defined when they run
-        from .corpus import ingest_jsonl, ingest_medline_text
+        from . import formats
 
         start = time.perf_counter()
-        vocabulary = _detect_and_load_mesh(args.mesh)
+        vocabulary = formats.load_vocabulary(args.mesh)
         stages["vocabulary_s"] = time.perf_counter() - start
         stages["vocabulary_peak_rss_mb"] = _peak_rss_mb()
         start = time.perf_counter()
-        ingest = ingest_jsonl if _is_jsonl(args.corpus) else ingest_medline_text
-        parsed = ingest(args.corpus, vocabulary, args.years, label)
+        parsed = formats.load_corpus(args.corpus, vocabulary, args.years, label)
         stages["ingest_s"] = time.perf_counter() - start
         return parsed
 
     paths = (args.mesh, args.corpus)
     corpus, report, digests = cache.load_or_parse(paths, args.years, label, parse, stages)
-    if _is_jsonl(args.corpus):
+    # a JSONL corpus parses at least one line, a MEDLINE one none
+    if report.template_lines + report.json_lines:
         stages["ingest_template_lines"] = report.template_lines
         stages["ingest_json_lines"] = report.json_lines
     manifest.vocabulary_sha256 = digests[0]
@@ -213,7 +188,7 @@ def _load_inputs(args, manifest: RunManifest) -> tuple[Corpus, IngestReport]:
 # ---------------------------------------------------------------------------
 
 def _cmd_ingest(corpus, report, args, out_dir: Path, manifest: RunManifest) -> None:
-    from .corpus import write_corpus_jsonl
+    from .formats import write_corpus_jsonl
 
     start = time.perf_counter()
     write_corpus_jsonl(corpus, str(out_dir / "corpus.jsonl"))
@@ -312,7 +287,7 @@ def _shuffle_config(args):
 def _cmd_null(corpus, report, args, out_dir: Path, manifest: RunManifest) -> None:
     import hashlib
 
-    from .corpus import corpus_canonical_lines
+    from .formats import corpus_canonical_lines
     from .nullmodel import null_band
 
     config = _shuffle_config(args)
@@ -453,8 +428,7 @@ def _synth_config(args):
 
 
 def _cmd_synth(args, out_dir: Path, manifest: RunManifest) -> None:
-    from .corpus import write_corpus_jsonl
-    from .mesh import write_mesh_tsv
+    from .formats import write_corpus_jsonl, write_mesh_tsv
     from .synth import synth_corpus
 
     config = _synth_config(args)

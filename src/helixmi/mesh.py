@@ -1,11 +1,10 @@
-"""MeSH controlled-vocabulary loading and branch metadata.
+"""The MeSH controlled vocabulary and its branch metadata.
 
-Two on-disk formats are supported: the NLM ASCII descriptor file
-(records delimited by ``*NEWRECORD`` with ``MH =`` / ``MN =`` / ``UI =``
-fields) and a canonical three-column TSV.  Both produce the same
-in-memory :class:`Vocabulary`: the ids, names and tree-number codes as
+A :class:`Vocabulary` holds the ids, names and tree-number codes as
 columns sorted by id, with no per-descriptor objects until asked for.
-It is immutable after loading and safe to share across workers.
+It is immutable after loading and safe to share across workers.  Its
+loaders and writer are in ``formats``; their names are still found
+here, and ``formats`` is imported when one is first asked for.
 """
 
 from __future__ import annotations
@@ -13,7 +12,6 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterator
 
 import numpy as np
 
@@ -23,8 +21,6 @@ VALID_BRANCHES = frozenset("ABCDEFGHIJKLMNVZ")
 
 # the branches every count is taken over: diseases, drugs, techniques
 BRANCHES = ("C", "D", "E")
-
-TSV_HEADER = "id\tname\ttree_numbers"
 
 
 class MeshFormatError(DataError):
@@ -248,158 +244,13 @@ class Vocabulary:
         )
 
 
-def _decode(raw: bytes) -> str:
-    try:
-        return raw.decode("utf-8")
-    except UnicodeDecodeError:
-        return raw.decode("latin-1")
+# the names of ``formats`` that this module defined before, still found here
+_FORMATS_NAMES = frozenset({"TSV_HEADER", "load_mesh_ascii", "load_mesh_tsv", "write_mesh_tsv"})
 
 
-# bytes per read of the NLM ASCII loader; the file's lines are read a
-# block at a time, so the loader holds one block of the file at once
-_ASCII_BLOCK_BYTES = 1 << 17
+def __getattr__(name: str):
+    if name not in _FORMATS_NAMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from . import formats
 
-# the lines the loader reads, by their first bytes as a little-endian
-# integer: a record's first line, ``*NEWRECORD``, its eight bytes from the
-# first and from the third, and the three fields, ``MH = `` and the like
-_NEWRECORD_HEADS = (int.from_bytes(b"*NEWRECO", "little"), int.from_bytes(b"EWRECORD", "little"))
-_NEWRECORD, _MH, _MN, _UI = range(1, 5)
-_FIELD_HEADS = {int.from_bytes(key + b" = ", "little"): kind
-                for key, kind in ((b"MH", _MH), (b"MN", _MN), (b"UI", _UI))}
-
-
-def _ascii_lines(path: str) -> Iterator[tuple[int, int, str]]:
-    """The lines of an NLM ASCII file the loader reads, in file order:
-    ``(kind, offset, value)`` with the byte offset where the line starts
-    and, for a field line, its value decoded and stripped.
-
-    Lines end with LF, CRLF or CR and are read a block at a time; a line is
-    told apart by its first bytes, so only the field values are decoded,
-    each as UTF-8 or else as latin-1.
-    """
-    from .corpus import _line_blocks  # corpus imports this module
-
-    with open(path, "rb") as fh:
-        for data, starts, ends, windows, _ in _line_blocks(fh, _ASCII_BLOCK_BYTES, after_empty_line=False):
-            base = fh.tell() - len(data)
-            sizes = ends - starts
-            heads = windows[starts]
-            kinds = np.zeros(len(starts), dtype=np.int8)
-            fields = np.flatnonzero(sizes >= 5)
-            prefixes = heads[fields] & 0xFF_FFFF_FFFF
-            for head, kind in _FIELD_HEADS.items():
-                kinds[fields[prefixes == head]] = kind
-            first, third = _NEWRECORD_HEADS
-            opens = np.flatnonzero((sizes == 10) & (heads == first))
-            kinds[opens[windows[starts[opens] + 2] == third]] = _NEWRECORD
-            lines = np.flatnonzero(kinds)
-            raw = data.tobytes()
-            for kind, lo, hi in zip(kinds[lines].tolist(), starts[lines].tolist(),
-                                    ends[lines].tolist()):
-                yield kind, base + lo, "" if kind == _NEWRECORD else _decode(raw[lo + 5:hi]).strip()
-
-
-def load_mesh_ascii(path: str) -> Vocabulary:
-    """Load an NLM ASCII descriptor file.
-
-    Records carrying at least one ``MN =`` line become descriptors;
-    records without tree numbers (qualifier records and the like) are
-    skipped and counted in the load report.  A record that has tree
-    numbers but is missing its ``MH =`` or ``UI =`` field is malformed
-    and reported with the byte offset where the record starts.  Within a
-    record the last ``MH =`` and ``UI =`` line count.  Lines end with LF,
-    CRLF or CR, a line that is not UTF-8 reads as latin-1, and one UTF-8
-    byte order mark at the start of the file is skipped.
-    """
-    ids: list[str] = []
-    names: list[str] = []
-    counts: list[int] = []
-    codes: list[str] = []
-    skipped = 0
-
-    record_offset = 0
-    name: str | None = None
-    uid: str | None = None
-    trees: list[str] = []
-    in_record = False
-
-    def finish(offset: int) -> None:
-        nonlocal skipped, name, uid, trees
-        if not trees:
-            if in_record:
-                skipped += 1
-        elif name is None or uid is None:
-            # an invalid tree number of an earlier record is reported first
-            _check_tree_numbers(codes)
-            missing = "MH" if name is None else "UI"
-            raise MeshFormatError(
-                f"{path}: malformed record at byte {offset}: missing '{missing} =' field"
-            )
-        else:
-            ids.append(uid)
-            names.append(name)
-            counts.append(len(trees))
-            codes.extend(trees)
-        name, uid, trees = None, None, []
-
-    for kind, offset, value in _ascii_lines(path):
-        if kind == _NEWRECORD:
-            finish(record_offset)
-            in_record = True
-            record_offset = offset
-        elif kind == _MH:
-            name = value
-        elif kind == _MN:
-            trees.append(value)
-        else:
-            uid = value
-    finish(record_offset)
-
-    return Vocabulary.from_columns(ids, names, counts, codes, skipped_no_tree=skipped)
-
-
-def load_mesh_tsv(path: str) -> Vocabulary:
-    """Load the canonical ``id<TAB>name<TAB>tree_numbers`` TSV."""
-    ids: list[str] = []
-    names: list[str] = []
-    counts: list[int] = []
-    codes: list[str] = []
-    skipped = 0
-    with open(path, encoding="utf-8") as fh:
-        header = fh.readline().rstrip("\n")
-        if header != TSV_HEADER:
-            raise MeshFormatError(f"{path}: expected header {TSV_HEADER!r}")
-        try:
-            for lineno, line in enumerate(fh, start=2):
-                line = line.rstrip("\n")
-                if not line:
-                    continue
-                cols = line.split("\t")
-                if len(cols) != 3:
-                    raise MeshFormatError(
-                        f"{path}: line {lineno}: expected 3 columns, found {len(cols)}"
-                    )
-                uid, name, tree_field = cols
-                raws = [t for t in tree_field.split(";") if t]
-                if not raws:
-                    skipped += 1
-                    continue
-                ids.append(uid)
-                names.append(name)
-                counts.append(len(raws))
-                codes += raws
-        except (MeshFormatError, UnicodeDecodeError):
-            # an invalid tree number of an earlier line is reported first
-            _check_tree_numbers(codes)
-            raise
-    return Vocabulary.from_columns(ids, names, counts, codes, skipped_no_tree=skipped)
-
-
-def write_mesh_tsv(vocabulary: Vocabulary, path: str) -> None:
-    """Write the canonical TSV (UTF-8, LF endings, no BOM), sorted by id."""
-    bounds = vocabulary.tree_ptr.tolist()
-    trees = vocabulary.tree_numbers
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(TSV_HEADER + "\n")
-        for uid, name, a, b in zip(vocabulary.column_ids, vocabulary.names, bounds, bounds[1:]):
-            fh.write(f"{uid}\t{name}\t{';'.join(trees[a:b])}\n")
+    return getattr(formats, name)

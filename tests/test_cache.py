@@ -24,8 +24,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from helixmi import cache, cli
-from helixmi import corpus as corpus_module
-from helixmi import mesh as mesh_module
+from helixmi import formats as formats_module
 from helixmi.corpus import Corpus, IngestReport, corpus_canonical_bytes
 from helixmi.mesh import Vocabulary
 from helixmi.synth import MODES
@@ -132,8 +131,8 @@ def inputs(tmp_path_factory):
                     "--seed", "11", "--out", out]) == 0
         made[mode] = (out / "corpus.jsonl", out / "mesh.tsv")
     source = root / "sizemix"
-    vocabulary = mesh_module.load_mesh_tsv(str(source / "mesh.tsv"))
-    corpus, _ = corpus_module.ingest_jsonl(str(source / "corpus.jsonl"), vocabulary)
+    vocabulary = formats_module.load_mesh_tsv(str(source / "mesh.tsv"))
+    corpus, _ = formats_module.ingest_jsonl(str(source / "corpus.jsonl"), vocabulary)
     write_medline(corpus, root / "corpus.medline", root / "mesh.bin")
     made["medline"] = (root / "corpus.medline", root / "mesh.bin")
     write_mixed_jsonl(source, root / "mixed.jsonl")
@@ -178,10 +177,8 @@ def test_hit_calls_no_parser(inputs, tmp_path, monkeypatch):
         raise AssertionError("a parser ran on a cache hit")
 
     # the names where the command looks them up when it runs
-    for module, name in ((mesh_module, "load_mesh_tsv"), (mesh_module, "load_mesh_ascii"),
-                         (corpus_module, "ingest_jsonl"),
-                         (corpus_module, "ingest_medline_text")):
-        monkeypatch.setattr(module, name, refuse)
+    for name in ("load_mesh_tsv", "load_mesh_ascii", "ingest_jsonl", "ingest_medline_text"):
+        monkeypatch.setattr(formats_module, name, refuse)
     for kind, args in commands.items():
         files, _, stages = run_one(args, tmp_path / kind / "hit")
         assert stages["cache"] == "hit"
@@ -208,8 +205,8 @@ def test_hit_decodes_no_id(inputs, tmp_path, monkeypatch):
 
 def test_awkward_ids_round_trip(inputs, cache_home):
     corpus_path, mesh_path = map(str, inputs["awkward-ids"])
-    vocabulary = mesh_module.load_mesh_tsv(mesh_path)
-    corpus, report = corpus_module.ingest_jsonl(corpus_path, vocabulary)
+    vocabulary = formats_module.load_mesh_tsv(mesh_path)
+    corpus, report = formats_module.ingest_jsonl(corpus_path, vocabulary)
     publications, _ = ingest_jsonl_objects(corpus_path, vocabulary)
     expected = tuple(p.id for p in publications)
     assert set(AWKWARD_IDS) <= set(expected)
@@ -261,7 +258,7 @@ def test_input_changed_during_the_parse_is_not_stored(inputs, tmp_path, cache_ho
     copied.write_bytes(corpus.read_bytes())
     monkeypatch.setattr(cache, "_RECENT_NS", recent_ns)
     io = ["--corpus", copied, "--mesh", mesh]
-    parse = corpus_module.ingest_jsonl
+    parse = formats_module.ingest_jsonl
 
     def parse_then_change(*args, **kwargs):
         parsed = parse(*args, **kwargs)
@@ -269,10 +266,10 @@ def test_input_changed_during_the_parse_is_not_stored(inputs, tmp_path, cache_ho
         copied.write_bytes(data.replace(b"1", b"2") if recent_ns > 0 else data + b"\n")
         return parsed
 
-    monkeypatch.setattr(corpus_module, "ingest_jsonl", parse_then_change)
+    monkeypatch.setattr(formats_module, "ingest_jsonl", parse_then_change)
     assert run_one(["mi", *io], tmp_path / "a")[2]["cache"] == "off"
     assert not stored_entries(cache_home)
-    monkeypatch.setattr(corpus_module, "ingest_jsonl", parse)
+    monkeypatch.setattr(formats_module, "ingest_jsonl", parse)
     assert run_one(["mi", *io], tmp_path / "b")[2]["cache"] == "stored"
 
 

@@ -285,6 +285,15 @@ def test_ingest_detects_jsonl_after_a_byte_order_mark(synth_dir, tmp_path):
     assert (out / "corpus.jsonl").read_bytes() == (synth_dir / "corpus.jsonl").read_bytes()
 
 
+def test_ingest_reads_a_tsv_after_a_byte_order_mark(synth_dir, tmp_path):
+    mesh = tmp_path / "bom.tsv"
+    mesh.write_bytes(codecs.BOM_UTF8 + (synth_dir / "mesh.tsv").read_bytes())
+    out = tmp_path / "out"
+    assert run(["ingest", "--corpus", synth_dir / "corpus.jsonl", "--mesh", mesh,
+                "--out", out]) == 0
+    assert (out / "corpus.jsonl").read_bytes() == (synth_dir / "corpus.jsonl").read_bytes()
+
+
 def test_stats_command(synth_dir, tmp_path):
     out = tmp_path / "stats"
     assert run(

@@ -24,6 +24,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helixmi import corpus as corpus_module
+from helixmi import formats as formats_module
 from helixmi.corpus import (
     Corpus,
     CorpusFormatError,
@@ -67,11 +68,11 @@ BOM = "\ufeff".encode("utf-8")
 
 @contextmanager
 def with_size(name, size):
-    """``helixmi.corpus.<name>`` (a block size) set to ``size`` inside the
+    """``helixmi.formats.<name>`` (a block size) set to ``size`` inside the
     block; None keeps the default."""
     with pytest.MonkeyPatch.context() as mp:
         if size is not None:
-            mp.setattr(corpus_module, name, size)
+            mp.setattr(formats_module, name, size)
         yield
 
 
@@ -189,7 +190,7 @@ def assert_same_outcome(path, year_range=None):
 def test_jsonl_matches_object_parser(tmp_path_factory, data, year_range, block):
     path = tmp_path_factory.mktemp("jsonl") / "c.jsonl"
     path.write_bytes(data)
-    with with_size("_JSONL_BLOCK_BYTES", block):
+    with with_size("_LINE_BLOCK_BYTES", block):
         assert_same_outcome(path, year_range)
 
 
@@ -206,7 +207,7 @@ def test_jsonl_rules_span_batches(tmp_path, block):
     ]
     path = tmp_path / "c.jsonl"
     path.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
-    with with_size("_JSONL_BLOCK_BYTES", block):
+    with with_size("_LINE_BLOCK_BYTES", block):
         corpus, report = ingest_jsonl(str(path), VOCAB, (1995, 2005))
     assert [(p.id, p.year, p.mesh_ids) for p in corpus.publications] == [
         ("1", 2000, ("D1",)), ("3", 2001, ("E1",))]
@@ -280,7 +281,7 @@ def test_jsonl_line_numbers_with_crlf_cut_by_any_block(tmp_path):
     path = tmp_path / "c.jsonl"
     path.write_bytes(b'{"id":"1","mesh":["C1"],"year":2000}\r\n' * 3 + b"\r\n{oops\r\n")
     for block in range(1, 48):
-        with with_size("_JSONL_BLOCK_BYTES", block):
+        with with_size("_LINE_BLOCK_BYTES", block):
             with pytest.raises(CorpusFormatError, match="line 5: Expecting"):
                 ingest_jsonl(str(path), VOCAB)
 
@@ -425,7 +426,7 @@ def test_medline_matches_object_parser(tmp_path_factory, data, year_range, block
     path = tmp_path_factory.mktemp("medline") / "m.txt"
     path.write_bytes(data)
     expected = ingest_medline_objects(str(path), VOCAB, year_range)
-    with with_size("_BLOCK_BYTES", block):
+    with with_size("_MEDLINE_BLOCK_BYTES", block):
         corpus, report = ingest_medline_text(str(path), VOCAB, year_range)
     assert_same_ingest(corpus, report, *expected)
 
@@ -509,7 +510,7 @@ MEDLINE_FIXTURES = {
 def check_fixture(path, name, block=None):
     data, rows, report_fields = MEDLINE_FIXTURES[name]
     path.write_bytes(data)
-    with with_size("_BLOCK_BYTES", block):
+    with with_size("_MEDLINE_BLOCK_BYTES", block):
         corpus, report = ingest_medline_text(str(path), VOCAB)
     assert [(p.id, p.year, p.mesh_ids) for p in corpus.publications] == rows
     expected = {"excluded_no_mesh": 0, "excluded_year": 0, "excluded_duplicate": 0,
@@ -567,7 +568,7 @@ def test_jsonl_packed_ids_match_object_parser(tmp_path_factory, records, surroga
                    for pub_id, year, terms in records)
     path = tmp_path_factory.mktemp("packed") / "c.jsonl"
     path.write_bytes(data.encode("ascii"))
-    with with_size("_JSONL_BLOCK_BYTES", block):
+    with with_size("_LINE_BLOCK_BYTES", block):
         assert_same_outcome(path, year_range)
 
 
@@ -587,7 +588,7 @@ def test_medline_packed_ids_match_object_parser(tmp_path_factory, records, year_
     path = tmp_path_factory.mktemp("packed") / "m.txt"
     path.write_bytes(text.encode("utf-8"))
     expected = ingest_medline_objects(str(path), VOCAB, year_range)
-    with with_size("_BLOCK_BYTES", block):
+    with with_size("_MEDLINE_BLOCK_BYTES", block):
         corpus, report = ingest_medline_text(str(path), VOCAB, year_range)
     assert_same_ingest(corpus, report, *expected)
 

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helixmi import mesh as mesh_module
+from helixmi import formats as formats_module
 from helixmi.mesh import (
     LoadReport,
     MeshDescriptor,
@@ -193,6 +193,21 @@ def test_tsv_round_trip(tmp_path, tiny_vocab):
         assert [t.raw for t in other.tree_numbers] == [t.raw for t in d.tree_numbers]
 
 
+def test_tsv_loader_skips_a_byte_order_mark(tmp_path, tiny_vocab):
+    plain = tmp_path / "plain.tsv"
+    write_mesh_tsv(tiny_vocab, str(plain))
+    marked = tmp_path / "marked.tsv"
+    marked.write_bytes(codecs.BOM_UTF8 + plain.read_bytes())
+    vocab = load_mesh_tsv(str(marked))
+    assert vocab.column_ids == tiny_vocab.column_ids
+    assert vocab.names == tiny_vocab.names
+    assert vocab.tree_numbers == tiny_vocab.tree_numbers
+    # one mark only, as for the other formats
+    marked.write_bytes(2 * codecs.BOM_UTF8 + plain.read_bytes())
+    with pytest.raises(MeshFormatError, match="expected header"):
+        load_mesh_tsv(str(marked))
+
+
 def test_ascii_and_tsv_agree(tmp_path):
     ascii_path = tmp_path / "d.bin"
     ascii_path.write_text(ASCII_SAMPLE, encoding="utf-8")
@@ -270,7 +285,7 @@ def test_ascii_loader_matches_the_line_loader(tmp_path_factory, data, block):
     with pytest.MonkeyPatch.context() as patch:
         if block is not None:
             # blocks smaller than a line grow until they hold one
-            patch.setattr(mesh_module, "_ASCII_BLOCK_BYTES", block)
+            patch.setattr(formats_module, "_LINE_BLOCK_BYTES", block)
         assert_same_vocabulary(path)
 
 

@@ -106,6 +106,33 @@ def test_every_public_name_resolves():
         helixmi.no_such_name  # noqa: B018
 
 
+def test_moved_names_resolve_from_their_old_modules():
+    # the readers and writers that moved to ``formats``, found where they were
+    # defined before, with ``formats`` imported only when one is asked for
+    code = """
+import sys
+import helixmi.corpus, helixmi.mesh
+assert "helixmi.formats" not in sys.modules
+for module in (helixmi.corpus, helixmi.mesh):
+    try:
+        module.no_such_name
+    except AttributeError:
+        pass
+    else:
+        raise AssertionError(module)
+assert "helixmi.formats" not in sys.modules
+from helixmi.corpus import ingest_jsonl
+from helixmi import formats
+assert ingest_jsonl is formats.ingest_jsonl
+for module in (helixmi.corpus, helixmi.mesh):
+    for name in module._FORMATS_NAMES:
+        assert getattr(module, name) is getattr(formats, name), name
+"""
+    proc = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=SRC),
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_flag_choices_are_the_modules_names():
     assert cli.BRANCHES == mesh.BRANCHES
     assert cli.TARGETS == infotheory.TARGETS
@@ -114,14 +141,18 @@ def test_flag_choices_are_the_modules_names():
 
 def test_mi_loads_only_the_modules_it_runs(synth_dir, tmp_path):
     io = ["--corpus", synth_dir / "corpus.jsonl", "--mesh", synth_dir / "mesh.tsv"]
-    assert cli.main(["mi", *map(str, io), "--out", str(tmp_path / "miss")]) == 0
-    report = probe(AS_MODULE, ["mi", *io, "--out", tmp_path / "hit"])
-    stages = json.loads((tmp_path / "hit" / "manifest.json").read_text())["stages"]
-    assert stages["cache"] == "hit"
-    loaded = set(report["modules"])
-    assert "helixmi.infotheory" in loaded
-    assert not loaded & {"helixmi.nullmodel", "helixmi.synth", "helixmi.dynamics",
-                         "helixmi.scaling"}
+    loaded = {}
+    for run in ("miss", "hit"):
+        report = probe(AS_MODULE, ["mi", *io, "--out", tmp_path / run])
+        stages = json.loads((tmp_path / run / "manifest.json").read_text())["stages"]
+        assert stages["cache"] == ("stored" if run == "miss" else "hit")
+        loaded[run] = set(report["modules"])
+        assert "helixmi.infotheory" in loaded[run]
+        assert not loaded[run] & {"helixmi.nullmodel", "helixmi.synth", "helixmi.dynamics",
+                                  "helixmi.scaling"}
+    # only a miss reads a file format
+    assert "helixmi.formats" in loaded["miss"]
+    assert "helixmi.formats" not in loaded["hit"]
     version = probe(AS_MODULE, ["--version"])
     assert not version["numpy"]
 
