@@ -12,10 +12,13 @@ normalization uses ``str.casefold``) never read an old entry.  A
 later command with the same key rebuilds the ``Vocabulary`` and the
 ``Corpus`` from the entry and calls no parser.
 
-Strings are held as packed columns (``corpus.PackedStrings``): their
+Strings are held as packed columns (``packed.PackedStrings``): their
 UTF-8 bytes, lone surrogates passed through, and the byte offset of
-each, so that no entry needs pickled objects.  A hit decodes the
-vocabulary's strings and keeps the publication ids packed, as read.
+each, so that no entry needs pickled objects.  A hit checks the packed
+columns and keeps them as read: the vocabulary's ids, names and tree
+numbers and the publication ids are decoded only where a command asks
+for them, and only the unresolved terms of the ingest report are
+decoded here.
 The directory keeps the ``CAPACITY`` entries used last.  An entry that
 cannot be read, or whose arrays have the wrong shape, is a miss, and a
 directory that cannot be written just stores nothing: no output depends
@@ -45,8 +48,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .corpus import Corpus, IngestReport, PackedStrings, pack_strings, unpack_strings
+from .corpus import Corpus, IngestReport
 from .mesh import LoadReport, Vocabulary
+from .packed import PackedStrings, pack_strings, unpack_strings
 
 # entries kept; storing one more removes the one read or written longest ago
 CAPACITY = 8
@@ -223,11 +227,11 @@ def _expect_offsets(ptr: np.ndarray, rows: int | None, total: int, least: int) -
 def _arrays(corpus: Corpus, report: IngestReport) -> dict:
     vocabulary = corpus.vocabulary
     arrays = {}
-    for name, strings in (("ids", vocabulary.column_ids), ("names", vocabulary.names),
-                          ("trees", vocabulary.tree_numbers),
-                          ("unresolved", list(report.unresolved_terms))):
-        arrays[name + "_offsets"], arrays[name] = pack_strings(strings)
-    arrays["pub_ids_offsets"], arrays["pub_ids"] = corpus.ids
+    for name, packed in (("ids", vocabulary.packed_ids), ("names", vocabulary.packed_names),
+                         ("trees", vocabulary.packed_trees),
+                         ("unresolved", pack_strings(list(report.unresolved_terms))),
+                         ("pub_ids", corpus.ids)):
+        arrays[name + "_offsets"], arrays[name] = packed
     loaded = vocabulary.load_report
     arrays["tree_ptr"] = vocabulary.tree_ptr
     arrays["load_report"] = np.array([loaded.loaded, loaded.skipped_no_tree], dtype=np.int64)
@@ -242,16 +246,16 @@ def _arrays(corpus: Corpus, report: IngestReport) -> dict:
 def _vocabulary(entry: dict) -> Vocabulary:
     loaded = entry["load_report"]
     _expect(loaded, np.int64, 2)
-    ids = _unpack(entry, "ids", None)
-    size = len(ids)
-    trees = _unpack(entry, "trees", None)
+    ids = _packed(entry, "ids", None)
+    size = len(ids.offsets) - 1
+    trees = _packed(entry, "trees", None)
     tree_ptr = entry["tree_ptr"]
-    _expect_offsets(tree_ptr, size, len(trees), 1)
+    _expect_offsets(tree_ptr, size, len(trees.offsets) - 1, 1)
     return Vocabulary(
-        column_ids=tuple(ids),
-        names=tuple(_unpack(entry, "names", size)),
+        packed_ids=ids,
+        packed_names=_packed(entry, "names", size),
         tree_ptr=tree_ptr,
-        tree_numbers=tuple(trees),
+        packed_trees=trees,
         load_report=LoadReport(*loaded.tolist()),
     )
 

@@ -208,8 +208,22 @@ def _cmd_stats(corpus, report, args, out_dir: Path, manifest: RunManifest) -> No
     )
     from .infotheory import efficiency
 
+    # the triples and the tests' temporaries go before the yearly counts come
     triples = corpus_triples(corpus, args.counting)
     stats = branch_stats_from_triples(triples)
+    wilcoxon_rows = []
+    for i, a in enumerate(BRANCHES):
+        for j, b in enumerate(BRANCHES):
+            if i < j:
+                res = wilcoxon_signed_rank(triples[:, i], triples[:, j])
+                wilcoxon_rows.append([a, b, res.statistic, res.p_value, res.n_effective])
+    del triples
+    _write_csv(
+        out_dir / "wilcoxon.csv",
+        ["branch_a", "branch_b", "statistic", "p_value", "n_effective"],
+        wilcoxon_rows,
+    )
+
     sizes = yearly_sizes(corpus)
     total_assignments = sum(r.total_descriptors for r in sizes)
     year_counts = corpus.year_counts
@@ -222,18 +236,6 @@ def _cmd_stats(corpus, report, args, out_dir: Path, manifest: RunManifest) -> No
         header += [f"mean_{alpha}", f"sd_{alpha}", f"med_{alpha}"]
         row += [stats.mean[alpha], stats.std[alpha], stats.median[alpha]]
     _write_csv(out_dir / "stats.csv", header, [row])
-
-    wilcoxon_rows = []
-    for i, a in enumerate(BRANCHES):
-        for j, b in enumerate(BRANCHES):
-            if i < j:
-                res = wilcoxon_signed_rank(triples[:, i], triples[:, j])
-                wilcoxon_rows.append([a, b, res.statistic, res.p_value, res.n_effective])
-    _write_csv(
-        out_dir / "wilcoxon.csv",
-        ["branch_a", "branch_b", "statistic", "p_value", "n_effective"],
-        wilcoxon_rows,
-    )
 
     # usage diversity always counts by membership, whatever --counting says
     member = branch_matrix(corpus.vocabulary, "membership").astype(bool)
@@ -339,11 +341,10 @@ def _cmd_scaling(corpus, report, args, out_dir: Path, manifest: RunManifest) -> 
         out_dir / "scaling.json",
         {"zipf": asdict(zipf), "heaps": asdict(heaps)},
     )
-    ids = corpus.vocabulary.column_ids
     _write_csv(
         out_dir / "zipf_points.csv",
         ["rank", "descriptor", "count"],
-        zip(ranks.tolist(), map(ids.__getitem__, columns.tolist()), counts.tolist()),
+        zip(ranks.tolist(), corpus.vocabulary.ids_at(columns), counts.tolist()),
     )
     _write_csv(
         out_dir / "heaps_points.csv",
@@ -355,13 +356,13 @@ def _cmd_scaling(corpus, report, args, out_dir: Path, manifest: RunManifest) -> 
 def _cmd_dynamics(corpus, report, args, out_dir: Path, manifest: RunManifest) -> None:
     from .dynamics import branch_share_series, detect_entries, rank_trajectories
 
+    # the pairs' temporaries go before the yearly counts come
+    pair_rows = _pair_rows(corpus, args.pair_branches, args)
+
     matrix = rank_trajectories(corpus, k=args.topk)
     header = ["descriptor", "primary_branch"] + [str(y) for y in matrix.years]
-    vocabulary = corpus.vocabulary
-    rows = []
-    for i, uid in enumerate(matrix.descriptor_ids):
-        branch = vocabulary.primary_branches[vocabulary.column(uid)]
-        rows.append([uid, branch] + [int(c) for c in matrix.cells[i]])
+    rows = [[uid, branch, *cells] for uid, branch, cells in
+            zip(matrix.descriptor_ids, matrix.primary_branches, matrix.cells.tolist())]
     _write_csv(out_dir / "trajectories.csv", header, rows)
 
     entries = detect_entries(corpus, k=args.topk)
@@ -370,8 +371,7 @@ def _cmd_dynamics(corpus, report, args, out_dir: Path, manifest: RunManifest) ->
         ["descriptor", "birth_year", "impact", "primary_branch"],
         [[e.descriptor_id, e.birth_year, e.impact, e.primary_branch] for e in entries],
     )
-
-    _write_pairs(corpus, args.pair_branches, args, out_dir)
+    _write_csv(out_dir / "pairs.csv", PAIRS_HEADER, pair_rows)
 
     shares = branch_share_series(corpus, args.counting)
     _write_csv(
@@ -381,31 +381,26 @@ def _cmd_dynamics(corpus, report, args, out_dir: Path, manifest: RunManifest) ->
     )
 
 
-def _write_pairs(corpus: Corpus, branches: tuple[str, str], args, out_dir: Path) -> None:
-    """``pairs.csv``: the most frequent descriptor pairs of two branches."""
+PAIRS_HEADER = ["branch_a", "descriptor_a", "name_a", "branch_b", "descriptor_b", "name_b",
+                "co_count", "year_lo", "year_hi"]
+
+
+def _pair_rows(corpus: Corpus, branches: tuple[str, str], args) -> list[list]:
+    """The rows of ``pairs.csv``: the most frequent descriptor pairs of two
+    branches."""
     from .dynamics import top_pairs
 
     branch_a, branch_b = branches
     pairs = top_pairs(corpus, branch_a, branch_b, window=args.window, limit=args.limit)
-    vocabulary = corpus.vocabulary
-    rows = []
-    for p in pairs:
-        name_a = vocabulary.names[vocabulary.column(p.descriptor_a)]
-        name_b = vocabulary.names[vocabulary.column(p.descriptor_b)]
-        rows.append(
-            [branch_a, p.descriptor_a, name_a, branch_b, p.descriptor_b, name_b,
-             p.co_count, p.window[0], p.window[1]]
-        )
-    _write_csv(
-        out_dir / "pairs.csv",
-        ["branch_a", "descriptor_a", "name_a", "branch_b", "descriptor_b", "name_b",
-         "co_count", "year_lo", "year_hi"],
-        rows,
-    )
+    return [
+        [branch_a, p.descriptor_a, p.name_a, branch_b, p.descriptor_b, p.name_b,
+         p.co_count, p.window[0], p.window[1]]
+        for p in pairs
+    ]
 
 
 def _cmd_pairs(corpus, report, args, out_dir: Path, manifest: RunManifest) -> None:
-    _write_pairs(corpus, args.branches, args, out_dir)
+    _write_csv(out_dir / "pairs.csv", PAIRS_HEADER, _pair_rows(corpus, args.branches, args))
 
 
 def _synth_config(args):

@@ -35,13 +35,15 @@ def sextile_sizes(k: int) -> list[int]:
 
 @dataclass
 class RankTrajectoryMatrix:
-    """Rows: top-K descriptors by all-years usage; columns: years.
+    """Rows: top-K descriptors by all-years usage, with their primary
+    branches; columns: years.
 
     Cell codes: -2 absent that year, -1 present but ranked beyond K,
     1..6 the yearly-rank sextile.
     """
 
     descriptor_ids: list[str]
+    primary_branches: list[str]
     years: list[int]
     cells: np.ndarray
     k: int
@@ -67,9 +69,13 @@ def rank_trajectories(corpus: Corpus, k: int = 200) -> RankTrajectoryMatrix:
         # the 1-based band of the rank: the first band whose end reaches it
         sextile = np.searchsorted(band_ends, r) + 1
         cells[:, j] = np.where(r == 0, ABSENT, np.where(r > k, OUT_OF_TOPK, sextile))
-    ids = corpus.vocabulary.column_ids
+    primary = corpus.vocabulary.primary_branches
     return RankTrajectoryMatrix(
-        descriptor_ids=[ids[j] for j in top.tolist()], years=years, cells=cells, k=k
+        descriptor_ids=corpus.vocabulary.ids_at(top),
+        primary_branches=[primary[j] for j in top.tolist()],
+        years=years,
+        cells=cells,
+        k=k,
     )
 
 
@@ -104,19 +110,21 @@ def detect_entries(corpus: Corpus, k: int = 200) -> list[EntryRecord]:
     # the whole top-K set, so each entrant's normalizer is a single lookup
     own_from = np.cumsum(top_counts[::-1], axis=0)[::-1]
     topk_mass_from = own_from.sum(axis=1).tolist()
-    own = own_from[births, np.arange(len(top))].tolist()
+    own = own_from[births, np.arange(len(top))]
 
-    ids = corpus.vocabulary.column_ids
+    # only the entrants' ids are decoded
+    entrants = births > 0
+    columns = top[entrants]
+    ids = corpus.vocabulary.ids_at(columns)
     primary = corpus.vocabulary.primary_branches
     entries = []
-    for col, birth, own_count in zip(top.tolist(), births.tolist(), own):
-        if birth == 0:
-            continue
+    for uid, col, birth, own_count in zip(ids, columns.tolist(), births[entrants].tolist(),
+                                          own[entrants].tolist()):
         normalizer = topk_mass_from[birth]
         impact = own_count / normalizer if normalizer else 0.0
         entries.append(
             EntryRecord(
-                descriptor_id=ids[col],
+                descriptor_id=uid,
                 birth_year=years[birth],
                 impact=impact,
                 primary_branch=primary[col],
@@ -132,6 +140,8 @@ class PairRecord:
     descriptor_b: str
     co_count: int
     window: tuple[int, int]
+    name_a: str
+    name_b: str
 
 
 def top_pairs(
@@ -152,7 +162,8 @@ def top_pairs(
     counts are merged into one run whenever the runs not yet merged hold
     more pairs than it, so beyond the result this holds one chunk's pairs
     and a few times the distinct pairs of the window, however many chunks
-    repeat them.
+    repeat them.  Only the ids and names of the pairs returned are
+    decoded.
     """
     if branch_a == branch_b or branch_a not in BRANCHES or branch_b not in BRANCHES:
         raise ValueError("branches must be two distinct letters among C, D, E")
@@ -172,8 +183,7 @@ def top_pairs(
     member = branch_matrix(corpus.vocabulary, "membership")
     is_a = member[:, BRANCHES.index(branch_a)].astype(bool)
     is_b = member[:, BRANCHES.index(branch_b)].astype(bool)
-    ids = corpus.vocabulary.column_ids
-    width = len(ids)
+    width = len(corpus.vocabulary)
     # (codes, counts) runs: the merged run, then the chunks' runs since the merge
     runs = []
     for start, stop in row_chunks(indptr, in_window[0].start, in_window[-1].stop):
@@ -207,9 +217,13 @@ def top_pairs(
     # a stable sort by descending count gives the (-count, id_a, id_b) order
     order = np.argsort(-counts, kind="stable")[:limit]
     a, b = np.divmod(codes[order], width)
+    vocabulary = corpus.vocabulary
     return [
-        PairRecord(descriptor_a=ids[i], descriptor_b=ids[j], co_count=n, window=window)
-        for i, j, n in zip(a.tolist(), b.tolist(), counts[order].tolist())
+        PairRecord(descriptor_a=id_a, descriptor_b=id_b, co_count=n, window=window,
+                   name_a=name_a, name_b=name_b)
+        for id_a, id_b, n, name_a, name_b in zip(vocabulary.ids_at(a), vocabulary.ids_at(b),
+                                                 counts[order].tolist(),
+                                                 vocabulary.names_at(a), vocabulary.names_at(b))
     ]
 
 

@@ -26,10 +26,11 @@ from typing import Iterator
 
 import numpy as np
 
-from .corpus import (Corpus, CorpusFormatError, IngestReport, PackedStrings, _encoded, _firsts,
-                     _row_order, _row_runs, _take_rows, row_chunks, string_ranks)
+from .corpus import Corpus, CorpusFormatError, IngestReport, _row_order, row_chunks
 from .errors import DataError
 from .mesh import MeshFormatError, Vocabulary, _check_tree_numbers
+from .packed import (PackedStrings, _encoded, _firsts, _row_runs, _take_rows, string_ranks,
+                     unpack_strings)
 
 # bytes per read of the block reader: MEDLINE text, whose blocks set the
 # peak of a cold MEDLINE ingest, and the line formats (JSONL, NLM ASCII);
@@ -375,7 +376,7 @@ class _RecordSink:
         kept = verdicts == _ADMISSIBLE
         entries = kept[rows] & ~unresolved
         # (kept row, column) keys: sorted, then each repeat dropped
-        width = len(self.vocabulary.column_ids)
+        width = len(self.vocabulary)
         keys = (np.cumsum(kept) - 1)[rows[entries]] * width + codes[entries]
         keys.sort()
         keys = keys[_firsts(keys)]
@@ -397,8 +398,10 @@ class _RecordSink:
         indptr = np.frombuffer(self.indptr, dtype=np.int64)
         indices = np.frombuffer(self.indices, dtype=np.int32)
         report = self.report
-        # every block is in, so the memo of terms goes before the sorts
+        # every block is in, so the memo of terms and the vocabulary's
+        # lookups go before the sorts
         self.columns = None
+        self.vocabulary.drop_lookups()
 
         ranks = string_ranks(ids)
         records = len(verdicts)
@@ -1017,7 +1020,11 @@ def corpus_canonical_lines(corpus: Corpus) -> Iterator[bytes]:
     the encoded names and the ids are gathered a chunk of rows at a time.
     """
     indptr, indices = corpus.incidence
-    names = np.array([_encode_str(uid) for uid in corpus.vocabulary.column_ids], dtype=object)
+    # decoded for this pass only, and dropped once encoded: the vocabulary
+    # keeps its ids packed
+    ids = unpack_strings(corpus.vocabulary.packed_ids)
+    names = np.array([_encode_str(uid) for uid in ids], dtype=object)
+    del ids
     join = ",".join
     for lo, hi in row_chunks(indptr, entries=LINE_CHUNK_ENTRIES):
         start = indptr[lo]

@@ -1,7 +1,8 @@
 """The MeSH controlled vocabulary and its branch metadata.
 
 A :class:`Vocabulary` holds the ids, names and tree-number codes as
-columns sorted by id, with no per-descriptor objects until asked for.
+packed UTF-8 columns sorted by id, with no per-descriptor objects and no
+decoded strings until asked for.
 It is immutable after loading and safe to share across workers.  Its
 loaders and writer are in ``formats``; their names are still found
 here, and ``formats`` is imported when one is first asked for.
@@ -10,12 +11,13 @@ here, and ``formats`` is imported when one is first asked for.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
 from .errors import DataError
+from .packed import PackedStrings, pack_strings, string_ranks, take_strings, unpack_strings
 
 VALID_BRANCHES = frozenset("ABCDEFGHIJKLMNVZ")
 
@@ -93,33 +95,59 @@ def _check_tree_numbers(raws) -> None:
             TreeNumber(raw)
 
 
-def _depth_then_code(raw: str) -> tuple[int, str]:
-    # the code starts with its branch letter, so ordering by the code
-    # after the depth orders by branch and then by code
-    return raw.count("."), raw
-
-
 @dataclass(eq=False)
 class Vocabulary:
-    """Descriptors as columns, sorted by id.
+    """Descriptors as packed columns (``packed.PackedStrings``), sorted by id.
 
-    Column j is the descriptor ``column_ids[j]``, named ``names[j]``, with
-    the tree numbers ``tree_numbers[tree_ptr[j]:tree_ptr[j + 1]]`` (at
-    least one, in the order its file gave them).  Every array view uses
-    this column order, so ties broken by id are ties broken by column
-    index.  The lookups, the branch matrices and the ``MeshDescriptor``
-    view are built from the columns on first read.  Build one with
-    :meth:`from_columns`, which checks and sorts its input.
+    Column j is the descriptor whose id is string j of ``packed_ids``,
+    named by string j of ``packed_names``, with the tree numbers
+    ``tree_ptr[j]`` to ``tree_ptr[j + 1]`` of ``packed_trees`` (at least
+    one, in the order its file gave them).  Every array view uses this
+    column order, so ties broken by id are ties broken by column index.
+
+    The columns stay packed.  The branch matrices and primary branches
+    are built from the codes' bytes on first read, and ``ids_at`` and
+    ``names_at`` decode the few columns a caller writes.  ``column_ids``,
+    ``names`` and ``tree_numbers`` decode a whole column on first read,
+    and the lookups and the ``MeshDescriptor`` view are built from them;
+    :meth:`from_columns` keeps the ids and the name index it was given,
+    which the parsers' term lookups read, until a parse is done with them
+    (:meth:`drop_lookups`).  A cache hit (``cache``) decodes nothing
+    until a command asks.  Build one with :meth:`from_columns`, which
+    checks and sorts its input.
     """
 
-    column_ids: tuple[str, ...] = ()
-    names: tuple[str, ...] = ()
-    tree_ptr: np.ndarray = field(default_factory=lambda: np.zeros(1, dtype=np.int64))
-    tree_numbers: tuple[str, ...] = ()
-    load_report: LoadReport = LoadReport()
+    packed_ids: PackedStrings
+    packed_names: PackedStrings
+    tree_ptr: np.ndarray  # int64, one more entry than there are descriptors
+    packed_trees: PackedStrings
+    load_report: LoadReport
 
     def __len__(self) -> int:
-        return len(self.column_ids)
+        return len(self.packed_ids.offsets) - 1
+
+    @cached_property
+    def column_ids(self) -> tuple[str, ...]:
+        """Every descriptor's id, in column order, decoded on first read."""
+        return tuple(unpack_strings(self.packed_ids))
+
+    @cached_property
+    def names(self) -> tuple[str, ...]:
+        """Every descriptor's name, in column order, decoded on first read."""
+        return tuple(unpack_strings(self.packed_names))
+
+    @cached_property
+    def tree_numbers(self) -> tuple[str, ...]:
+        """Every tree number, in column order, decoded on first read."""
+        return tuple(unpack_strings(self.packed_trees))
+
+    def ids_at(self, columns) -> list[str]:
+        """The ids of descriptor columns ``columns``, in that order."""
+        return take_strings(self.packed_ids, columns)
+
+    def names_at(self, columns) -> list[str]:
+        """The names of descriptor columns ``columns``, in that order."""
+        return take_strings(self.packed_names, columns)
 
     @cached_property
     def descriptors(self) -> dict[str, MeshDescriptor]:
@@ -137,26 +165,34 @@ class Vocabulary:
 
     def column(self, uid: str) -> int | None:
         """Column position of descriptor id ``uid``, or None: a bisection
-        of the sorted ids, so no id-to-column dict is built."""
+        of the sorted ids (``column_ids``, decoded on the first call), so
+        no id-to-column dict is built."""
         j = bisect_left(self.column_ids, uid)
         return j if j < len(self.column_ids) and self.column_ids[j] == uid else None
 
     @cached_property
     def primary_branches(self) -> tuple[str, ...]:
         """Primary-branch letter of each descriptor, in column order, as
-        ``MeshDescriptor.primary_branch`` picks it."""
-        bounds = self.tree_ptr.tolist()
-        trees = self.tree_numbers
-        return tuple(
-            trees[a][0] if b - a == 1 else min(trees[a:b], key=_depth_then_code)[0]
-            for a, b in zip(bounds, bounds[1:])
-        )
+        ``MeshDescriptor.primary_branch`` picks it: the branch of its code
+        of fewest dots, ties broken by the code, which starts with its
+        branch letter."""
+        offsets, data = self.packed_trees
+        if not len(self):
+            return ()
+        # every code holds at least its branch letter
+        depths = np.add.reduceat(data == ord("."), offsets[:-1], dtype=np.int64)
+        # by depth, then by the code's rank in code point order
+        keys = depths * len(depths) + string_ranks(self.packed_trees)
+        owners = np.repeat(np.arange(len(self)), np.diff(self.tree_ptr))
+        best = np.lexsort((keys, owners))[self.tree_ptr[:-1]]
+        return tuple(data[offsets[best]].tobytes().decode("ascii"))
 
     @cached_property
     def membership_matrix(self) -> np.ndarray:
         """(V, 3) read-only 0/1 matrix in column order: which of C, D, E
         each descriptor has a tree number in."""
-        letters = np.frombuffer("".join(t[0] for t in self.tree_numbers).encode(), np.uint8)
+        offsets, data = self.packed_trees
+        letters = data[offsets[:-1]]  # each code's first byte, its branch letter
         rows = np.repeat(np.arange(len(self)), np.diff(self.tree_ptr))
         matrix = np.zeros((len(self), len(BRANCHES)), dtype=np.int64)
         for i, alpha in enumerate(BRANCHES):
@@ -173,6 +209,14 @@ class Vocabulary:
         matrix = np.eye(outside + 1, outside, dtype=np.int64)[slots]
         matrix.flags.writeable = False
         return matrix
+
+    def drop_lookups(self) -> None:
+        """Forget the decoded ids and the name index, which the parsers'
+        term lookups read, so that a parsed vocabulary holds its packed
+        columns alone, as one read from the cache does; each is built again
+        on its next read."""
+        for name in ("column_ids", "name_index"):
+            self.__dict__.pop(name, None)
 
     def resolve(self, token: str) -> str | None:
         """Map a descriptor id or display name to a descriptor id."""
@@ -221,13 +265,15 @@ class Vocabulary:
             tree_numbers = [t for i in order for t in tree_numbers[bounds[i]:bounds[i + 1]]]
             tree_ptr[1:] = np.cumsum(counts[order])
         vocabulary = cls(
-            column_ids=tuple(ids),
-            names=tuple(names),
+            packed_ids=pack_strings(ids),
+            packed_names=pack_strings(names),
             tree_ptr=tree_ptr,
-            tree_numbers=tuple(tree_numbers),
+            packed_trees=pack_strings(tree_numbers),
             load_report=LoadReport(loaded=len(ids), skipped_no_tree=skipped_no_tree),
         )
-        vocabulary.__dict__["name_index"] = index  # already built for the check
+        # what the parsers' term lookups read, already at hand
+        vocabulary.__dict__["column_ids"] = tuple(ids)
+        vocabulary.__dict__["name_index"] = index
         return vocabulary
 
     @classmethod

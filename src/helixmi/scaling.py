@@ -67,9 +67,8 @@ def ranked_columns(counts: np.ndarray) -> np.ndarray:
 def descriptor_counts(corpus: Corpus, scope: str | int = "all") -> dict[str, int]:
     """Publications per descriptor, over all years or one year."""
     counts = _scope_counts(corpus, scope)
-    ids = corpus.vocabulary.column_ids
     used = np.flatnonzero(counts)
-    return {ids[j]: c for j, c in zip(used.tolist(), counts[used].tolist())}
+    return dict(zip(corpus.vocabulary.ids_at(used), counts[used].tolist()))
 
 
 def ranked_counts(corpus: Corpus, scope: str | int = "all") -> tuple[np.ndarray, np.ndarray]:
@@ -82,10 +81,10 @@ def ranked_counts(corpus: Corpus, scope: str | int = "all") -> tuple[np.ndarray,
 
 def rank_table(corpus: Corpus, scope: str | int = "all") -> RankTable:
     columns, counts = ranked_counts(corpus, scope)
-    ids = corpus.vocabulary.column_ids
+    ids = corpus.vocabulary.ids_at(columns)
     entries = [
-        RankEntry(rank=i, descriptor_id=ids[j], count=c)
-        for i, (j, c) in enumerate(zip(columns.tolist(), counts.tolist()), start=1)
+        RankEntry(rank=i, descriptor_id=uid, count=c)
+        for i, (uid, c) in enumerate(zip(ids, counts.tolist()), start=1)
     ]
     return RankTable(scope=str(scope), entries=entries)
 

@@ -32,9 +32,10 @@ from typing import Iterator
 
 import numpy as np
 
-from .corpus import Corpus, PackedStrings
+from .corpus import Corpus
 from .counts import BRANCHES
 from .mesh import Vocabulary
+from .packed import PackedStrings
 
 MODES = ("independent", "pairwise", "xor", "sizemix")
 

@@ -10,7 +10,9 @@ and every part of ``manifest.json`` but its stage times and timestamp,
 must not depend on which of the two happened.
 """
 
+import csv
 import hashlib
+import io as io_module
 import json
 import os
 import subprocess
@@ -25,8 +27,10 @@ from hypothesis import strategies as st
 
 from helixmi import cache, cli
 from helixmi import formats as formats_module
+from helixmi import mesh as mesh_module
 from helixmi.corpus import Corpus, IngestReport, corpus_canonical_bytes
 from helixmi.mesh import Vocabulary
+from helixmi.packed import take_strings
 from helixmi.synth import MODES
 
 from oracles import canonical_bytes_of, canonical_lines_encoder, ingest_jsonl_objects
@@ -201,6 +205,47 @@ def test_hit_decodes_no_id(inputs, tmp_path, monkeypatch):
         files, manifest, stages = run_one(args, tmp_path / "hit" / name)
         assert stages["cache"] == "hit"
         assert (files, manifest) == expected[name], name
+
+
+def test_commands_decode_only_the_vocabulary_strings_they_write(inputs, tmp_path, monkeypatch):
+    # a hit holds the vocabulary packed, and so does a parse once it is done
+    # with the term lookups
+    io = ["--corpus", inputs["sizemix"][0], "--mesh", inputs["sizemix"][1]]
+    commands = battery(io)
+    vocabularies = {}
+    decoded = []
+
+    def decode(packed, rows):
+        strings = take_strings(packed, rows)
+        decoded.extend(strings)
+        return strings
+
+    monkeypatch.setattr(mesh_module, "take_strings", decode)
+    for name in ("stats", "mi-full", "dynamics"):
+        command = commands[name][0]
+
+        def spy(corpus, *rest, handler=cli._COMMANDS[command], name=name):
+            vocabularies[name] = corpus.vocabulary
+            handler(corpus, *rest)
+
+        monkeypatch.setitem(cli._COMMANDS, command, spy)
+    for cache_state in ("stored", "hit"):
+        for name in ("stats", "mi-full", "dynamics"):
+            if cache_state == "stored":
+                # an empty cache for each command: every one parses and stores
+                monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cold" / name))
+            decoded.clear()
+            files, _, stages = run_one(commands[name], tmp_path / cache_state / name)
+            assert stages["cache"] == cache_state
+            held = vocabularies[name].__dict__
+            assert not {"column_ids", "names", "tree_numbers"} & set(held), (cache_state, name)
+            if name == "dynamics":
+                written = {cell for file in ("trajectories.csv", "entries.csv", "pairs.csv")
+                           for row in csv.reader(io_module.StringIO(files[file].decode()))
+                           for cell in row}
+                assert decoded and set(decoded) <= written
+            else:
+                assert decoded == [], (cache_state, name)
 
 
 def test_awkward_ids_round_trip(inputs, cache_home):
@@ -464,6 +509,38 @@ def test_hit_rebuilds_the_parsed_arrays(cache_home, parsed):
     assert rebuilt.query_label == corpus.query_label
     assert report_again == report
     assert list(report_again.unresolved_terms) == list(report.unresolved_terms)
+
+
+def test_entry_arrays_keep_their_layout(cache_home):
+    # an entry's arrays, in order, with their dtypes and bytes: the vocabulary
+    # columns are stored packed as they are held, in the layout of the
+    # entries written when a vocabulary held them decoded
+    vocabulary = Vocabulary.from_columns(["D2", "C1"], ["Café", "Heart"], [1, 2],
+                                         ["D02.300", "C04.1", "E05.22"], skipped_no_tree=3)
+    corpus = Corpus.from_arrays("q", vocabulary, ["p2", "é"], [2001, 2000], [0, 1, 3],
+                                [1, 0, 1])
+    report = IngestReport(1, 2, 3, 4, Counter({"Kidney": 2}), 5, 6)
+    assert cache.store("a" * 64, corpus, report)
+    i64, i32, u8 = np.int64, np.int32, np.uint8
+    expected = [
+        ("ids_offsets", i64, [0, 2, 4]), ("ids", u8, b"C1D2"),
+        ("names_offsets", i64, [0, 5, 10]), ("names", u8, "HeartCafé".encode()),
+        ("trees_offsets", i64, [0, 5, 11, 18]), ("trees", u8, b"C04.1E05.22D02.300"),
+        ("unresolved_offsets", i64, [0, 6]), ("unresolved", u8, b"Kidney"),
+        ("pub_ids_offsets", i64, [0, 2, 4]), ("pub_ids", u8, "ép2".encode()),
+        ("tree_ptr", i64, [0, 2, 3]), ("load_report", i64, [2, 3]),
+        ("pub_years", i64, [2000, 2001]), ("indptr", i64, [0, 2, 3]),
+        ("indices", i32, [0, 1, 1]), ("unresolved_counts", i64, [2]),
+        ("report", i64, [1, 2, 3, 4, 5, 6]),
+    ]
+    (entry,) = stored_entries(cache_home)
+    with np.load(entry) as npz:
+        assert npz.files == [name for name, _, _ in expected]
+        for name, dtype, values in expected:
+            array = npz[name]
+            assert (array.dtype, array.ndim) == (dtype, 1), name
+            assert array.tobytes() == np.array(bytearray(values) if dtype == u8 else values,
+                                               dtype=dtype).tobytes(), name
 
 
 # The digest index: a row (device, inode, size, mtime_ns, ctime_ns, sha256)

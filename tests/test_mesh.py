@@ -69,6 +69,47 @@ class TestPrimaryBranch:
         assert a.primary_branch == b.primary_branch
 
 
+# codes with ties in depth, repeats, more than eight bytes and characters
+# outside ASCII, whose UTF-8 bytes must order as their code points do
+packed_codes = st.builds(
+    "{}{}".format,
+    st.sampled_from(sorted("ABCDEFGHIJKLMNVZ")),
+    st.text(alphabet="019.éࠀ\U0001f600", max_size=12),
+)
+
+
+@st.composite
+def descriptor_specs(draw):
+    """(id, name, codes) of descriptors in no order, with names outside ASCII."""
+    ids = draw(st.lists(st.text(min_size=1, max_size=6), min_size=1, max_size=12, unique=True))
+    return [(uid, f"{i}:{draw(st.text(max_size=6))}",
+             draw(st.lists(packed_codes, min_size=1, max_size=5)))
+            for i, uid in enumerate(ids)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(descriptor_specs())
+def test_packed_branches_match_the_descriptors(specs):
+    built = Vocabulary.from_columns([uid for uid, _, _ in specs], [name for _, name, _ in specs],
+                                    [len(codes) for _, _, codes in specs],
+                                    [c for _, _, codes in specs for c in codes])
+    # the packed columns alone, as a cache hit holds them
+    vocab = Vocabulary(built.packed_ids, built.packed_names, built.tree_ptr, built.packed_trees,
+                       built.load_report)
+    expected = sorted((MeshDescriptor(uid, name, tuple(map(TreeNumber, codes)))
+                       for uid, name, codes in specs), key=lambda d: d.id)
+    assert vocab.primary_branches == tuple(d.primary_branch for d in expected)
+    assert vocab.membership_matrix.tolist() == [[int(alpha in d.branches) for alpha in "CDE"]
+                                                for d in expected]
+    # the columns decode to what they were given
+    assert vocab.column_ids == tuple(d.id for d in expected)
+    assert vocab.names == tuple(d.name for d in expected)
+    assert vocab.tree_numbers == tuple(t.raw for d in expected for t in d.tree_numbers)
+    columns = list(range(len(expected)))[::-1]
+    assert vocab.ids_at(columns) == [expected[j].id for j in columns]
+    assert vocab.names_at(columns) == [expected[j].name for j in columns]
+
+
 def test_same_branch_duplicate_collapses():
     d = MeshDescriptor("X", "x", (TreeNumber("C04.557"), TreeNumber("C20.683")))
     assert d.branches == {"C"}
