@@ -147,10 +147,10 @@ def _lam_arg(text: str) -> tuple[float, float, float]:
         ) from None
 
 
-def _load_inputs(args, manifest: RunManifest) -> tuple[Corpus, IngestReport]:
-    """The corpus and ingest report of ``--corpus`` and ``--mesh``: from
-    the cache entry of the inputs' bytes when there is one, else parsed
-    and then stored."""
+def _load_inputs(args, manifest: RunManifest) -> list[Corpus | IngestReport]:
+    """The corpus and ingest report of ``--corpus`` and ``--mesh``, in a
+    list that the command handed it owns: from the cache entry of the
+    inputs' bytes when there is one, else parsed and then stored."""
     from . import cache
 
     label = args.label or Path(args.corpus).stem
@@ -180,23 +180,24 @@ def _load_inputs(args, manifest: RunManifest) -> tuple[Corpus, IngestReport]:
     manifest.diagnostics["ingest"] = report.summary()
     # so that a run shows whether the load or the analysis set its peak
     stages["load_peak_rss_mb"] = _peak_rss_mb()
-    return corpus, report
+    return [corpus, report]
 
 
 # ---------------------------------------------------------------------------
 # Subcommands
 # ---------------------------------------------------------------------------
 
-def _cmd_ingest(corpus, report, args, out_dir: Path, manifest: RunManifest) -> None:
+def _cmd_ingest(inputs: list, args, out_dir: Path, manifest: RunManifest) -> None:
     from .formats import write_corpus_jsonl
 
+    corpus, report = inputs
     start = time.perf_counter()
     write_corpus_jsonl(corpus, str(out_dir / "corpus.jsonl"))
     _write_json(out_dir / "ingest_report.json", report.to_json_dict())
     manifest.stages["write_s"] = time.perf_counter() - start
 
 
-def _cmd_stats(corpus, report, args, out_dir: Path, manifest: RunManifest) -> None:
+def _cmd_stats(inputs: list, args, out_dir: Path, manifest: RunManifest) -> None:
     import numpy as np
 
     from .corpus import yearly_sizes
@@ -208,6 +209,7 @@ def _cmd_stats(corpus, report, args, out_dir: Path, manifest: RunManifest) -> No
     )
     from .infotheory import efficiency
 
+    corpus = inputs[0]
     # the triples and the tests' temporaries go before the yearly counts come
     triples = corpus_triples(corpus, args.counting)
     stats = branch_stats_from_triples(triples)
@@ -262,9 +264,10 @@ MI_HEADER = [
 ]
 
 
-def _cmd_mi(corpus, report, args, out_dir: Path, manifest: RunManifest) -> None:
+def _cmd_mi(inputs: list, args, out_dir: Path, manifest: RunManifest) -> None:
     from .infotheory import yearly_mi
 
+    corpus = inputs[0]
     series = yearly_mi(corpus, map_kind=args.map, counting=args.counting)
     rows = [
         [r.year, series.map_kind, r.h_c, r.h_d, r.h_e, r.h_cd, r.h_ce, r.h_de,
@@ -286,18 +289,33 @@ def _shuffle_config(args):
     )
 
 
-def _cmd_null(corpus, report, args, out_dir: Path, manifest: RunManifest) -> None:
+def _cmd_null(inputs: list, args, out_dir: Path, manifest: RunManifest) -> None:
     import hashlib
 
+    from .counts import triples_by_year
     from .formats import corpus_canonical_lines
-    from .nullmodel import null_band
+    from .nullmodel import null_band_from_triples
 
     config = _shuffle_config(args)
+    corpus = inputs[0]
+    if len(corpus) == 0:
+        raise DataError("empty corpus")
+    # the triples before the hash: the other way round, a seed-1 zipf62k
+    # null on a cache hit peaked 0.8-1.6 MB higher
+    start = time.perf_counter()
+    per_year = triples_by_year(corpus, config.counting)
+    manifest.stages["triples_s"] = time.perf_counter() - start
+    start = time.perf_counter()
     digest = hashlib.sha256()
     for line in corpus_canonical_lines(corpus):
         digest.update(line)
     corpus_hash = digest.hexdigest()
-    band = null_band(corpus, config, args.target)
+    manifest.stages["hash_s"] = time.perf_counter() - start
+    # the replicates need the triples alone: the corpus and the ingest
+    # report go first
+    del corpus
+    inputs.clear()
+    band = null_band_from_triples(per_year, config, args.target)
     # this process's and its reaped workers' peak, before the writes
     manifest.stages["null_peak_rss_mb"] = _peak_rss_mb()
     rows = [
@@ -326,12 +344,13 @@ def _cmd_null(corpus, report, args, out_dir: Path, manifest: RunManifest) -> Non
     }
 
 
-def _cmd_scaling(corpus, report, args, out_dir: Path, manifest: RunManifest) -> None:
+def _cmd_scaling(inputs: list, args, out_dir: Path, manifest: RunManifest) -> None:
     import numpy as np
 
     from .corpus import year_volumes
     from .scaling import heaps_fit, ranked_counts, zipf_fit_points
 
+    corpus = inputs[0]
     columns, counts = ranked_counts(corpus, "all")
     ranks = np.arange(1, len(columns) + 1)
     zipf = zipf_fit_points(ranks.astype(float), counts.astype(float), args.min_count)
@@ -353,9 +372,10 @@ def _cmd_scaling(corpus, report, args, out_dir: Path, manifest: RunManifest) -> 
     )
 
 
-def _cmd_dynamics(corpus, report, args, out_dir: Path, manifest: RunManifest) -> None:
+def _cmd_dynamics(inputs: list, args, out_dir: Path, manifest: RunManifest) -> None:
     from .dynamics import branch_share_series, detect_entries, rank_trajectories
 
+    corpus = inputs[0]
     # the pairs' temporaries go before the yearly counts come
     pair_rows = _pair_rows(corpus, args.pair_branches, args)
 
@@ -399,8 +419,8 @@ def _pair_rows(corpus: Corpus, branches: tuple[str, str], args) -> list[list]:
     ]
 
 
-def _cmd_pairs(corpus, report, args, out_dir: Path, manifest: RunManifest) -> None:
-    _write_csv(out_dir / "pairs.csv", PAIRS_HEADER, _pair_rows(corpus, args.branches, args))
+def _cmd_pairs(inputs: list, args, out_dir: Path, manifest: RunManifest) -> None:
+    _write_csv(out_dir / "pairs.csv", PAIRS_HEADER, _pair_rows(inputs[0], args.branches, args))
 
 
 def _synth_config(args):
@@ -520,8 +540,9 @@ def build_parser() -> _Parser:
     return parser
 
 
-# the commands that read a corpus: each writes its files from the loaded
-# corpus and ingest report, the options, the output directory and the manifest
+# the commands that read a corpus: each writes its files from the list of the
+# loaded corpus and ingest report, which it owns and may empty to free them,
+# the options, the output directory and the manifest
 _COMMANDS = {
     "ingest": _cmd_ingest,
     "stats": _cmd_stats,
@@ -569,7 +590,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "synth":
             _cmd_synth(args, out_dir, manifest)
         else:
-            _COMMANDS[args.command](*_load_inputs(args, manifest), args, out_dir, manifest)
+            _COMMANDS[args.command](_load_inputs(args, manifest), args, out_dir, manifest)
     except (DataError, OSError) as exc:
         print(f"helixmi {args.command}: error: {exc}", file=sys.stderr)
         if made and out_dir.is_dir() and not any(out_dir.iterdir()):

@@ -412,7 +412,7 @@ class _RecordSink:
         # a rank is at most its string's place in the sorted order, and every
         # rank is its place only when no two ids are equal: the ranks then sum
         # to 0 + 1 + ... + (records - 1)
-        if int(ranks.sum()) < records * (records - 1) // 2:
+        if int(ranks.sum(dtype=np.int64)) < records * (records - 1) // 2:
             # an id's first admissible record is admitted, and its every
             # later record is a duplicate, whatever that record's own verdict
             first = np.full(records, records, dtype=np.int64)

@@ -147,11 +147,15 @@ def shuffle_year(triples: np.ndarray, rng: np.random.Generator) -> np.ndarray:
 
 
 def percentile(sorted_values, p: float) -> float:
-    """Nearest-rank percentile: the value at 1-based index ceil(p*n)."""
+    """Nearest-rank percentile: the value at 1-based index ceil(p*n).
+
+    p*n is rounded to 9 places first, so that a level computed in floats
+    lands on its decimal rank: (1 - 0.95) / 2 is 0.025000000000000022,
+    whose 200 replicates are rank 5, not 6."""
     n = len(sorted_values)
     if n == 0:
         raise ValueError("empty input")
-    k = min(max(math.ceil(p * n), 1), n)
+    k = min(max(math.ceil(round(p * n, 9)), 1), n)
     return sorted_values[k - 1]
 
 

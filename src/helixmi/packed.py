@@ -111,9 +111,12 @@ def _chunk_words(data: np.ndarray, starts: np.ndarray, sizes: np.ndarray) -> np.
     read = np.minimum(starts, last)
     words = windows[read]
     words.byteswap(inplace=True)
-    read -= starts
+    # each word's left shift in bits, in place: the bytes it was read
+    # before its start, times eight
+    np.subtract(starts, read, out=read)
     if read.any():
-        words <<= (-8 * read).astype(np.uint64)
+        read <<= 3
+        words <<= read.view(np.uint64)
     del read
     words &= _HIGH_BYTES[sizes]
     return words
@@ -121,16 +124,19 @@ def _chunk_words(data: np.ndarray, starts: np.ndarray, sizes: np.ndarray) -> np.
 
 def string_ranks(packed: PackedStrings) -> np.ndarray:
     """The rank of each string of a packed column: how many of its strings
-    are smaller, in code point order, so that equal strings share a rank.
+    are smaller, in code point order, so that equal strings share a rank;
+    int32 when the strings are fewer than 2**31, else int64.
 
     UTF-8 bytes, lone surrogates included, compare as their code points
     do, so the strings are sorted by their bytes, eight at a time: a chunk
     of up to eight bytes is its big-endian word, zero-padded, then its
     length.  All first chunks are sorted at once; after that only strings
     that tie with another so far and hold a full chunk read their next
-    one, all of them at once, each sorted within its ties.
+    one, all of them at once, each sorted within its ties.  The strings'
+    arrays are gathered into each new order one at a time.
     """
     offsets, data = packed
+    index = np.int32 if len(offsets) <= 2**31 else np.int64
     ranks = None  # set by the first chunks
     todo = None  # every string
     pos = 0
@@ -138,8 +144,10 @@ def string_ranks(packed: PackedStrings) -> np.ndarray:
         if todo is None:
             starts, lengths = offsets[:-1], np.diff(offsets)
         else:
-            starts = offsets[todo] + pos
-            lengths = offsets[todo + 1] - starts
+            starts = offsets[todo]
+            starts += pos
+            lengths = offsets[1:][todo]
+            lengths -= starts
         sizes = np.minimum(lengths, 8, out=lengths).astype(np.uint8)
         del lengths
         words = _chunk_words(data, starts, sizes)
@@ -148,11 +156,13 @@ def string_ranks(packed: PackedStrings) -> np.ndarray:
         tied = None if todo is None else ranks[todo]
         if tied is None:
             order = np.lexsort((sizes, words))
-            todo = order
             words.sort()  # as the order has them, without a gather
+            todo = order.astype(index)
         else:
             order = np.lexsort((sizes, words, tied))
-            todo, words, tied = todo[order], words[order], tied[order]
+            todo = todo[order]
+            words = words[order]
+            tied = tied[order]
         sizes = sizes[order]
         del order
         runs = _firsts(words)
@@ -161,7 +171,7 @@ def string_ranks(packed: PackedStrings) -> np.ndarray:
         # a run of strings that tie on this chunk as well ranks after the
         # strings before it in its group: from the group's rank, plus the
         # run's start less the group's
-        run_ranks = np.arange(len(todo))
+        run_ranks = np.arange(len(todo), dtype=index)
         if tied is not None:
             groups = _firsts(tied)
             runs |= groups

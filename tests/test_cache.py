@@ -224,9 +224,9 @@ def test_commands_decode_only_the_vocabulary_strings_they_write(inputs, tmp_path
     for name in ("stats", "mi-full", "dynamics"):
         command = commands[name][0]
 
-        def spy(corpus, *rest, handler=cli._COMMANDS[command], name=name):
-            vocabularies[name] = corpus.vocabulary
-            handler(corpus, *rest)
+        def spy(inputs, *rest, handler=cli._COMMANDS[command], name=name):
+            vocabularies[name] = inputs[0].vocabulary
+            handler(inputs, *rest)
 
         monkeypatch.setitem(cli._COMMANDS, command, spy)
     for cache_state in ("stored", "hit"):

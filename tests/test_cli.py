@@ -6,6 +6,7 @@ import signal
 import subprocess
 import sys
 import time
+import weakref
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -89,6 +90,7 @@ def test_unusable_data_exits_two(synth_dir, tmp_path, capsys):
     for command in ("mi", "null"):
         assert run([command, *io, "--years", "1900:1901", "--out", tmp_path / command]) == 2
         assert "empty corpus" in capsys.readouterr().err
+        assert not (tmp_path / command).exists()
     # every year tags the same three descriptors, so every (M, V) point is one
     same = tmp_path / "same.jsonl"
     same.write_text("".join(
@@ -363,15 +365,16 @@ def test_null_command_and_thread_invariance(synth_dir, tmp_path, monkeypatch):
         assert null_manifest["corpus_hash"] == cache.file_sha256(synth_dir / "corpus.jsonl")
         stages = json.loads((out / "manifest.json").read_text())["stages"]
         parsed = {"vocabulary_peak_rss_mb"} if stages["cache"] != "hit" else set()
-        assert set(stages) == {"vocabulary_s", "ingest_s", "null_s", "null_workers",
-                               "command_s", "peak_rss_mb", "cache", "ingest_template_lines",
-                               "ingest_json_lines", "load_peak_rss_mb", "digests",
-                               "digest_s", "null_peak_rss_mb"} | parsed
+        assert set(stages) == {"vocabulary_s", "ingest_s", "triples_s", "hash_s", "null_s",
+                               "null_workers", "command_s", "peak_rss_mb", "cache",
+                               "ingest_template_lines", "ingest_json_lines",
+                               "load_peak_rss_mb", "digests", "digest_s",
+                               "null_peak_rss_mb"} | parsed
         assert stages["load_peak_rss_mb"] <= stages["null_peak_rss_mb"] <= stages["peak_rss_mb"]
         if parsed:
             assert stages["vocabulary_peak_rss_mb"] <= stages["load_peak_rss_mb"]
         assert stages["null_workers"] == (cores if sys.platform == "linux" else 1)
-        assert 0 < stages["null_s"] < stages["command_s"]
+        assert 0 < stages["triples_s"] + stages["hash_s"] + stages["null_s"] < stages["command_s"]
     assert all(o == outputs[0] for o in outputs)
 
 
@@ -460,6 +463,26 @@ def test_null_manifest_reports_undefined_replicates(synth_dir, tmp_path):
         "ci_level", "corpus_hash", "replicates", "seed"]
 
 
+def test_null_replicates_run_with_no_corpus_alive(synth_dir, tmp_path, monkeypatch):
+    # the replicates need only the yearly triples: the command lets the
+    # corpus go before they start, with no garbage collection
+    loaded = []
+
+    def load_inputs(*args, load=cli._load_inputs):
+        inputs = load(*args)
+        loaded.append(weakref.ref(inputs[0]))
+        return inputs
+
+    def replicate_values(*args, run=nullmodel.replicate_values):
+        assert loaded and loaded[0]() is None, "the corpus is alive"
+        return run(*args)
+
+    monkeypatch.setattr(cli, "_load_inputs", load_inputs)
+    monkeypatch.setattr(nullmodel, "replicate_values", replicate_values)
+    assert run(["null", "--corpus", synth_dir / "corpus.jsonl", "--mesh",
+                synth_dir / "mesh.tsv", "--replicates", "10", "--out", tmp_path]) == 0
+
+
 def test_scaling_command(synth_dir, tmp_path):
     out = tmp_path / "scaling"
     assert run(
@@ -543,7 +566,7 @@ def test_handler_on_a_loaded_corpus_writes_the_command_bytes(synth_dir, tmp_path
     out = tmp_path / "handler"
     out.mkdir()
     args = cli.build_parser().parse_args([*argv, "--out", str(out)])
-    cli._COMMANDS[command](corpus, report, args, out, cli.RunManifest(command))
+    cli._COMMANDS[command]([corpus, report], args, out, cli.RunManifest(command))
     assert {path.name: path.read_bytes() for path in out.iterdir()} == expected
 
 

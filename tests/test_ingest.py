@@ -16,6 +16,7 @@ output must ingest back to the same corpus.
 
 import gc
 import json
+import tracemalloc
 from contextlib import contextmanager
 
 import numpy as np
@@ -623,6 +624,25 @@ def test_string_ranks_order_code_points(strings):
                                       "AAAAAAAAw", "AAAAAAAAx", "BBBBBBBBx", "BBBBBBBBz"]
     ranks = corpus_module.string_ranks(corpus_module.pack_strings(strings))
     assert ranks.tolist() == [sum(t < s for t in strings) for s in strings]
+
+
+def test_string_ranks_of_tied_ids_hold_few_arrays():
+    """72,000 ids ``S%08d``, which tie in groups of ten on their first
+    eight bytes, rank at 2.7 MB of traced memory, about 4.9 int64 arrays
+    of the ids, when each array is gathered into the tie order one at a
+    time and the indices and ranks are int32.  Gathering three at once,
+    in int64, peaked at 4.6 MB."""
+    ids = [f"S{i:08d}" for i in np.random.default_rng(1).permutation(72_000)]
+    packed = corpus_module.pack_strings(ids)
+    corpus_module.string_ranks(corpus_module.pack_strings(ids[:100]))  # numpy's first-call setup
+    tracemalloc.start()
+    try:
+        ranks = corpus_module.string_ranks(packed)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3.5 * 2**20, f"{peak / 2**20:.2f} MB"
+    assert (np.asarray(ids)[np.argsort(ranks)] == sorted(ids)).all()
 
 
 # ---------------------------------------------------------------------------

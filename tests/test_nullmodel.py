@@ -164,6 +164,24 @@ class TestNullBand:
             )
             assert row.flag == expected
 
+    @pytest.mark.parametrize("ci, replicates, ranks", [
+        (0.95, 200, (5, 195)), (0.99, 1000, (5, 995)), (0.90, 100, (5, 95)),
+    ])
+    def test_band_edges_are_the_nearest_ranks(self, ci, replicates, ranks, monkeypatch):
+        # each year's replicate values are 1..replicates, shuffled, so an
+        # edge's value is its rank
+        def replicate_values(per_year, config, medians, years):
+            rng = np.random.default_rng(0)
+            return rng.permuted(np.tile(np.arange(1.0, replicates + 1)[:, None],
+                                        (4, 1, len(years))), axis=1), 1
+
+        monkeypatch.setattr(nullmodel, "replicate_values", replicate_values)
+        per_year = synth_triples(SynthConfig(mode="independent", pubs_per_year=50, years=2,
+                                             seed=3))
+        band = null_band_from_triples(
+            per_year, ShuffleConfig(replicates=replicates, ci_level=ci, seed=1), "T_CD")
+        assert [(row.lo, row.hi) for row in band.rows] == [ranks] * 2
+
     def test_adding_replicates_keeps_early_ones(self):
         per_year = {2000: random_triples(np.random.default_rng(0), 80)}
         results = {}

@@ -275,10 +275,10 @@ def test_scaling_command_writes_the_table_bytes(tmp_path_factory, corpus, min_co
                                            for r in sizes]))}
     except DataError as exc:
         with pytest.raises(DataError) as raised:
-            cli._cmd_scaling(corpus, None, args, out, cli.RunManifest("scaling"))
+            cli._cmd_scaling([corpus, None], args, out, cli.RunManifest("scaling"))
         assert str(raised.value) == str(exc)
         return
-    cli._cmd_scaling(corpus, None, args, out, cli.RunManifest("scaling"))
+    cli._cmd_scaling([corpus, None], args, out, cli.RunManifest("scaling"))
     assert (out / "scaling.json").read_text(encoding="utf-8") == (
         json.dumps(fits, indent=2, sort_keys=True) + "\n")
     assert (out / "zipf_points.csv").read_bytes() == csv_bytes(
