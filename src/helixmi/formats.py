@@ -996,6 +996,8 @@ def load_corpus(path: str, vocabulary: Vocabulary, year_range: tuple[int, int] |
     a UTF-8 byte order mark, is ``{``, else MEDLINE text."""
     with open(path, "rb") as fh:
         head = fh.read(4096).removeprefix(codecs.BOM_UTF8).lstrip()
+        while not head and (block := fh.read(4096)):
+            head = block.lstrip()
     ingest = ingest_jsonl if head.startswith(b"{") else ingest_medline_text
     return ingest(path, vocabulary, year_range, query_label)
 

@@ -11,6 +11,11 @@ only on per-publication branch counts, permuting anonymous labels is
 statistically equivalent to permuting descriptor identities and much
 cheaper.
 
+The replicate engine (:func:`replicate_values`) takes only the yearly
+triples and the config.  It evaluates every year; the median map's
+thresholds are those of the pooled observed triples, as in the observed
+series, and a band keeps the observed series' years.
+
 Replicate r draws its generator from (seed, r) alone, so results are
 independent of execution order, and extending the replicate count never
 changes earlier replicates.  The replicates are therefore split into one
@@ -205,22 +210,20 @@ def worker_count(triples_per_year: Mapping[int, np.ndarray], replicates: int) ->
 
 
 def replicate_values(
-    triples_per_year: Mapping[int, np.ndarray],
-    config: ShuffleConfig,
-    medians: BranchStats | None,
-    years: list[int],
+    triples_per_year: Mapping[int, np.ndarray], config: ShuffleConfig
 ) -> tuple[np.ndarray, int]:
-    """Every target of every replicate in each of ``years``, as a NaN-filled
-    (4, replicates, len(years)) array in :data:`TARGETS` order; NaN where
-    a replicate leaves the year with no vector to evaluate.  Also the
-    number of processes that evaluated them.
+    """Every target of every replicate in each year of ``triples_per_year``,
+    ascending, as a (4, replicates, years) array in :data:`TARGETS` order;
+    NaN for a year with no publications or a replicate that leaves the year
+    no vector.  Also the number of processes that evaluated them.
 
+    The median map's thresholds are those of the pooled observed triples.
     The replicates are split into :func:`worker_count` contiguous ranges;
     this process evaluates the first and a forked worker each other one.
     The values do not depend on the number of ranges.
     """
     workers = worker_count(triples_per_year, config.replicates)
-    inputs = (triples_per_year, config, medians, years)
+    inputs = (triples_per_year, config)
     if workers == 1:
         return replicate_slice(*inputs, 0, config.replicates), workers
     bounds = [config.replicates * k // workers for k in range(workers + 1)]
@@ -266,38 +269,31 @@ def _worker_slice(start: int, stop: int) -> np.ndarray:
 
 
 def replicate_slice(
-    triples_per_year: Mapping[int, np.ndarray],
-    config: ShuffleConfig,
-    medians: BranchStats | None,
-    years: list[int],
-    start: int,
-    stop: int,
+    triples_per_year: Mapping[int, np.ndarray], config: ShuffleConfig, start: int, stop: int
 ) -> np.ndarray:
     """Replicates [start, stop) of :func:`replicate_values`, as a
-    (4, stop - start, len(years)) array, all in this process.
+    (4, stop - start, years) array, all in this process.
 
     Each replicate's pool is shuffled in one reused row and dealt into its
     row of a block's counts; a block holds as many replicates as
-    :data:`BLOCK_BYTES` pays for (:func:`_replicate_bytes`)."""
+    :data:`BLOCK_BYTES` pays for (:func:`_replicate_bytes`).  A year with
+    no publications has an empty pool, so it moves no generator."""
+    medians = pooled_branch_stats(triples_per_year) if config.map_kind == "median" else None
     rngs = [replicate_rng(config.seed, r) for r in range(start, stop)]
-    column = {year: i for i, year in enumerate(years)}
-    values = np.full((len(TARGETS), len(rngs), len(years)), np.nan)
+    values = np.full((len(TARGETS), len(rngs), len(triples_per_year)), np.nan)
     # Every block's counts and cell codes are views of one buffer, which
     # grows to the largest block.  Blocks of varying sizes, freed and
     # allocated again year after year, leave the allocator keeping heap in a
     # pattern that depends on the process's memory layout, and peak RSS then
     # differs from run to run.
     buffer = np.empty(0, dtype=np.intp)
-    for year in sorted(triples_per_year):
+    for column, year in enumerate(sorted(triples_per_year)):
         triples = triples_per_year[year]
         n = len(triples)
+        if n == 0:
+            continue
         pool, pubs = _label_pool(triples)
         row = np.empty_like(pool)
-        if year not in column:
-            # every year is shuffled, evaluated or not, to keep each stream
-            for rng in rngs:
-                _shuffle(pool, rng, row)
-            continue
         # a table spans at most 4n + 64 cells unless it is compacted; after
         # the first block, the block before gives its cells
         table = 4 * n + 64
@@ -309,7 +305,7 @@ def replicate_slice(
                 buffer = None  # the old buffer goes before the new one comes
                 buffer = np.empty(4 * len(batch) * n, dtype=np.intp)
             targets, table = _block_targets(pool, pubs, n, batch, row, buffer, config, medians)
-            values[:, lo:lo + len(batch), column[year]] = targets
+            values[:, lo:lo + len(batch), column] = targets
             lo += len(batch)
     return values
 
@@ -359,22 +355,13 @@ def null_band_from_triples(
 ) -> NullBand:
     if target not in TARGETS:
         raise ValueError(f"target must be one of {TARGETS}")
-    # Median thresholds are part of the fixed measurement map: they come
-    # from the observed corpus and are reused for every replicate.
-    medians: BranchStats | None = None
-    if config.map_kind == "median":
-        medians = pooled_branch_stats(triples_per_year)
-
     observed = mi_from_triples(
-        triples_per_year,
-        map_kind=config.map_kind,
-        medians=medians,
-        include_empty=config.include_empty,
+        triples_per_year, map_kind=config.map_kind, include_empty=config.include_empty
     )
     years = observed.years()
     start = time.perf_counter()
-    values, workers = replicate_values(triples_per_year, config, medians, years)
-    values = values[TARGETS.index(target)]
+    values, workers = replicate_values(triples_per_year, config)
+    values = values[TARGETS.index(target)][:, np.isin(sorted(triples_per_year), years)]
     replicate_s = time.perf_counter() - start
 
     p_lo = (1.0 - config.ci_level) / 2.0

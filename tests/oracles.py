@@ -237,14 +237,18 @@ def branch_shares_brute(corpus, counting):
     return out
 
 
-def null_values_loop(triples_per_year, config, medians, years):
-    """(4, replicates, years) targets of the shuffling null, one replicate
-    at a time: shuffle every year of the replicate in ascending order, then
-    take the yearly series of the shuffled corpus; NaN for a year the
-    replicate's series lacks."""
+def null_values_loop(triples_per_year, config):
+    """(4, replicates, years) targets of the shuffling null over every year
+    of ``triples_per_year``, one replicate at a time: shuffle every year of
+    the replicate in ascending order, then take the yearly series of the
+    shuffled corpus under the observed corpus' pooled medians; NaN for a
+    year the replicate's series lacks."""
+    from helixmi.counts import pooled_branch_stats
     from helixmi.infotheory import mi_from_triples
     from helixmi.nullmodel import TARGETS, replicate_rng, shuffle_year
 
+    years = sorted(triples_per_year)
+    medians = pooled_branch_stats(triples_per_year) if config.map_kind == "median" else None
     values = np.full((len(TARGETS), config.replicates, len(years)), np.nan)
     for r in range(config.replicates):
         rng = replicate_rng(config.seed, r)
@@ -252,9 +256,8 @@ def null_values_loop(triples_per_year, config, medians, years):
         series = mi_from_triples(shuffled, map_kind=config.map_kind, medians=medians,
                                  include_empty=config.include_empty)
         for record in series.records:
-            if record.year in years:
-                for t, target in enumerate(TARGETS):
-                    values[t, r, years.index(record.year)] = record.target(target)
+            for t, target in enumerate(TARGETS):
+                values[t, r, years.index(record.year)] = record.target(target)
     return values
 
 

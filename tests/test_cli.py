@@ -287,6 +287,15 @@ def test_ingest_detects_jsonl_after_a_byte_order_mark(synth_dir, tmp_path):
     assert (out / "corpus.jsonl").read_bytes() == (synth_dir / "corpus.jsonl").read_bytes()
 
 
+def test_ingest_detects_jsonl_after_whitespace_longer_than_a_read(synth_dir, tmp_path):
+    corpus = tmp_path / "padded.jsonl"
+    corpus.write_bytes(b"\n" * 5000 + (synth_dir / "corpus.jsonl").read_bytes())
+    out = tmp_path / "out"
+    assert run(["ingest", "--corpus", corpus, "--mesh", synth_dir / "mesh.tsv",
+                "--out", out]) == 0
+    assert (out / "corpus.jsonl").read_bytes() == (synth_dir / "corpus.jsonl").read_bytes()
+
+
 def test_ingest_reads_a_tsv_after_a_byte_order_mark(synth_dir, tmp_path):
     mesh = tmp_path / "bom.tsv"
     mesh.write_bytes(codecs.BOM_UTF8 + (synth_dir / "mesh.tsv").read_bytes())
@@ -444,6 +453,23 @@ def test_peak_rss_counts_finished_workers(monkeypatch):
     assert cli._peak_rss_mb() == 300
     usage[cli.resource.RUSAGE_CHILDREN] = 0
     assert cli._peak_rss_mb() == 100
+
+
+@pytest.mark.parametrize("map_kind", ["binary", "median", "full"])
+def test_null_observed_column_is_the_mi_series(synth_dir, tmp_path, map_kind):
+    # the band is comparable with the series only if it reports the
+    # series' own years and values
+    io = ["--corpus", synth_dir / "corpus.jsonl", "--mesh", synth_dir / "mesh.tsv",
+          "--map", map_kind]
+    assert run(["mi", *io, "--out", tmp_path / "mi"]) == 0
+    series = read_csv(tmp_path / "mi" / "mi.csv")
+    for target in infotheory.TARGETS:
+        out = tmp_path / target
+        assert run(["null", *io, "--target", target, "--replicates", "10", "--out", out]) == 0
+        band = read_csv(out / "null_band.csv")
+        assert [(row["year"], row["observed"]) for row in band] == [
+            (row["year"], row[target]) for row in series
+        ]
 
 
 def test_null_manifest_reports_undefined_replicates(synth_dir, tmp_path):

@@ -342,11 +342,16 @@ def test_year_entropies_match_oracle(vectors):
 
 
 @settings(max_examples=100, deadline=None)
-@given(st.lists(year_block(max_rows=30), min_size=1, max_size=3))
-def test_mi_from_triples_matches_oracle(blocks):
-    series = mi_from_triples({2000 + i: b for i, b in enumerate(blocks)})
-    assert len(series.records) == len(blocks)
-    for record, vectors in zip(series.records, blocks):
+@given(st.lists(year_block(max_rows=30), min_size=1, max_size=3), st.booleans())
+@example([np.array([[1, 0, 2], [0, 0, 0]]), np.zeros((2, 3), dtype=np.int64)], False)
+def test_mi_from_triples_matches_oracle(blocks, include_empty):
+    series = mi_from_triples({2000 + i: b for i, b in enumerate(blocks)},
+                             include_empty=include_empty)
+    # without the empty vectors, a year whose vectors are all empty is absent
+    kept = {2000 + i: b if include_empty else b[b.any(axis=1)] for i, b in enumerate(blocks)}
+    kept = {year: vectors for year, vectors in kept.items() if len(vectors)}
+    assert [record.year for record in series.records] == list(kept)
+    for record, vectors in zip(series.records, kept.values()):
         cells = observed_cells(vectors)
         assert record.n_obs == len(vectors)
         for value, axes in ((record.t_cd, (0, 1)), (record.t_ce, (0, 2)),

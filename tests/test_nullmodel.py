@@ -12,8 +12,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helixmi import nullmodel
-from helixmi.counts import pooled_branch_stats
-from helixmi.infotheory import mi_from_triples
 from helixmi.nullmodel import (
     ShuffleConfig,
     null_band,
@@ -170,10 +168,10 @@ class TestNullBand:
     def test_band_edges_are_the_nearest_ranks(self, ci, replicates, ranks, monkeypatch):
         # each year's replicate values are 1..replicates, shuffled, so an
         # edge's value is its rank
-        def replicate_values(per_year, config, medians, years):
+        def replicate_values(per_year, config):
             rng = np.random.default_rng(0)
             return rng.permuted(np.tile(np.arange(1.0, replicates + 1)[:, None],
-                                        (4, 1, len(years))), axis=1), 1
+                                        (4, 1, len(per_year))), axis=1), 1
 
         monkeypatch.setattr(nullmodel, "replicate_values", replicate_values)
         per_year = synth_triples(SynthConfig(mode="independent", pubs_per_year=50, years=2,
@@ -218,7 +216,7 @@ class TestNullBand:
         )
         band = null_band_from_triples(per_year, config, "T_CD")
         assert band.dropped_years == [2001]
-        values = null_values_loop(per_year, config, pooled_branch_stats(per_year), [2000])
+        values = null_values_loop(per_year, config)
         missing = int(np.isnan(values[0, :, 0]).sum())
         assert 0 < missing < 20
         assert band.rows[0].undefined_replicates == missing
@@ -228,12 +226,11 @@ class TestNullBand:
             SynthConfig(mode="pairwise", pubs_per_year=60, years=3, seed=5)
         )
         config = ShuffleConfig(replicates=12, seed=8)
-        years = sorted(per_year)
-        values, _ = replicate_values(per_year, config, None, years)
+        values, _ = replicate_values(per_year, config)
         for t, target in enumerate(nullmodel.TARGETS):
             band = null_band_from_triples(per_year, config, target)
             assert [r.mean_rand for r in band.rows] == [
-                float(values[t, :, i].mean()) for i in range(len(years))
+                float(values[t, :, i].mean()) for i in range(len(per_year))
             ]
 
     def test_xor_coupling_flagged_below(self):
@@ -276,20 +273,16 @@ class TestReplicateValues:
     def test_matches_replicate_by_replicate_loop(
         self, per_year, map_kind, include_empty, replicates, seed, block_bytes, cores
     ):
-        medians = None
-        if map_kind == "median":
-            if not any(len(t) for t in per_year.values()):
-                return
-            medians = pooled_branch_stats(per_year)
+        if map_kind == "median" and not any(len(t) for t in per_year.values()):
+            return  # no pooled median to take
         config = ShuffleConfig(replicates=replicates, seed=seed, map_kind=map_kind,
                                include_empty=include_empty)
-        years = mi_from_triples(per_year, map_kind, medians, include_empty).years()
         with mock.patch.object(nullmodel, "BLOCK_BYTES", block_bytes), \
                 mock.patch.object(nullmodel, "usable_cores", lambda: cores), \
                 mock.patch.object(nullmodel, "MIN_SLICE_LABELS", 1):
-            values, _ = replicate_values(per_year, config, medians, years)
-        expected = null_values_loop(per_year, config, medians, years)
-        assert values.shape == (4, replicates, len(years))
+            values, _ = replicate_values(per_year, config)
+        expected = null_values_loop(per_year, config)
+        assert values.shape == (4, replicates, len(per_year))
         # exact equality, NaN where a replicate left the year no vector
         assert np.array_equal(values, expected, equal_nan=True)
 
@@ -302,11 +295,10 @@ class TestReplicateValues:
         (B, L) array peaked at 7.5 and 6.1 MB."""
         per_year = synth_triples(SynthConfig(mode=mode, pubs_per_year=2000, years=3, seed=2))
         config = ShuffleConfig(replicates=100, seed=1)
-        years = sorted(per_year)
-        replicate_slice(per_year, config, None, years, 0, 2)  # numpy's first-call setup
+        replicate_slice(per_year, config, 0, 2)  # numpy's first-call setup
         tracemalloc.start()
         try:
-            replicate_slice(per_year, config, None, years, 0, 100)
+            replicate_slice(per_year, config, 0, 100)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
