@@ -49,6 +49,7 @@ from pathlib import Path
 import numpy as np
 
 from .corpus import Corpus, IngestReport
+from .errors import DataError
 from .mesh import LoadReport, Vocabulary
 from .packed import PackedStrings, pack_strings, unpack_strings
 
@@ -89,11 +90,17 @@ def cache_dir() -> Path:
     return Path(base) / "helixmi"
 
 
+# bytes per read of ``file_sha256``, into one buffer reused for the file
+_DIGEST_BUFFER_BYTES = 1 << 18
+
+
 def file_sha256(path) -> str:
     digest = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(1 << 20), b""):
-            digest.update(chunk)
+    buffer = bytearray(_DIGEST_BUFFER_BYTES)
+    view = memoryview(buffer)
+    with open(path, "rb", buffering=0) as fh:
+        while size := fh.readinto(buffer):
+            digest.update(view[:size])
     return digest.hexdigest()
 
 
@@ -360,7 +367,13 @@ def load_or_parse(paths, years, query_label: str, parse, stages: dict):
     corpus files ``paths`` in the year window ``years``: from their entry,
     else from ``parse()``, stored if the files did not change meanwhile.
     ``stages`` records ``digests``, ``digest_s``, ``cache`` and, on a hit,
-    the seconds of the rebuild."""
+    the seconds of the rebuild.  Each input is read twice, hashed and then
+    parsed, so one that is not a regular file, such as a pipe, which the
+    hash would empty, is a ``DataError`` before either read."""
+    for path in paths:
+        if os.path.exists(path) and not os.path.isfile(path):
+            raise DataError(f"{path}: not a regular file; an input is read twice, "
+                            "to hash it and to parse it, which a pipe does not allow")
     # an unreadable input leaves ``parse`` to report it, as without a cache
     stats, checked_ns = input_stats(paths), time.time_ns()
     start = time.perf_counter()

@@ -166,6 +166,8 @@ def _load_inputs(args, manifest: RunManifest) -> list[Corpus | IngestReport]:
         start = time.perf_counter()
         parsed = formats.load_corpus(args.corpus, vocabulary, args.years, label)
         stages["ingest_s"] = time.perf_counter() - start
+        # before the inputs are hashed again and the entry is stored
+        stages["parse_peak_rss_mb"] = _peak_rss_mb()
         return parsed
 
     paths = (args.mesh, args.corpus)

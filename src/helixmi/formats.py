@@ -298,25 +298,47 @@ def load_vocabulary(path: str) -> Vocabulary:
         raise DataError(f"{path}: not UTF-8 text ({exc})") from None
 
 
+# the code a term is first given, plus k for the k-th term met since the
+# last resolve, until ``_TermColumns.codes`` resolves it
+_PENDING = 1 << 62
+
+
 class _TermColumns(dict):
     """Memo of term -> code: the term's descriptor column, or ``-1 - k`` for
     the k-th distinct term the vocabulary cannot resolve, whose name is
-    ``unresolved[k]``; each distinct term is resolved once."""
+    ``unresolved[k]``.  Each distinct term is resolved once: a term met
+    for the first time is held as pending, and ``codes`` resolves the
+    pending terms of a block in one ``Vocabulary.term_columns`` call."""
 
     def __init__(self, vocabulary: Vocabulary) -> None:
         super().__init__()
         self.vocabulary = vocabulary
         self.unresolved: list[str] = []
+        self.pending: list[str] = []  # the terms met since the last resolve
+        self.placed: list[str] = []  # the keys that hold a pending code
 
     def __missing__(self, term: str) -> int:
-        uid = self.vocabulary.resolve(term)
-        if uid is None:
-            code = -1 - len(self.unresolved)
-            self.unresolved.append(term)
-        else:
-            code = self.vocabulary.column(uid)
+        code = _PENDING + len(self.pending)
+        self.pending.append(term)
+        self.placed.append(term)
         self[term] = code
         return code
+
+    def codes(self, terms: list[str]) -> np.ndarray:
+        """The int64 code of each term, the new ones resolved at once."""
+        codes = np.fromiter(map(self.__getitem__, terms), dtype=np.int64, count=len(terms))
+        if self.pending:
+            resolved = self.vocabulary.term_columns(self.pending)
+            for k in np.flatnonzero(resolved < 0).tolist():
+                resolved[k] = -1 - len(self.unresolved)
+                self.unresolved.append(self.pending[k])
+            late = codes >= _PENDING
+            codes[late] = resolved[codes[late] - _PENDING]
+            resolved = resolved.tolist()
+            for key in self.placed:
+                self[key] = resolved[self[key] - _PENDING]
+            self.pending, self.placed = [], []
+        return codes
 
 
 # what a record's own year and terms make of it; a duplicate id decides first
@@ -398,10 +420,8 @@ class _RecordSink:
         indptr = np.frombuffer(self.indptr, dtype=np.int64)
         indices = np.frombuffer(self.indices, dtype=np.int32)
         report = self.report
-        # every block is in, so the memo of terms and the vocabulary's
-        # lookups go before the sorts
+        # every block is in, so the memo of terms goes before the sorts
         self.columns = None
-        self.vocabulary.drop_lookups()
 
         ranks = string_ranks(ids)
         records = len(verdicts)
@@ -536,8 +556,7 @@ class _TermKeys:
             added = np.sort(keys[new])
             added = added[_firsts(added)]
             names = [term.decode("ascii") for term in added.astype("<u8").view("S8").tolist()]
-            self._insert(added, np.fromiter(map(self.columns.__getitem__, names),
-                                            dtype=np.int64, count=len(names)))
+            self._insert(added, self.columns.codes(names))
             codes[new] = self.slot_codes[self._probe(keys[new])]
         return codes
 
@@ -641,23 +660,22 @@ def _template_records(data, starts, ends, windows, marks, terms: _TermKeys):
     codes[short] = terms[keys]
     if not short.all():
         long = ~short
-        names = _spans_text(data, term_lo[long], term_hi[long])
-        codes[long] = np.fromiter(map(terms.columns.__getitem__, names), dtype=np.int64,
-                                  count=len(names))
+        codes[long] = terms.columns.codes(_spans_text(data, term_lo[long], term_hi[long]))
     return lines, ids, years, codes, k[ok]
 
 
-def _json_records(path: str, data, starts, ends, lines, line_base: int, code_of):
+def _json_records(path: str, data, starts, ends, lines, line_base: int, columns: _TermColumns):
     """The records of the given lines of a block, each parsed with
     ``json.loads`` as ``(lines, ids, years, codes, lengths)``; lines of
     whitespace are skipped.  A line reads as text mode read it: decoded as
-    UTF-8, with one LF for its line end."""
+    UTF-8, with one LF for its line end.  The terms are coded once every
+    line is read."""
     size = len(data)
     raw = data.tobytes()
     read: list[int] = []
     ids: list[str] = []
     years: list[int] = []
-    codes: list[int] = []
+    terms: list[str] = []
     lengths: list[int] = []
 
     def error(i: int, what) -> CorpusFormatError:
@@ -686,16 +704,16 @@ def _json_records(path: str, data, starts, ends, lines, line_base: int, code_of)
             mesh_field = obj["mesh"]
             if not isinstance(mesh_field, list):
                 raise TypeError("mesh must be a list")
-            terms = [str(t) for t in mesh_field]
+            mesh = [str(t) for t in mesh_field]
         except (KeyError, TypeError, ValueError, OverflowError, RecursionError) as exc:
             raise error(i, f"bad record ({exc})") from None
         read.append(i)
         ids.append(pub_id)
         years.append(year)
-        codes += map(code_of, terms)
-        lengths.append(len(terms))
+        terms += mesh
+        lengths.append(len(mesh))
     return (np.array(read, dtype=np.int64), ids, np.array(years, dtype=np.int64),
-            np.array(codes, dtype=np.int64), np.array(lengths, dtype=np.int64))
+            columns.codes(terms), np.array(lengths, dtype=np.int64))
 
 
 def _in_line_order(lines, records, more_lines, more):
@@ -754,8 +772,7 @@ def _read_jsonl(path: str, sink: _RecordSink) -> None:
             rest &= ends > starts
             rest = np.flatnonzero(rest)
             if len(rest):
-                parsed, *more = _json_records(path, data, starts, ends, rest, line_base,
-                                              columns.__getitem__)
+                parsed, *more = _json_records(path, data, starts, ends, rest, line_base, columns)
                 report.json_lines += len(parsed)
                 records = _in_line_order(lines, records, parsed, more) if len(lines) else more
             if len(records[0]):
@@ -807,6 +824,8 @@ class _MeshColumns(_TermColumns):
             return super().__missing__(term)
         code = self[term] if term else _NO_TERM
         self[value] = code
+        if code >= _PENDING:
+            self.placed.append(value)
         return code
 
 
@@ -944,8 +963,7 @@ def _medline_block(data, starts, ends, heads, marks, sink: _RecordSink) -> None:
     valid = [r for r in range(n_records) if ids[r] and years[r] is not None]
     sink.report.skipped_malformed += n_records - len(valid)
 
-    codes = np.fromiter(map(sink.columns.__getitem__, values[first_mesh:]), dtype=np.int64,
-                        count=len(mesh))
+    codes = sink.columns.codes(values[first_mesh:])
     row = np.full(n_records, -1)
     row[valid] = np.arange(len(valid))
     mesh_row = row[record[mesh]]

@@ -2,7 +2,9 @@
 
 A :class:`Vocabulary` holds the ids, names and tree-number codes as
 packed UTF-8 columns sorted by id, with no per-descriptor objects and no
-decoded strings until asked for.
+decoded strings until asked for.  Terms are looked up through two small
+hash tables over the packed ids and the normalized names, whose
+candidates are checked against the packed columns.
 It is immutable after loading and safe to share across workers.  Its
 loaders and writer are in ``formats``; their names are still found
 here, and ``formats`` is imported when one is first asked for.
@@ -10,14 +12,15 @@ here, and ``formats`` is imported when one is first asked for.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import DataError
-from .packed import PackedStrings, pack_strings, string_ranks, take_strings, unpack_strings
+from .packed import (PackedStrings, _firsts, _row_runs, _take_rows, pack_strings,
+                     string_ranks, take_strings, unpack_strings)
 
 VALID_BRANCHES = frozenset("ABCDEFGHIJKLMNVZ")
 
@@ -87,6 +90,75 @@ class LoadReport:
     skipped_no_tree: int = 0
 
 
+# the hash of a lookup key, a module name so that a test can force collisions
+_hash = hash
+
+
+class _HashTable(NamedTuple):
+    """The Python ``hash`` of every string of a column, ascending, and the
+    column of each: a hash met there names candidates only, which a lookup
+    checks against the packed strings."""
+
+    hashes: np.ndarray  # int64
+    columns: np.ndarray  # int32
+
+
+def _hashes(keys, count: int) -> np.ndarray:
+    """The ``hash`` of each of ``count`` strings, as int64."""
+    return np.fromiter(map(_hash, keys), dtype=np.int64, count=count)
+
+
+def _hash_table(hashes: np.ndarray, columns: np.ndarray) -> _HashTable:
+    """The table of distinct strings with ``hashes``, string i in column
+    ``columns[i]``."""
+    order = np.argsort(hashes, kind="stable")
+    return _HashTable(hashes[order], columns[order].astype(np.int32))
+
+
+def _candidates(table: _HashTable, keys) -> tuple[np.ndarray, np.ndarray]:
+    """Every (key, column) pair whose string has the key's hash, as two
+    arrays: the index of the key, ascending, and the column."""
+    hashes, columns = table
+    wanted = _hashes(keys, len(keys))
+    lo = hashes.searchsorted(wanted)
+    counts = hashes.searchsorted(wanted, side="right")
+    counts -= lo
+    if counts.max(initial=0) <= 1:
+        # no two strings of the table share a key's hash, as is usual
+        found = np.flatnonzero(counts)
+        return found, columns[lo[found]]
+    bounds = np.zeros(len(keys) + 1, dtype=np.int64)
+    np.cumsum(counts, out=bounds[1:])
+    return np.repeat(np.arange(len(keys)), counts), columns[_row_runs(lo, counts, bounds)]
+
+
+def _check_unique(ids, names, ranks: np.ndarray, name_hashes: np.ndarray) -> None:
+    """Raise for the first descriptor, in input order, whose id an earlier
+    one has (equal ids share a rank), or else whose normalized name an
+    earlier one has: names of equal hash are compared normalized."""
+    at = np.arange(len(ids))
+    first = np.full(len(ids), len(ids), dtype=np.int64)
+    np.minimum.at(first, ranks, at)
+    bad = first[ranks] < at
+    holder = {}  # descriptor -> the earlier one of its normalized name
+    order = np.argsort(name_hashes, kind="stable")
+    cuts = np.flatnonzero(_firsts(name_hashes[order])).tolist() + [len(ids)]
+    for lo, hi in zip(cuts, cuts[1:]):
+        if hi - lo > 1:
+            earliest: dict[str, int] = {}
+            for i in order[lo:hi].tolist():
+                j = earliest.setdefault(normalize_name(names[i]), i)
+                if j != i:
+                    holder[i] = j
+    bad[list(holder)] = True
+    if bad.any():
+        i = int(np.argmax(bad))
+        if first[ranks[i]] < i:
+            raise MeshFormatError(f"duplicate descriptor id {ids[i]!r}")
+        raise MeshFormatError(
+            f"duplicate descriptor name {names[i]!r} (ids {ids[holder[i]]!r} and {ids[i]!r})")
+
+
 def _check_tree_numbers(raws) -> None:
     """Raise for the first code that is empty or starts outside the
     valid branch letters, as ``TreeNumber`` does."""
@@ -109,12 +181,16 @@ class Vocabulary:
     are built from the codes' bytes on first read, and ``ids_at`` and
     ``names_at`` decode the few columns a caller writes.  ``column_ids``,
     ``names`` and ``tree_numbers`` decode a whole column on first read,
-    and the lookups and the ``MeshDescriptor`` view are built from them;
-    :meth:`from_columns` keeps the ids and the name index it was given,
-    which the parsers' term lookups read, until a parse is done with them
-    (:meth:`drop_lookups`).  A cache hit (``cache``) decodes nothing
-    until a command asks.  Build one with :meth:`from_columns`, which
-    checks and sorts its input.
+    and the ``MeshDescriptor`` view is built from them.  Terms are looked
+    up (:meth:`term_columns`) through two hash tables, one over the ids
+    and one over the normalized names: each holds every string's
+    ``hash`` and column, 12 bytes per descriptor, and a candidate of
+    equal hash is checked against the packed column, so no decoded id or
+    name is kept.  :meth:`from_columns` builds both tables from the
+    strings it is given; a vocabulary read from the cache (``cache``)
+    builds them on its first lookup, and decodes nothing until a command
+    asks.  Build one with :meth:`from_columns`, which checks and sorts
+    its input.
     """
 
     packed_ids: PackedStrings
@@ -159,16 +235,48 @@ class Vocabulary:
         }
 
     @cached_property
-    def name_index(self) -> dict[str, str]:
-        """Descriptor id of each normalized name."""
-        return {normalize_name(name): uid for uid, name in zip(self.column_ids, self.names)}
+    def _id_table(self) -> _HashTable:
+        return _hash_table(_hashes(unpack_strings(self.packed_ids), len(self)),
+                           np.arange(len(self)))
+
+    @cached_property
+    def _name_table(self) -> _HashTable:
+        keys = map(normalize_name, unpack_strings(self.packed_names))
+        return _hash_table(_hashes(keys, len(self)), np.arange(len(self)))
+
+    def _id_columns(self, tokens) -> np.ndarray:
+        """The int64 column of each token that is a descriptor id, else -1:
+        each candidate's packed bytes are compared with the token's."""
+        found = np.full(len(tokens), -1, dtype=np.int64)
+        keys, columns = _candidates(self._id_table, tokens)
+        if len(columns):
+            bounds, data = _take_rows(*self.packed_ids, columns)
+            raw, bounds = data.tobytes(), bounds.tolist()
+            same = np.array([tokens[k].encode("utf-8", "surrogatepass") == raw[a:b]
+                             for k, a, b in zip(keys.tolist(), bounds, bounds[1:])], dtype=bool)
+            found[keys[same]] = columns[same]
+        return found
+
+    def term_columns(self, tokens) -> np.ndarray:
+        """The int64 column of each of a sequence of tokens: the descriptor
+        whose id it is, else the one whose name it has once both are
+        normalized (``normalize_name``), else -1.  Each candidate name is
+        decoded and normalized to be checked."""
+        found = self._id_columns(tokens)
+        rest = np.flatnonzero(found < 0)
+        if len(rest):
+            keys = [normalize_name(tokens[i]) for i in rest.tolist()]
+            owners, columns = _candidates(self._name_table, keys)
+            if len(columns):
+                same = np.array([keys[k] == normalize_name(name) for k, name
+                                 in zip(owners.tolist(), self.names_at(columns))], dtype=bool)
+                found[rest[owners[same]]] = columns[same]
+        return found
 
     def column(self, uid: str) -> int | None:
-        """Column position of descriptor id ``uid``, or None: a bisection
-        of the sorted ids (``column_ids``, decoded on the first call), so
-        no id-to-column dict is built."""
-        j = bisect_left(self.column_ids, uid)
-        return j if j < len(self.column_ids) and self.column_ids[j] == uid else None
+        """Column position of descriptor id ``uid``, or None."""
+        j = int(self._id_columns([uid])[0])
+        return None if j < 0 else j
 
     @cached_property
     def primary_branches(self) -> tuple[str, ...]:
@@ -210,19 +318,11 @@ class Vocabulary:
         matrix.flags.writeable = False
         return matrix
 
-    def drop_lookups(self) -> None:
-        """Forget the decoded ids and the name index, which the parsers'
-        term lookups read, so that a parsed vocabulary holds its packed
-        columns alone, as one read from the cache does; each is built again
-        on its next read."""
-        for name in ("column_ids", "name_index"):
-            self.__dict__.pop(name, None)
-
     def resolve(self, token: str) -> str | None:
-        """Map a descriptor id or display name to a descriptor id."""
-        if self.column(token) is not None:
-            return token
-        return self.name_index.get(normalize_name(token))
+        """Map a descriptor id or display name to a descriptor id, as
+        :meth:`term_columns` does."""
+        j = int(self.term_columns([token])[0])
+        return None if j < 0 else self.ids_at([j])[0]
 
     @classmethod
     def from_columns(
@@ -237,43 +337,38 @@ class Vocabulary:
         ``tree_counts[i]`` codes of ``tree_numbers``.  Raises for the first
         invalid tree number, for a descriptor without one, and for the
         first descriptor, in input order, whose id or normalized name an
-        earlier one has; the columns are then sorted by id."""
+        earlier one has; the columns are then sorted by id, as packed
+        columns, and the lookups' tables are built from the strings at
+        hand, so that no copy of them is made."""
         _check_tree_numbers(tree_numbers)
         counts = np.asarray(tree_counts, dtype=np.int64).reshape(len(ids))
         if len(counts) and counts.min() < 1:
             uid = ids[int(np.argmax(counts < 1))]
             raise MeshFormatError(f"descriptor {uid!r} has no tree numbers")
-        seen: set[str] = set()
-        index: dict[str, str] = {}
-        for uid, name in zip(ids, names):
-            if uid in seen:
-                raise MeshFormatError(f"duplicate descriptor id {uid!r}")
-            key = normalize_name(name)
-            if key in index:
-                raise MeshFormatError(
-                    f"duplicate descriptor name {name!r} (ids {index[key]!r} and {uid!r})"
-                )
-            seen.add(uid)
-            index[key] = uid
+        packed_ids = pack_strings(ids)
+        # each descriptor's column once sorted, which equal ids share
+        columns = string_ranks(packed_ids)
+        name_hashes = _hashes(map(normalize_name, names), len(names))
+        _check_unique(ids, names, columns, name_hashes)
         tree_ptr = np.zeros(len(ids) + 1, dtype=np.int64)
         np.cumsum(counts, out=tree_ptr[1:])
-        order = sorted(range(len(ids)), key=ids.__getitem__)
-        if order != list(range(len(ids))):
-            bounds = tree_ptr.tolist()
-            ids = [ids[i] for i in order]
-            names = [names[i] for i in order]
-            tree_numbers = [t for i in order for t in tree_numbers[bounds[i]:bounds[i + 1]]]
-            tree_ptr[1:] = np.cumsum(counts[order])
+        packed_names, packed_trees = pack_strings(names), pack_strings(tree_numbers)
+        if (columns != np.arange(len(ids))).any():
+            order = np.empty_like(columns)
+            order[columns] = np.arange(len(ids))
+            packed_ids = PackedStrings(*_take_rows(*packed_ids, order))
+            packed_names = PackedStrings(*_take_rows(*packed_names, order))
+            tree_ptr, trees = _take_rows(tree_ptr, np.arange(len(tree_numbers)), order)
+            packed_trees = PackedStrings(*_take_rows(*packed_trees, trees))
         vocabulary = cls(
-            packed_ids=pack_strings(ids),
-            packed_names=pack_strings(names),
+            packed_ids=packed_ids,
+            packed_names=packed_names,
             tree_ptr=tree_ptr,
-            packed_trees=pack_strings(tree_numbers),
+            packed_trees=packed_trees,
             load_report=LoadReport(loaded=len(ids), skipped_no_tree=skipped_no_tree),
         )
-        # what the parsers' term lookups read, already at hand
-        vocabulary.__dict__["column_ids"] = tuple(ids)
-        vocabulary.__dict__["name_index"] = index
+        vocabulary.__dict__["_id_table"] = _hash_table(_hashes(ids, len(ids)), columns)
+        vocabulary.__dict__["_name_table"] = _hash_table(name_hashes, columns)
         return vocabulary
 
     @classmethod

@@ -27,24 +27,47 @@ def _row_runs(starts: np.ndarray, lengths: np.ndarray, offsets: np.ndarray) -> n
     runs begin at ``offsets[:-1]``: unit steps with a jump at the start of
     each run, summed in place, in int32 when the indices fit."""
     total = int(offsets[-1])
-    dtype = np.int32 if total <= np.iinfo(np.int32).max else np.int64
+    dtype = np.int32 if total < 2**31 else np.int64
     runs = np.ones(total, dtype=dtype)
     filled = lengths > 0
     starts, lengths = starts[filled], lengths[filled]
     if len(starts):
-        last = starts + lengths - 1
-        runs[offsets[:-1][filled]] = starts - np.concatenate(([0], last[:-1]))
+        # each run's start less the last index of the run before
+        jumps = starts.copy()
+        jumps[1:] -= starts[:-1]
+        jumps[1:] -= lengths[:-1]
+        jumps[1:] += 1
+        runs[offsets[:-1][filled]] = jumps
     np.cumsum(runs, dtype=dtype, out=runs)
     return runs
 
 
+# entries ``_take_rows`` gathers at a time: its run index and gathered
+# values are this long, not as long as the rows it takes
+TAKE_CHUNK_ENTRIES = 1 << 16
+
+
 def _take_rows(indptr: np.ndarray, values: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, ...]:
     """The CSR rows ``rows`` of ``(indptr, values)``, in that order: their
-    int64 indptr and their values, each row's run gathered at once."""
-    lengths = np.diff(indptr)[rows]
-    taken = np.zeros(len(lengths) + 1, dtype=np.int64)
-    np.cumsum(lengths, out=taken[1:])
-    return taken, values[_row_runs(indptr[:-1][rows], lengths, taken)]
+    int64 indptr and their values.  The values are gathered into one array
+    a chunk of rows at a time, each chunk's rows holding at most
+    ``TAKE_CHUNK_ENTRIES`` entries unless it is one row, so that beyond
+    the old and new values and a few int64 per row a gather holds one
+    chunk's run index."""
+    starts = indptr[:-1][rows]
+    taken = np.zeros(len(starts) + 1, dtype=np.int64)
+    np.subtract(indptr[1:][rows], starts, out=taken[1:])
+    np.cumsum(taken, out=taken)
+    out = np.empty(int(taken[-1]), dtype=values.dtype)
+    lo = 0
+    while lo < len(starts):
+        hi = int(taken.searchsorted(taken[lo] + TAKE_CHUNK_ENTRIES, side="right")) - 1
+        hi = min(max(hi, lo + 1), len(starts))
+        bounds = taken[lo:hi + 1] - taken[lo]
+        lengths = bounds[1:] - bounds[:-1]
+        out[taken[lo]:taken[hi]] = values[_row_runs(starts[lo:hi], lengths, bounds)]
+        lo = hi
+    return taken, out
 
 
 class PackedStrings(NamedTuple):

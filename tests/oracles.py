@@ -14,8 +14,9 @@ midranks.
 The object parsers at the end are the record-by-record ingestion the
 array parsers replaced: each record becomes a ``Publication`` and the
 rules run on those objects.  They use only the package's record and
-report types and the vocabulary's lookups; like the package, they skip
-one UTF-8 byte order mark at the start of a file.
+report types and the vocabulary's strings, looked up through dicts
+(``TermLookups``, the reference for ``Vocabulary.term_columns``); like
+the package, they skip one UTF-8 byte order mark at the start of a file.
 ``load_mesh_ascii_lines`` is the NLM ASCII loader the block reader
 replaced, which splits the whole file into lines.  Likewise the synthetic
 corpus reference builds one ``Publication`` per row and draws each
@@ -265,10 +266,40 @@ def null_values_loop(triples_per_year, config):
 # Object parsers
 # ---------------------------------------------------------------------------
 
-def _resolve_terms(tokens, vocabulary, report):
+class TermLookups:
+    """A vocabulary's term lookups as two dicts over its decoded strings:
+    id -> column, and normalized name (trimmed, then case-folded) ->
+    column.  A token is the descriptor whose id it is, else the one whose
+    name it has once both are normalized."""
+
+    def __init__(self, vocabulary):
+        from helixmi.packed import unpack_strings
+
+        self.ids = unpack_strings(vocabulary.packed_ids)
+        self.id_columns = {uid: j for j, uid in enumerate(self.ids)}
+        self.name_columns = {name.strip().casefold(): j
+                             for j, name in enumerate(unpack_strings(vocabulary.packed_names))}
+
+    def column(self, uid):
+        return self.id_columns.get(uid)
+
+    def term_column(self, token):
+        j = self.id_columns.get(token)
+        return self.name_columns.get(token.strip().casefold()) if j is None else j
+
+    def resolve(self, token):
+        j = self.term_column(token)
+        return None if j is None else self.ids[j]
+
+    def name_index(self):
+        """Descriptor id of each normalized name."""
+        return {name: self.ids[j] for name, j in self.name_columns.items()}
+
+
+def _resolve_terms(tokens, lookups, report):
     ids = set()
     for token in tokens:
-        rid = vocabulary.resolve(token)
+        rid = lookups.resolve(token)
         if rid is None:
             report.unresolved_terms[token] += 1
         else:
@@ -304,6 +335,7 @@ def ingest_jsonl_objects(path, vocabulary, year_range=None):
     from helixmi.corpus import CorpusFormatError, IngestReport
 
     report = IngestReport()
+    lookups = TermLookups(vocabulary)
     out = []
     seen = set()
     with open(path, "rb") as fh:
@@ -335,7 +367,7 @@ def ingest_jsonl_objects(path, vocabulary, year_range=None):
             raise CorpusFormatError(
                 f"{path}: line {lineno}: bad record ({exc})"
             ) from None
-        mesh_ids = _resolve_terms(tokens, vocabulary, report)
+        mesh_ids = _resolve_terms(tokens, lookups, report)
         _admit(pub_id, year, mesh_ids, year_range, seen, out, report)
     return _in_corpus_order(out), report
 
@@ -355,6 +387,7 @@ def ingest_medline_objects(path, vocabulary, year_range=None):
     from helixmi.corpus import IngestReport
 
     report = IngestReport()
+    lookups = TermLookups(vocabulary)
     out = []
     seen = set()
 
@@ -378,7 +411,7 @@ def ingest_medline_objects(path, vocabulary, year_range=None):
         if not pub_id or year is None:
             report.skipped_malformed += 1
             return
-        mesh_ids = _resolve_terms(tokens, vocabulary, report)
+        mesh_ids = _resolve_terms(tokens, lookups, report)
         _admit(pub_id, year, mesh_ids, year_range, seen, out, report)
 
     fields = []
@@ -453,8 +486,10 @@ def load_mesh_ascii_lines(path):
 def csr_of(publications, vocabulary):
     """Ids, years, indptr and indices of publications, one walk over them;
     an id missing from the vocabulary raises KeyError."""
+    lookups = TermLookups(vocabulary)
+
     def column(uid):
-        j = vocabulary.column(uid)
+        j = lookups.column(uid)
         if j is None:
             raise KeyError(uid)
         return j

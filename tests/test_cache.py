@@ -17,8 +17,10 @@ import json
 import os
 import subprocess
 import sys
+import threading
 import time
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -33,7 +35,7 @@ from helixmi.mesh import Vocabulary
 from helixmi.packed import take_strings
 from helixmi.synth import MODES
 
-from oracles import canonical_bytes_of, canonical_lines_encoder, ingest_jsonl_objects
+from oracles import TermLookups, canonical_bytes_of, canonical_lines_encoder, ingest_jsonl_objects
 
 
 def run(args):
@@ -162,8 +164,10 @@ def test_hit_writes_the_bytes_of_a_miss(inputs, kind, tmp_path, monkeypatch):
         assert (files, manifest) == misses[name][:2], name
         assert stages["cache"] == "hit"
         assert misses[name][2]["cache"] == "stored"
-        # only a run that parses records its peak after the vocabulary load
-        assert set(stages) == set(misses[name][2]) - {"vocabulary_peak_rss_mb"}, name
+        # only a run that parses records its peaks after the vocabulary load
+        # and after the parse
+        assert set(stages) == set(misses[name][2]) - {"vocabulary_peak_rss_mb",
+                                                      "parse_peak_rss_mb"}, name
     if kind == "mixed-jsonl":
         report = json.loads((tmp_path / "hit" / "ingest" / "ingest_report.json").read_text())
         assert report["unresolved_terms"] and stages["ingest_json_lines"] > 0
@@ -397,6 +401,38 @@ def test_unreadable_input_is_reported_as_without_a_cache(tmp_path, capsys, cache
     assert not (cache_home / "helixmi").exists()
 
 
+@pytest.mark.parametrize("piped", ["corpus", "mesh"])
+def test_piped_input_is_a_data_error(inputs, tmp_path, piped):
+    # the hash would read a pipe to its end, and the parse find it empty
+    paths = dict(zip(("corpus", "mesh"), inputs["sizemix"]))
+    fifo = tmp_path / "input.fifo"
+    os.mkfifo(fifo)
+    source = Path(paths[piped]).read_bytes()
+
+    def write():
+        with open(fifo, "wb") as fh:
+            fh.write(source)
+
+    writer = threading.Thread(target=write, daemon=True)
+    writer.start()
+    paths[piped] = fifo
+    out = tmp_path / "out"
+    src = str(Path(cache.__file__).parent.parent)
+    done = subprocess.run(
+        [sys.executable, "-m", "helixmi.cli", "ingest", "--corpus", str(paths["corpus"]),
+         "--mesh", str(paths["mesh"]), "--out", str(out)],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=120)
+    assert done.returncode == 2, done.stderr
+    assert f"helixmi ingest: error: {fifo}: not a regular file" in done.stderr
+    assert not out.exists()
+    # nothing read the pipe: its writer still waits for a reader, whose read
+    # lets it finish
+    with open(fifo, "rb") as fh:
+        assert fh.read() == source
+    writer.join(timeout=30)
+    assert not writer.is_alive()
+
+
 def test_relative_cache_home_falls_back_to_the_home_cache(monkeypatch, tmp_path):
     monkeypatch.setenv("HOME", str(tmp_path))
     for value in ("", "relative/dir"):
@@ -500,7 +536,7 @@ def test_hit_rebuilds_the_parsed_arrays(cache_home, parsed):
     assert again.tree_ptr.tolist() == vocabulary.tree_ptr.tolist()
     assert again.primary_branches == vocabulary.primary_branches
     assert again.membership_matrix.tolist() == vocabulary.membership_matrix.tolist()
-    assert again.name_index == vocabulary.name_index
+    assert TermLookups(again).name_index() == TermLookups(vocabulary).name_index()
     assert rebuilt.pub_ids == corpus.pub_ids
     assert rebuilt.pub_years.tolist() == corpus.pub_years.tolist()
     assert rebuilt.incidence.indptr.tolist() == corpus.incidence.indptr.tolist()

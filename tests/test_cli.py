@@ -253,7 +253,7 @@ def test_manifest_records_stage_times(synth_dir, tmp_path):
     stages = manifest["stages"]
     assert set(stages) == {"vocabulary_s", "ingest_s", "command_s", "peak_rss_mb", "cache",
                            "ingest_template_lines", "ingest_json_lines", "load_peak_rss_mb",
-                           "vocabulary_peak_rss_mb", "digests", "digest_s"}
+                           "vocabulary_peak_rss_mb", "parse_peak_rss_mb", "digests", "digest_s"}
     assert stages["cache"] == "stored"
     # the cache home is the test's own, so its digest index is empty
     assert stages["digests"] == "hashed"
@@ -272,10 +272,28 @@ def test_manifest_records_stage_times(synth_dir, tmp_path):
     assert 1 < synth["synth_peak_rss_mb"] <= synth["peak_rss_mb"]
     assert run(["ingest", *io, "--out", tmp_path / "ingest"]) == 0
     ingest = json.loads((tmp_path / "ingest" / "manifest.json").read_text())["stages"]
-    # a hit loads no vocabulary file
-    assert set(ingest) == set(stages) - {"vocabulary_peak_rss_mb"} | {"write_s"}
+    # a hit loads no vocabulary file and parses nothing
+    assert set(ingest) == set(stages) - {"vocabulary_peak_rss_mb", "parse_peak_rss_mb"} | {"write_s"}
     assert ingest["cache"] == "hit"
     assert 0 < ingest["ingest_s"] + ingest["write_s"] < ingest["command_s"]
+
+
+def test_a_parse_records_its_peak_before_the_store(synth_dir, tmp_path, monkeypatch):
+    io = ["--corpus", synth_dir / "corpus.jsonl", "--mesh", synth_dir / "mesh.tsv"]
+    blocked = tmp_path / "not-a-directory"
+    blocked.write_text("")
+    for cache_state, home in (("off", blocked), ("stored", tmp_path / "cache"),
+                              ("hit", tmp_path / "cache")):
+        monkeypatch.setenv("XDG_CACHE_HOME", str(home))
+        out = tmp_path / cache_state
+        assert run(["mi", *io, "--out", out]) == 0
+        stages = json.loads((out / "manifest.json").read_text())["stages"]
+        assert stages["cache"] == cache_state
+        if cache_state == "hit":
+            assert "parse_peak_rss_mb" not in stages
+        else:
+            assert (1 < stages["vocabulary_peak_rss_mb"] <= stages["parse_peak_rss_mb"]
+                    <= stages["load_peak_rss_mb"])
 
 
 def test_ingest_detects_jsonl_after_a_byte_order_mark(synth_dir, tmp_path):
@@ -373,7 +391,8 @@ def test_null_command_and_thread_invariance(synth_dir, tmp_path, monkeypatch):
         # the synth corpus file is already in canonical form
         assert null_manifest["corpus_hash"] == cache.file_sha256(synth_dir / "corpus.jsonl")
         stages = json.loads((out / "manifest.json").read_text())["stages"]
-        parsed = {"vocabulary_peak_rss_mb"} if stages["cache"] != "hit" else set()
+        parsed = ({"vocabulary_peak_rss_mb", "parse_peak_rss_mb"} if stages["cache"] != "hit"
+                  else set())
         assert set(stages) == {"vocabulary_s", "ingest_s", "triples_s", "hash_s", "null_s",
                                "null_workers", "command_s", "peak_rss_mb", "cache",
                                "ingest_template_lines", "ingest_json_lines",

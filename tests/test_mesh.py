@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helixmi import formats as formats_module
+from helixmi import mesh as mesh_module
 from helixmi.mesh import (
     LoadReport,
     MeshDescriptor,
@@ -13,10 +14,11 @@ from helixmi.mesh import (
     Vocabulary,
     load_mesh_ascii,
     load_mesh_tsv,
+    normalize_name,
     write_mesh_tsv,
 )
 
-from oracles import load_mesh_ascii_lines
+from oracles import TermLookups, load_mesh_ascii_lines
 
 
 def test_tree_number_fields():
@@ -220,6 +222,74 @@ def test_resolve_by_id_and_name(tiny_vocab):
     assert tiny_vocab.resolve("unknown") is None
 
 
+# text whose normalized forms collide: casefold expansions (ß and SS),
+# outer whitespace, and lone surrogates, which UTF-8 passes through
+lookup_text = st.text(alphabet=st.sampled_from(["a", "A", "ß", "S", "s", " ", "\t", "é", "É",
+                                                "\ud800", "\udfff", "1"]),
+                      min_size=1, max_size=4)
+
+
+@st.composite
+def lookup_cases(draw):
+    """(ids, names, tokens): distinct ids, names distinct once normalized,
+    and tokens among them, their variants and strings of neither."""
+    ids = draw(st.lists(lookup_text, max_size=8, unique=True))
+    names = draw(st.lists(lookup_text, min_size=len(ids), max_size=len(ids),
+                          unique_by=normalize_name))
+    variants = [f(t) for t in ids + names
+                for f in (str.upper, str.lower, str.strip, " {} ".format, str.casefold)]
+    known = ids + names + variants
+    tokens = draw(st.lists((st.sampled_from(known) | lookup_text) if known else lookup_text,
+                           max_size=12))
+    return ids, names, tokens
+
+
+@pytest.mark.parametrize("hash_function", [hash, lambda text: hash(text) % 3],
+                         ids=["hash", "three-valued"])
+@settings(max_examples=300, deadline=None)
+@given(lookup_cases())
+def test_lookups_match_dicts(hash_function, case):
+    ids, names, tokens = case
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(mesh_module, "_hash", hash_function)
+        built = Vocabulary.from_columns(ids, names, [1] * len(ids), ["C01"] * len(ids))
+        # the packed columns alone, as a cache hit holds them, build their
+        # tables on the first lookup
+        read = Vocabulary(built.packed_ids, built.packed_names, built.tree_ptr,
+                          built.packed_trees, built.load_report)
+        for vocab in (built, read):
+            reference = TermLookups(vocab)
+            expected = [reference.term_column(t) for t in tokens]
+            assert vocab.term_columns(tokens).tolist() == [-1 if j is None else j
+                                                           for j in expected]
+            assert [vocab.column(t) for t in tokens] == [reference.column(t) for t in tokens]
+            assert [vocab.resolve(t) for t in tokens] == [reference.resolve(t) for t in tokens]
+            assert not {"column_ids", "names"} & set(vocab.__dict__)
+
+
+def test_an_id_wins_over_another_descriptors_name():
+    vocab = Vocabulary.from_columns(["X1", "Y2"], ["y2", "x1 "], [1, 1], ["C01", "D01"])
+    assert vocab.term_columns(["X1", "x1", "Y2", " Y2", "y2", "Z"]).tolist() == [0, 1, 1, 0, 0, -1]
+    assert [vocab.resolve(t) for t in ("X1", "x1", "Y2", " Y2")] == ["X1", "Y2", "Y2", "X1"]
+
+
+@pytest.mark.parametrize("hash_function", [hash, lambda text: 0], ids=["hash", "one-valued"])
+def test_duplicates_are_found_whatever_the_hash(hash_function, monkeypatch):
+    monkeypatch.setattr(mesh_module, "_hash", hash_function)
+    cases = {
+        "duplicate descriptor name 'SS ' (ids 'B' and 'A')": (["B", "C", "A"], ["ß", "x", "SS "]),
+        "duplicate descriptor id 'A'": (["A", "B", "A"], ["x", "y", "x"]),
+        "duplicate descriptor name 'x' (ids 'A' and 'B')": (["A", "B", "B"], ["x", "x", "y"]),
+    }
+    for message, (ids, names) in cases.items():
+        with pytest.raises(MeshFormatError) as raised:
+            Vocabulary.from_columns(ids, names, [1] * len(ids), ["C01"] * len(ids))
+        assert str(raised.value) == message
+    vocab = Vocabulary.from_columns(["B", "A", "C"], ["ß", "s", "t"], [1, 1, 1],
+                                    ["C01", "D01", "E01"])
+    assert vocab.term_columns(["SS", "s", "ss ", "B"]).tolist() == [1, 0, 1, 1]
+
+
 def test_tsv_round_trip(tmp_path, tiny_vocab):
     first = tmp_path / "first.tsv"
     second = tmp_path / "second.tsv"
@@ -257,7 +327,7 @@ def test_ascii_and_tsv_agree(tmp_path):
     write_mesh_tsv(from_ascii, str(tsv_path))
     from_tsv = load_mesh_tsv(str(tsv_path))
     assert set(from_tsv.descriptors) == set(from_ascii.descriptors)
-    assert from_tsv.name_index == from_ascii.name_index
+    assert TermLookups(from_tsv).name_index() == TermLookups(from_ascii).name_index()
 
 
 # ---------------------------------------------------------------------------
@@ -315,7 +385,7 @@ def assert_same_vocabulary(path):
     assert vocab.tree_numbers == expected.tree_numbers
     assert vocab.tree_ptr.tolist() == expected.tree_ptr.tolist()
     assert vocab.load_report == expected.load_report
-    assert vocab.name_index == expected.name_index
+    assert TermLookups(vocab).name_index() == TermLookups(expected).name_index()
 
 
 @settings(max_examples=200, deadline=None)
