@@ -111,7 +111,10 @@ def _hashes(keys, count: int) -> np.ndarray:
 def _hash_table(hashes: np.ndarray, columns: np.ndarray) -> _HashTable:
     """The table of distinct strings with ``hashes``, string i in column
     ``columns[i]``."""
-    order = np.argsort(hashes, kind="stable")
+    # not a stable sort: its merge buffers would depend on the hashes, which
+    # differ from process to process, and moved a cold parse's peak by up to
+    # 1 MB from run to run; the order of equal hashes does not matter
+    order = np.argsort(hashes)
     return _HashTable(hashes[order], columns[order].astype(np.int32))
 
 
@@ -123,7 +126,7 @@ def _candidates(table: _HashTable, keys) -> tuple[np.ndarray, np.ndarray]:
     lo = hashes.searchsorted(wanted)
     counts = hashes.searchsorted(wanted, side="right")
     counts -= lo
-    if counts.max(initial=0) <= 1:
+    if not (counts > 1).any():
         # no two strings of the table share a key's hash, as is usual
         found = np.flatnonzero(counts)
         return found, columns[lo[found]]
@@ -136,24 +139,25 @@ def _check_unique(ids, names, ranks: np.ndarray, name_hashes: np.ndarray) -> Non
     """Raise for the first descriptor, in input order, whose id an earlier
     one has (equal ids share a rank), or else whose normalized name an
     earlier one has: names of equal hash are compared normalized."""
-    at = np.arange(len(ids))
-    first = np.full(len(ids), len(ids), dtype=np.int64)
-    np.minimum.at(first, ranks, at)
-    bad = first[ranks] < at
+    # a stable sort keeps equal ids in input order
+    order = np.lexsort((ranks,))
+    bad = np.empty(len(ids), dtype=bool)
+    bad[order] = ~_firsts(ranks[order])
+    id_duplicate = bad.copy()
     holder = {}  # descriptor -> the earlier one of its normalized name
-    order = np.argsort(name_hashes, kind="stable")
+    order = np.argsort(name_hashes)  # not stable, as in ``_hash_table``
     cuts = np.flatnonzero(_firsts(name_hashes[order])).tolist() + [len(ids)]
     for lo, hi in zip(cuts, cuts[1:]):
         if hi - lo > 1:
             earliest: dict[str, int] = {}
-            for i in order[lo:hi].tolist():
+            for i in sorted(order[lo:hi].tolist()):
                 j = earliest.setdefault(normalize_name(names[i]), i)
                 if j != i:
                     holder[i] = j
     bad[list(holder)] = True
     if bad.any():
         i = int(np.argmax(bad))
-        if first[ranks[i]] < i:
+        if id_duplicate[i]:
             raise MeshFormatError(f"duplicate descriptor id {ids[i]!r}")
         raise MeshFormatError(
             f"duplicate descriptor name {names[i]!r} (ids {ids[holder[i]]!r} and {ids[i]!r})")
