@@ -420,8 +420,12 @@ class _RecordSink:
         indptr = np.frombuffer(self.indptr, dtype=np.int64)
         indices = np.frombuffer(self.indices, dtype=np.int32)
         report = self.report
-        # every block is in, so the memo of terms goes before the sorts
+        # every block is in: the memo of terms goes before the sorts, and each
+        # buffer lives on only as its array, which goes once a gather has
+        # replaced it
         self.columns = None
+        self.id_offsets = self.id_data = self.verdicts = None
+        self.years = self.indptr = self.indices = None
 
         ranks = string_ranks(ids)
         records = len(verdicts)
