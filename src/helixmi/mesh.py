@@ -112,8 +112,8 @@ def _hash_table(hashes: np.ndarray, columns: np.ndarray) -> _HashTable:
     """The table of distinct strings with ``hashes``, string i in column
     ``columns[i]``."""
     # not a stable sort: its merge buffers would depend on the hashes, which
-    # differ from process to process, and moved a cold parse's peak by up to
-    # 1 MB from run to run; the order of equal hashes does not matter
+    # differ from process to process, and they moved the heap a cold parse
+    # left by up to 0.7 MB from run to run; equal hashes may come in any order
     order = np.argsort(hashes)
     return _HashTable(hashes[order], columns[order].astype(np.int32))
 
