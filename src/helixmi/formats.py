@@ -28,7 +28,7 @@ import numpy as np
 
 from .corpus import Corpus, CorpusFormatError, IngestReport, _row_order, row_chunks
 from .errors import DataError
-from .mesh import MeshFormatError, Vocabulary, _check_tree_numbers
+from .mesh import MeshFormatError, Vocabulary, _check_tree_numbers, _DescriptorColumns
 from .packed import (PackedStrings, _encoded, _firsts, _row_runs, _take_rows, string_ranks,
                      unpack_strings)
 
@@ -130,6 +130,9 @@ def _spans_text(data: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> list[str]:
 
 TSV_HEADER = "id\tname\ttree_numbers"
 
+# descriptors a vocabulary loader holds as strings before it packs them
+_DESCRIPTOR_BATCH = 1 << 11
+
 
 def _decode(raw: bytes) -> str:
     try:
@@ -190,6 +193,7 @@ def load_mesh_ascii(path: str) -> Vocabulary:
     CRLF or CR, a line that is not UTF-8 reads as latin-1, and one UTF-8
     byte order mark at the start of the file is skipped.
     """
+    columns = _DescriptorColumns()
     ids: list[str] = []
     names: list[str] = []
     counts: list[int] = []
@@ -219,6 +223,9 @@ def load_mesh_ascii(path: str) -> Vocabulary:
             names.append(name)
             counts.append(len(trees))
             codes.extend(trees)
+            if len(ids) == _DESCRIPTOR_BATCH:
+                columns.add(ids, names, counts, codes)
+                del ids[:], names[:], counts[:], codes[:]
         name, uid, trees = None, None, []
 
     for kind, offset, value in _ascii_lines(path):
@@ -233,13 +240,14 @@ def load_mesh_ascii(path: str) -> Vocabulary:
         else:
             uid = value
     finish(record_offset)
-
-    return Vocabulary.from_columns(ids, names, counts, codes, skipped_no_tree=skipped)
+    columns.add(ids, names, counts, codes)
+    return columns.vocabulary(skipped)
 
 
 def load_mesh_tsv(path: str) -> Vocabulary:
     """Load the canonical ``id<TAB>name<TAB>tree_numbers`` TSV; one UTF-8
     byte order mark at the start of the file is skipped."""
+    columns = _DescriptorColumns()
     ids: list[str] = []
     names: list[str] = []
     counts: list[int] = []
@@ -268,11 +276,15 @@ def load_mesh_tsv(path: str) -> Vocabulary:
                 names.append(name)
                 counts.append(len(raws))
                 codes += raws
+                if len(ids) == _DESCRIPTOR_BATCH:
+                    columns.add(ids, names, counts, codes)
+                    del ids[:], names[:], counts[:], codes[:]
         except (MeshFormatError, UnicodeDecodeError):
             # an invalid tree number of an earlier line is reported first
             _check_tree_numbers(codes)
             raise
-    return Vocabulary.from_columns(ids, names, counts, codes, skipped_no_tree=skipped)
+    columns.add(ids, names, counts, codes)
+    return columns.vocabulary(skipped)
 
 
 def write_mesh_tsv(vocabulary: Vocabulary, path: str) -> None:
@@ -1026,10 +1038,12 @@ def load_corpus(path: str, vocabulary: Vocabulary, year_range: tuple[int, int] |
 
 # The canonical writer's chunks of rows hold fewer entries than those of
 # ``corpus.CHUNK_ENTRIES``: its temporaries are Python objects, a
-# reference per entry and a line per row.  A 62k-publication
-# ``ingest`` held 5.3 MB more than its load while writing with chunks of
-# 2^17 entries, and 0.8 MB with chunks of 2^15, which wrote as fast.
-LINE_CHUNK_ENTRIES = 1 << 15
+# reference per entry and a line per row.  A 62k-publication ``ingest``
+# held 5.3 MB more than its load while writing with chunks of 2^17
+# entries, 0.8 MB with chunks of 2^15 and 0.3 MB with chunks of 2^13,
+# which write as fast; with 2^15, the writes of a cold MEDLINE ``ingest``
+# peaked above its parse.
+LINE_CHUNK_ENTRIES = 1 << 13
 
 # what ``json.JSONEncoder`` (``ensure_ascii`` by default) applies to a str
 _encode_str = json.encoder.encode_basestring_ascii

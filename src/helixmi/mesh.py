@@ -4,7 +4,9 @@ A :class:`Vocabulary` holds the ids, names and tree-number codes as
 packed UTF-8 columns sorted by id, with no per-descriptor objects and no
 decoded strings until asked for.  Terms are looked up through two small
 hash tables over the packed ids and the normalized names, whose
-candidates are checked against the packed columns.
+candidates are checked against the packed columns, and the loaders pack
+their descriptors a batch at a time, so that no decoded copy of the
+whole vocabulary is ever held.
 It is immutable after loading and safe to share across workers.  Its
 loaders and writer are in ``formats``; their names are still found
 here, and ``formats`` is imported when one is first asked for.
@@ -12,6 +14,7 @@ here, and ``formats`` is imported when one is first asked for.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
@@ -19,8 +22,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DataError
-from .packed import (PackedStrings, _firsts, _row_runs, _take_rows, pack_strings,
-                     string_ranks, take_strings, unpack_strings)
+from .packed import (PackedStrings, _encoded, _firsts, _row_runs, _take_rows, string_ranks,
+                     take_strings, unpack_strings)
 
 VALID_BRANCHES = frozenset("ABCDEFGHIJKLMNVZ")
 
@@ -95,12 +98,13 @@ _hash = hash
 
 
 class _HashTable(NamedTuple):
-    """The Python ``hash`` of every string of a column, ascending, and the
-    column of each: a hash met there names candidates only, which a lookup
-    checks against the packed strings."""
+    """The Python ``hash`` of every string of a column with its low ``bits``
+    replaced by the string's column, ascending: a key whose hash agrees on
+    the other bits names candidates only, which a lookup checks against the
+    packed strings."""
 
-    hashes: np.ndarray  # int64
-    columns: np.ndarray  # int32
+    keys: np.ndarray  # int64
+    bits: int
 
 
 def _hashes(keys, count: int) -> np.ndarray:
@@ -111,56 +115,69 @@ def _hashes(keys, count: int) -> np.ndarray:
 def _hash_table(hashes: np.ndarray, columns: np.ndarray) -> _HashTable:
     """The table of distinct strings with ``hashes``, string i in column
     ``columns[i]``."""
-    # not a stable sort: its merge buffers would depend on the hashes, which
-    # differ from process to process, and they moved the heap a cold parse
-    # left by up to 0.7 MB from run to run; equal hashes may come in any order
-    order = np.argsort(hashes)
-    return _HashTable(hashes[order], columns[order].astype(np.int32))
+    bits = max(len(hashes) - 1, 0).bit_length()  # the bits a column takes
+    keys = hashes & ~((1 << bits) - 1)
+    keys |= columns
+    keys.sort()
+    return _HashTable(keys, bits)
 
 
 def _candidates(table: _HashTable, keys) -> tuple[np.ndarray, np.ndarray]:
-    """Every (key, column) pair whose string has the key's hash, as two
-    arrays: the index of the key, ascending, and the column."""
-    hashes, columns = table
+    """Every (key, column) pair whose string's hash agrees with the key's
+    beyond the table's column bits, as two arrays: the index of the key,
+    ascending, and the column."""
+    table_keys, bits = table
+    low = (1 << bits) - 1
     wanted = _hashes(keys, len(keys))
-    lo = hashes.searchsorted(wanted)
-    counts = hashes.searchsorted(wanted, side="right")
+    wanted &= ~low
+    lo = table_keys.searchsorted(wanted)
+    wanted |= low
+    counts = table_keys.searchsorted(wanted, side="right")
     counts -= lo
     if not (counts > 1).any():
-        # no two strings of the table share a key's hash, as is usual
+        # no two strings of the table agree with a key, as is usual
         found = np.flatnonzero(counts)
-        return found, columns[lo[found]]
+        return found, table_keys[lo[found]] & low
     bounds = np.zeros(len(keys) + 1, dtype=np.int64)
     np.cumsum(counts, out=bounds[1:])
-    return np.repeat(np.arange(len(keys)), counts), columns[_row_runs(lo, counts, bounds)]
+    return (np.repeat(np.arange(len(keys)), counts),
+            table_keys[_row_runs(lo, counts, bounds)] & low)
 
 
-def _check_unique(ids, names, ranks: np.ndarray, name_hashes: np.ndarray) -> None:
+def _check_unique(ids: PackedStrings, names: PackedStrings, ranks: np.ndarray,
+                  name_hashes: np.ndarray) -> None:
     """Raise for the first descriptor, in input order, whose id an earlier
     one has (equal ids share a rank), or else whose normalized name an
-    earlier one has: names of equal hash are compared normalized."""
+    earlier one has: names whose hashes agree beyond a table's column bits
+    are decoded and compared normalized."""
+    count = len(ranks)
     # a stable sort keeps equal ids in input order
     order = np.lexsort((ranks,))
-    bad = np.empty(len(ids), dtype=bool)
+    bad = np.empty(count, dtype=bool)
     bad[order] = ~_firsts(ranks[order])
     id_duplicate = bad.copy()
     holder = {}  # descriptor -> the earlier one of its normalized name
-    order = np.argsort(name_hashes)  # not stable, as in ``_hash_table``
-    cuts = np.flatnonzero(_firsts(name_hashes[order])).tolist() + [len(ids)]
+    # the descriptors by hash, as a table of their names holds them: those
+    # whose hashes agree beyond the column bits come together, in input order
+    names_by_hash, bits = _hash_table(name_hashes, np.arange(count))
+    low = (1 << bits) - 1
+    cuts = np.flatnonzero(_firsts(names_by_hash & ~low)).tolist() + [count]
     for lo, hi in zip(cuts, cuts[1:]):
         if hi - lo > 1:
+            group = (names_by_hash[lo:hi] & low).tolist()
             earliest: dict[str, int] = {}
-            for i in sorted(order[lo:hi].tolist()):
-                j = earliest.setdefault(normalize_name(names[i]), i)
+            for i, name in zip(group, take_strings(names, group)):
+                j = earliest.setdefault(normalize_name(name), i)
                 if j != i:
                     holder[i] = j
     bad[list(holder)] = True
     if bad.any():
         i = int(np.argmax(bad))
         if id_duplicate[i]:
-            raise MeshFormatError(f"duplicate descriptor id {ids[i]!r}")
-        raise MeshFormatError(
-            f"duplicate descriptor name {names[i]!r} (ids {ids[holder[i]]!r} and {ids[i]!r})")
+            raise MeshFormatError(f"duplicate descriptor id {take_strings(ids, [i])[0]!r}")
+        name, = take_strings(names, [i])
+        first, uid = take_strings(ids, [holder[i], i])
+        raise MeshFormatError(f"duplicate descriptor name {name!r} (ids {first!r} and {uid!r})")
 
 
 def _check_tree_numbers(raws) -> None:
@@ -169,6 +186,72 @@ def _check_tree_numbers(raws) -> None:
     for raw in raws:
         if raw[:1] not in VALID_BRANCHES:
             TreeNumber(raw)
+
+
+class _DescriptorColumns:
+    """Descriptors packed as they come, a batch at a time, so that no
+    string of a batch outlives it: ids, names and tree numbers as UTF-8
+    bytes and lengths, each descriptor's number of tree numbers, and the
+    ``hash`` of its id and of its normalized name, which the lookups'
+    tables hold.  :meth:`vocabulary` checks and sorts them."""
+
+    def __init__(self) -> None:
+        self.strings = [(bytearray(), array("q")) for _ in range(3)]  # ids, names, trees
+        self.counts = array("q")
+        self.id_hashes = array("q")
+        self.name_hashes = array("q")
+
+    def add(self, ids, names, tree_counts, tree_numbers) -> None:
+        """Descriptor i of the batch is ``ids[i]``, named ``names[i]``,
+        with the next ``tree_counts[i]`` codes of ``tree_numbers``.
+        Raises for the first invalid tree number, then for a descriptor
+        without one."""
+        _check_tree_numbers(tree_numbers)
+        counts = np.asarray(tree_counts, dtype=np.int64).reshape(len(ids))
+        if len(counts) and counts.min() < 1:
+            uid = ids[int(np.argmax(counts < 1))]
+            raise MeshFormatError(f"descriptor {uid!r} has no tree numbers")
+        for (data, lengths), batch in zip(self.strings, (ids, names, tree_numbers)):
+            more, sizes = _encoded(batch)
+            data += more
+            lengths.frombytes(sizes.tobytes())
+        self.counts.frombytes(counts.tobytes())
+        self.id_hashes.frombytes(_hashes(ids, len(ids)).tobytes())
+        self.name_hashes.frombytes(_hashes(map(normalize_name, names), len(names)).tobytes())
+
+    def vocabulary(self, skipped_no_tree: int) -> "Vocabulary":
+        """The descriptors added, sorted by id.  Raises for the first
+        descriptor, in the order added, whose id or normalized name an
+        earlier one has."""
+        packed_ids, packed_names, packed_trees = (
+            PackedStrings(np.concatenate(([0], np.cumsum(np.frombuffer(lengths, np.int64)))),
+                          np.frombuffer(data, dtype=np.uint8))
+            for data, lengths in self.strings)
+        count = len(self.counts)
+        # each descriptor's column once sorted, which equal ids share
+        columns = string_ranks(packed_ids)
+        name_hashes = np.frombuffer(self.name_hashes, dtype=np.int64)
+        _check_unique(packed_ids, packed_names, columns, name_hashes)
+        tree_ptr = np.zeros(count + 1, dtype=np.int64)
+        np.cumsum(np.frombuffer(self.counts, dtype=np.int64), out=tree_ptr[1:])
+        if (columns != np.arange(count)).any():
+            order = np.empty_like(columns)
+            order[columns] = np.arange(count)
+            packed_ids = PackedStrings(*_take_rows(*packed_ids, order))
+            packed_names = PackedStrings(*_take_rows(*packed_names, order))
+            tree_ptr, trees = _take_rows(tree_ptr, np.arange(tree_ptr[-1]), order)
+            packed_trees = PackedStrings(*_take_rows(*packed_trees, trees))
+        vocabulary = Vocabulary(
+            packed_ids=packed_ids,
+            packed_names=packed_names,
+            tree_ptr=tree_ptr,
+            packed_trees=packed_trees,
+            load_report=LoadReport(loaded=count, skipped_no_tree=skipped_no_tree),
+        )
+        id_hashes = np.frombuffer(self.id_hashes, dtype=np.int64)
+        vocabulary.__dict__["_id_table"] = _hash_table(id_hashes, columns)
+        vocabulary.__dict__["_name_table"] = _hash_table(name_hashes, columns)
+        return vocabulary
 
 
 @dataclass(eq=False)
@@ -188,10 +271,11 @@ class Vocabulary:
     and the ``MeshDescriptor`` view is built from them.  Terms are looked
     up (:meth:`term_columns`) through two hash tables, one over the ids
     and one over the normalized names: each holds every string's
-    ``hash`` and column, 12 bytes per descriptor, and a candidate of
-    equal hash is checked against the packed column, so no decoded id or
-    name is kept.  :meth:`from_columns` builds both tables from the
-    strings it is given; a vocabulary read from the cache (``cache``)
+    ``hash`` with its column in the low bits, 8 bytes per descriptor, and
+    a candidate whose hash agrees is checked against the packed column,
+    so no decoded id or name is kept.  :meth:`from_columns` and the
+    loaders build both tables as they pack the strings, a batch at a time
+    (``_DescriptorColumns``); a vocabulary read from the cache (``cache``)
     builds them on its first lookup, and decodes nothing until a command
     asks.  Build one with :meth:`from_columns`, which checks and sorts
     its input.
@@ -342,38 +426,10 @@ class Vocabulary:
         invalid tree number, for a descriptor without one, and for the
         first descriptor, in input order, whose id or normalized name an
         earlier one has; the columns are then sorted by id, as packed
-        columns, and the lookups' tables are built from the strings at
-        hand, so that no copy of them is made."""
-        _check_tree_numbers(tree_numbers)
-        counts = np.asarray(tree_counts, dtype=np.int64).reshape(len(ids))
-        if len(counts) and counts.min() < 1:
-            uid = ids[int(np.argmax(counts < 1))]
-            raise MeshFormatError(f"descriptor {uid!r} has no tree numbers")
-        packed_ids = pack_strings(ids)
-        # each descriptor's column once sorted, which equal ids share
-        columns = string_ranks(packed_ids)
-        name_hashes = _hashes(map(normalize_name, names), len(names))
-        _check_unique(ids, names, columns, name_hashes)
-        tree_ptr = np.zeros(len(ids) + 1, dtype=np.int64)
-        np.cumsum(counts, out=tree_ptr[1:])
-        packed_names, packed_trees = pack_strings(names), pack_strings(tree_numbers)
-        if (columns != np.arange(len(ids))).any():
-            order = np.empty_like(columns)
-            order[columns] = np.arange(len(ids))
-            packed_ids = PackedStrings(*_take_rows(*packed_ids, order))
-            packed_names = PackedStrings(*_take_rows(*packed_names, order))
-            tree_ptr, trees = _take_rows(tree_ptr, np.arange(len(tree_numbers)), order)
-            packed_trees = PackedStrings(*_take_rows(*packed_trees, trees))
-        vocabulary = cls(
-            packed_ids=packed_ids,
-            packed_names=packed_names,
-            tree_ptr=tree_ptr,
-            packed_trees=packed_trees,
-            load_report=LoadReport(loaded=len(ids), skipped_no_tree=skipped_no_tree),
-        )
-        vocabulary.__dict__["_id_table"] = _hash_table(_hashes(ids, len(ids)), columns)
-        vocabulary.__dict__["_name_table"] = _hash_table(name_hashes, columns)
-        return vocabulary
+        columns, with the lookups' tables built from the strings given."""
+        columns = _DescriptorColumns()
+        columns.add(ids, names, tree_counts, tree_numbers)
+        return columns.vocabulary(skipped_no_tree)
 
     @classmethod
     def from_descriptors(

@@ -206,6 +206,39 @@ def test_load_mesh_tsv_reports_an_invalid_tree_number_first(tmp_path, later):
         load_mesh_tsv(str(path))
 
 
+TSV_BODIES = {
+    "unsorted": b"C3\tGamma\tC01;D02\nA1\talpha\tA01\nB2\tBeta \tE03\nD4\tD\xc3\xa9\tC02\n",
+    "duplicate id": b"A1\tOne\tC01\nB2\tTwo\tC02\nC3\tThree\tC03\nA1\tFour\tC04\n",
+    "duplicate name": b"A1\tSame\tC01\nB2\tTwo\tC02\nC3\tsame \tC03\n",
+    # the later invalid tree number is reported, not the earlier duplicate
+    "later tree number": b"A1\tOne\tC01\nA1\tTwo\tC02\nC3\tThree\tC03\nD4\tFour\tX04\n",
+    "later column count": b"A1\tOne\tC01\nB2\tTwo\tC02\nC3\tThree\n",
+}
+
+
+@pytest.mark.parametrize("body", sorted(TSV_BODIES))
+def test_tsv_loader_packs_descriptors_in_batches(tmp_path, body, monkeypatch):
+    path = tmp_path / "mesh.tsv"
+    path.write_bytes(b"id\tname\ttree_numbers\n" + TSV_BODIES[body])
+    results = []
+    for batch in (1, 2, 3, formats_module._DESCRIPTOR_BATCH):
+        monkeypatch.setattr(formats_module, "_DESCRIPTOR_BATCH", batch)
+        try:
+            vocab = load_mesh_tsv(str(path))
+        except MeshFormatError as exc:
+            results.append(str(exc))
+        else:
+            results.append((vocab.column_ids, vocab.names, vocab.tree_numbers,
+                            vocab.tree_ptr.tolist(), vocab.term_columns(["beta", "A1"]).tolist()))
+    assert results[1:] == results[:-1], results
+    if body == "unsorted":
+        assert results[0][0] == ("A1", "B2", "C3", "D4")
+        assert results[0][2] == ("A01", "E03", "C01", "D02", "C02")
+        assert results[0][4] == [1, 0]
+    elif body == "later tree number":
+        assert "X04" in results[0]
+
+
 def test_duplicate_names_rejected():
     descriptors = [
         MeshDescriptor("A1", "Same Name", (TreeNumber("C04.1"),)),
@@ -389,14 +422,18 @@ def assert_same_vocabulary(path):
 
 
 @settings(max_examples=200, deadline=None)
-@given(ascii_files(), st.sampled_from([1, 5, 16, None]))
-def test_ascii_loader_matches_the_line_loader(tmp_path_factory, data, block):
+@given(ascii_files(), st.sampled_from([1, 5, 16, None]), st.sampled_from([1, 2, None]))
+def test_ascii_loader_matches_the_line_loader(tmp_path_factory, data, block, batch):
     path = tmp_path_factory.mktemp("ascii") / "d.bin"
     path.write_bytes(data)
     with pytest.MonkeyPatch.context() as patch:
         if block is not None:
             # blocks smaller than a line grow until they hold one
             patch.setattr(formats_module, "_LINE_BLOCK_BYTES", block)
+        if batch is not None:
+            # descriptors packed a few at a time, errors of later ones after
+            # earlier ones are packed
+            patch.setattr(formats_module, "_DESCRIPTOR_BATCH", batch)
         assert_same_vocabulary(path)
 
 
