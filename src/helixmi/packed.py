@@ -180,17 +180,17 @@ def string_ranks(packed: PackedStrings) -> np.ndarray:
         if tied is None:
             order = np.lexsort((sizes, words))
             words.sort()  # as the order has them, without a gather
-            todo = order.astype(index)
         else:
             order = np.lexsort((sizes, words, tied))
-            todo = todo[order]
             words = words[order]
             tied = tied[order]
         sizes = sizes[order]
-        del order
         runs = _firsts(words)
         runs[1:] |= sizes[1:] != sizes[:-1]
         del words
+        # the strings in their new order, gathered once the words are gone
+        todo = order.astype(index) if todo is None else todo[order]
+        del order
         # a run of strings that tie on this chunk as well ranks after the
         # strings before it in its group: from the group's rank, plus the
         # run's start less the group's
