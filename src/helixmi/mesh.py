@@ -14,7 +14,6 @@ here, and ``formats`` is imported when one is first asked for.
 
 from __future__ import annotations
 
-from array import array
 from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
@@ -188,6 +187,14 @@ def _check_tree_numbers(raws) -> None:
             TreeNumber(raw)
 
 
+def _packed(data: list[bytes], lengths: list[np.ndarray]) -> PackedStrings:
+    """One packed column of batches of UTF-8 bytes and string lengths."""
+    lengths = np.concatenate(lengths)
+    offsets = np.zeros(len(lengths) + 1, dtype=np.int64)
+    np.cumsum(lengths, out=offsets[1:])
+    return PackedStrings(offsets, np.frombuffer(b"".join(data), dtype=np.uint8))
+
+
 class _DescriptorColumns:
     """Descriptors packed as they come, a batch at a time, so that no
     string of a batch outlives it: ids, names and tree numbers as UTF-8
@@ -196,10 +203,7 @@ class _DescriptorColumns:
     tables hold.  :meth:`vocabulary` checks and sorts them."""
 
     def __init__(self) -> None:
-        self.strings = [(bytearray(), array("q")) for _ in range(3)]  # ids, names, trees
-        self.counts = array("q")
-        self.id_hashes = array("q")
-        self.name_hashes = array("q")
+        self.batches: list[tuple] = []
 
     def add(self, ids, names, tree_counts, tree_numbers) -> None:
         """Descriptor i of the batch is ``ids[i]``, named ``names[i]``,
@@ -211,29 +215,28 @@ class _DescriptorColumns:
         if len(counts) and counts.min() < 1:
             uid = ids[int(np.argmax(counts < 1))]
             raise MeshFormatError(f"descriptor {uid!r} has no tree numbers")
-        for (data, lengths), batch in zip(self.strings, (ids, names, tree_numbers)):
-            more, sizes = _encoded(batch)
-            data += more
-            lengths.frombytes(sizes.tobytes())
-        self.counts.frombytes(counts.tobytes())
-        self.id_hashes.frombytes(_hashes(ids, len(ids)).tobytes())
-        self.name_hashes.frombytes(_hashes(map(normalize_name, names), len(names)).tobytes())
+        self.batches.append((*_encoded(ids), *_encoded(names), *_encoded(tree_numbers), counts,
+                             _hashes(ids, len(ids)),
+                             _hashes(map(normalize_name, names), len(names))))
 
     def vocabulary(self, skipped_no_tree: int) -> "Vocabulary":
-        """The descriptors added, sorted by id.  Raises for the first
-        descriptor, in the order added, whose id or normalized name an
-        earlier one has."""
-        packed_ids, packed_names, packed_trees = (
-            PackedStrings(np.concatenate(([0], np.cumsum(np.frombuffer(lengths, np.int64)))),
-                          np.frombuffer(data, dtype=np.uint8))
-            for data, lengths in self.strings)
-        count = len(self.counts)
+        """The descriptors added, at least one batch, sorted by id.  Raises
+        for the first descriptor, in the order added, whose id or
+        normalized name an earlier one has."""
+        (id_data, id_lengths, name_data, name_lengths, tree_data, tree_lengths, counts,
+         id_hashes, name_hashes) = zip(*self.batches)
+        self.batches = []
+        packed_ids = _packed(id_data, id_lengths)
+        packed_names = _packed(name_data, name_lengths)
+        packed_trees = _packed(tree_data, tree_lengths)
+        counts = np.concatenate(counts)
+        count = len(counts)
         # each descriptor's column once sorted, which equal ids share
         columns = string_ranks(packed_ids)
-        name_hashes = np.frombuffer(self.name_hashes, dtype=np.int64)
+        name_hashes = np.concatenate(name_hashes)
         _check_unique(packed_ids, packed_names, columns, name_hashes)
         tree_ptr = np.zeros(count + 1, dtype=np.int64)
-        np.cumsum(np.frombuffer(self.counts, dtype=np.int64), out=tree_ptr[1:])
+        np.cumsum(counts, out=tree_ptr[1:])
         if (columns != np.arange(count)).any():
             order = np.empty_like(columns)
             order[columns] = np.arange(count)
@@ -248,8 +251,7 @@ class _DescriptorColumns:
             packed_trees=packed_trees,
             load_report=LoadReport(loaded=count, skipped_no_tree=skipped_no_tree),
         )
-        id_hashes = np.frombuffer(self.id_hashes, dtype=np.int64)
-        vocabulary.__dict__["_id_table"] = _hash_table(id_hashes, columns)
+        vocabulary.__dict__["_id_table"] = _hash_table(np.concatenate(id_hashes), columns)
         vocabulary.__dict__["_name_table"] = _hash_table(name_hashes, columns)
         return vocabulary
 
