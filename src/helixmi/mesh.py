@@ -143,6 +143,15 @@ def _candidates(table: _HashTable, keys) -> tuple[np.ndarray, np.ndarray]:
             table_keys[_row_runs(lo, counts, bounds)] & low)
 
 
+def _bytes_at(packed: PackedStrings, columns: np.ndarray) -> list[bytes]:
+    """The UTF-8 bytes of strings ``columns`` of a packed column, each
+    sliced from it on its own: for the few candidates of a lookup, cheaper
+    than a gather."""
+    data = memoryview(packed.data)
+    return [data[a:b].tobytes() for a, b in zip(packed.offsets[columns].tolist(),
+                                                  packed.offsets[columns + 1].tolist())]
+
+
 def _check_unique(ids: PackedStrings, names: PackedStrings, ranks: np.ndarray,
                   name_hashes: np.ndarray) -> None:
     """Raise for the first descriptor, in input order, whose id an earlier
@@ -340,10 +349,9 @@ class Vocabulary:
         found = np.full(len(tokens), -1, dtype=np.int64)
         keys, columns = _candidates(self._id_table, tokens)
         if len(columns):
-            bounds, data = _take_rows(*self.packed_ids, columns)
-            raw, bounds = data.tobytes(), bounds.tolist()
-            same = np.array([tokens[k].encode("utf-8", "surrogatepass") == raw[a:b]
-                             for k, a, b in zip(keys.tolist(), bounds, bounds[1:])], dtype=bool)
+            same = np.array([tokens[k].encode("utf-8", "surrogatepass") == raw for k, raw
+                             in zip(keys.tolist(), _bytes_at(self.packed_ids, columns))],
+                            dtype=bool)
             found[keys[same]] = columns[same]
         return found
 
@@ -358,8 +366,10 @@ class Vocabulary:
             keys = [normalize_name(tokens[i]) for i in rest.tolist()]
             owners, columns = _candidates(self._name_table, keys)
             if len(columns):
-                same = np.array([keys[k] == normalize_name(name) for k, name
-                                 in zip(owners.tolist(), self.names_at(columns))], dtype=bool)
+                same = np.array([keys[k] == normalize_name(raw.decode("utf-8", "surrogatepass"))
+                                 for k, raw in zip(owners.tolist(),
+                                                   _bytes_at(self.packed_names, columns))],
+                                dtype=bool)
                 found[rest[owners[same]]] = columns[same]
         return found
 
