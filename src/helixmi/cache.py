@@ -373,7 +373,7 @@ def load_or_parse(paths, years, query_label: str, parse, stages: dict):
     for path in paths:
         if os.path.exists(path) and not os.path.isfile(path):
             raise DataError(f"{path}: not a regular file; an input is read twice, "
-                            "to hash it and to parse it, which a pipe does not allow")
+                            "to hash it and to parse it")
     # an unreadable input leaves ``parse`` to report it, as without a cache
     stats, checked_ns = input_stats(paths), time.time_ns()
     start = time.perf_counter()

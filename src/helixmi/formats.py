@@ -356,9 +356,6 @@ class _TermColumns(dict):
 # what a record's own year and terms make of it; a duplicate id decides first
 _ADMISSIBLE, _OUT_OF_WINDOW, _NO_MESH = range(3)
 
-_INT32 = np.iinfo(np.int32)
-
-
 class _RecordSink:
     """Admits blocks of parsed records into flat arrays, the rows of a corpus.
 
@@ -386,16 +383,13 @@ class _RecordSink:
         self.year_range = year_range
         self.report = report
         self.columns = columns
-        # every record's id, packed, and verdict; years, column counts and
-        # columns of the admissible.  The years are int32 until one does not
-        # fit, and the counts int32, each widened to int64 once the rows are
-        # in order, so that neither is as large as the corpus's arrays while
-        # the ids are ranked
+        # every record's id, packed, and verdict; years and columns of the
+        # admissible
         self.id_offsets = array("q", [0])
         self.id_data = bytearray()
         self.verdicts = array("b")
-        self.years = array("i")
-        self.lengths = array("i")
+        self.years = array("q")
+        self.indptr = array("q", [0])
         self.indices = array("i")
 
     def add_block(self, ids: list[str], years: np.ndarray, codes, lengths) -> None:
@@ -423,13 +417,9 @@ class _RecordSink:
         self.id_offsets.frombytes((np.cumsum(sizes) + len(self.id_data)).tobytes())
         self.id_data += data
         self.verdicts.frombytes(verdicts.tobytes())
-        years = years[kept]
-        if self.years.typecode == "i" and len(years) and not (
-                _INT32.min <= years.min() and years.max() <= _INT32.max):
-            self.years = array("q", np.frombuffer(self.years, dtype=np.int32).astype(np.int64).tobytes())
-        self.years.frombytes(years.astype(self.years.typecode).tobytes())
-        lengths = np.bincount(keys // width, minlength=int(kept.sum()))
-        self.lengths.frombytes(lengths.astype(np.int32).tobytes())
+        self.years.frombytes(years[kept].tobytes())
+        ends = np.cumsum(np.bincount(keys // width, minlength=int(kept.sum())))
+        self.indptr.frombytes((ends + self.indptr[-1]).tobytes())
         self.indices.frombytes((keys % width).astype(np.int32).tobytes())
 
     def corpus(self, query_label: str) -> Corpus:
@@ -437,8 +427,8 @@ class _RecordSink:
         verdicts = np.frombuffer(self.verdicts, dtype=np.int8)
         ids = PackedStrings(np.frombuffer(self.id_offsets, dtype=np.int64),
                             np.frombuffer(self.id_data, dtype=np.uint8))
-        years = np.frombuffer(self.years, dtype=self.years.typecode)
-        lengths = np.frombuffer(self.lengths, dtype=np.int32)
+        years = np.frombuffer(self.years, dtype=np.int64)
+        indptr = np.frombuffer(self.indptr, dtype=np.int64)
         indices = np.frombuffer(self.indices, dtype=np.int32)
         report = self.report
         # every block is in: the memo of terms goes before the sorts, and each
@@ -446,7 +436,7 @@ class _RecordSink:
         # replaced it
         self.columns = None
         self.id_offsets = self.id_data = self.verdicts = None
-        self.years = self.lengths = self.indices = None
+        self.years = self.indptr = self.indices = None
 
         ranks = string_ranks(ids)
         records = len(verdicts)
@@ -484,13 +474,8 @@ class _RecordSink:
         if order is not None or len(admitted) < records:
             ids = PackedStrings(*_take_rows(*ids, admitted))
         del admitted, own, verdicts
-        # the counts and the years widen to int64 once nothing else is held
-        indptr = np.zeros(len(lengths) + 1, dtype=np.int64)
-        np.cumsum(lengths, out=indptr[1:])
-        del lengths
         if rows is not None:
             indptr, indices = _take_rows(indptr, indices, rows)
-        years = years.astype(np.int64, copy=False)
         return Corpus.from_sorted_arrays(query_label, self.vocabulary, ids, years, indptr, indices)
 
 

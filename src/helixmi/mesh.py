@@ -7,7 +7,9 @@ hash tables over the packed ids and the normalized names, whose
 candidates are checked against the packed columns, and the loaders pack
 their descriptors a batch at a time, so that no decoded copy of the
 whole vocabulary is ever held.
-It is immutable after loading and safe to share across workers.  Its
+It is immutable after loading and safe to share across workers: a
+pickled one leaves its hash tables out, since another process salts
+string hashes differently, and rebuilds them on its first lookup.  Its
 loaders and writer are in ``formats``; their names are still found
 here, and ``formats`` is imported when one is first asked for.
 """
@@ -332,6 +334,14 @@ class Vocabulary:
             uid: MeshDescriptor(uid, name, tuple(map(TreeNumber, self.tree_numbers[a:b])))
             for uid, name, a, b in zip(self.column_ids, self.names, bounds, bounds[1:])
         }
+
+    def __getstate__(self) -> dict:
+        # the tables hold this process's string hashes, which another process
+        # salts differently: an unpickled vocabulary rebuilds them
+        state = dict(self.__dict__)
+        state.pop("_id_table", None)
+        state.pop("_name_table", None)
+        return state
 
     @cached_property
     def _id_table(self) -> _HashTable:

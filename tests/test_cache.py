@@ -401,21 +401,27 @@ def test_unreadable_input_is_reported_as_without_a_cache(tmp_path, capsys, cache
     assert not (cache_home / "helixmi").exists()
 
 
+@pytest.mark.parametrize("kind", ["fifo", "directory"])
 @pytest.mark.parametrize("piped", ["corpus", "mesh"])
-def test_piped_input_is_a_data_error(inputs, tmp_path, piped):
-    # the hash would read a pipe to its end, and the parse find it empty
+def test_piped_input_is_a_data_error(inputs, tmp_path, piped, kind):
+    # the hash would read a pipe to its end, and the parse find it empty; a
+    # directory is refused by the same check
     paths = dict(zip(("corpus", "mesh"), inputs["sizemix"]))
-    fifo = tmp_path / "input.fifo"
-    os.mkfifo(fifo)
     source = Path(paths[piped]).read_bytes()
+    writer = None
+    if kind == "fifo":
+        paths[piped] = tmp_path / "input.fifo"
+        os.mkfifo(paths[piped])
 
-    def write():
-        with open(fifo, "wb") as fh:
-            fh.write(source)
+        def write():
+            with open(paths[piped], "wb") as fh:
+                fh.write(source)
 
-    writer = threading.Thread(target=write, daemon=True)
-    writer.start()
-    paths[piped] = fifo
+        writer = threading.Thread(target=write, daemon=True)
+        writer.start()
+    else:
+        paths[piped] = tmp_path / "input.d"
+        paths[piped].mkdir()
     out = tmp_path / "out"
     src = str(Path(cache.__file__).parent.parent)
     done = subprocess.run(
@@ -423,14 +429,15 @@ def test_piped_input_is_a_data_error(inputs, tmp_path, piped):
          "--mesh", str(paths["mesh"]), "--out", str(out)],
         env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=120)
     assert done.returncode == 2, done.stderr
-    assert f"helixmi ingest: error: {fifo}: not a regular file" in done.stderr
+    assert f"helixmi ingest: error: {paths[piped]}: not a regular file" in done.stderr
     assert not out.exists()
-    # nothing read the pipe: its writer still waits for a reader, whose read
-    # lets it finish
-    with open(fifo, "rb") as fh:
-        assert fh.read() == source
-    writer.join(timeout=30)
-    assert not writer.is_alive()
+    if writer is not None:
+        # nothing read the pipe: its writer still waits for a reader, whose
+        # read lets it finish
+        with open(paths[piped], "rb") as fh:
+            assert fh.read() == source
+        writer.join(timeout=30)
+        assert not writer.is_alive()
 
 
 def test_relative_cache_home_falls_back_to_the_home_cache(monkeypatch, tmp_path):

@@ -277,21 +277,6 @@ def test_jsonl_off_template_line_matches_object_parser(tmp_path, line):
     assert_same_outcome(path)
 
 
-@pytest.mark.parametrize("block", [1, None])
-def test_jsonl_years_beyond_int32_after_smaller_ones(tmp_path, block):
-    # the sink holds years as int32 until a block brings one that does not
-    # fit, and keeps the earlier ones
-    years = [2001, 2000, 2**31, -(2**31) - 1, 2**62, 1999]
-    path = tmp_path / "c.jsonl"
-    path.write_bytes(b"".join(b'{"id":"%d","mesh":["C1"],"year":%d}\n' % (i, year)
-                              for i, year in enumerate(years)))
-    with with_size("_LINE_BLOCK_BYTES", block):
-        assert_same_outcome(path)
-        corpus, _ = ingest_jsonl(str(path), VOCAB)
-    assert corpus.pub_years.dtype == np.int64
-    assert corpus.pub_years.tolist() == sorted(years)
-
-
 def test_jsonl_line_numbers_with_crlf_cut_by_any_block(tmp_path):
     # some block size ends a buffer between the CR and the LF of a line end,
     # which must not count as two line ends

@@ -1,4 +1,9 @@
 import codecs
+import os
+import pickle
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -321,6 +326,27 @@ def test_duplicates_are_found_whatever_the_hash(hash_function, monkeypatch):
     vocab = Vocabulary.from_columns(["B", "A", "C"], ["ß", "s", "t"], [1, 1, 1],
                                     ["C01", "D01", "E01"])
     assert vocab.term_columns(["SS", "s", "ss ", "B"]).tolist() == [1, 0, 1, 1]
+
+
+def test_a_pickled_vocabulary_looks_terms_up_under_another_hash_seed(tmp_path, tiny_vocab):
+    # the hash tables hold this process's salted string hashes, so a pickle
+    # leaves them out and the vocabulary that reads it rebuilds them
+    tokens = ["C1", "term c1", "  TERM D2 ", "Z1", "unknown"]
+    expected = tiny_vocab.term_columns(tokens).tolist()
+    assert {"_id_table", "_name_table"} <= set(tiny_vocab.__dict__)
+    path = tmp_path / "vocab.pickle"
+    path.write_bytes(pickle.dumps(tiny_vocab))
+    assert not {"_id_table", "_name_table"} & set(pickle.loads(path.read_bytes()).__dict__)
+    src = str(Path(mesh_module.__file__).parent.parent)
+    script = ("import pickle, sys; vocab = pickle.load(open(sys.argv[1], 'rb')); "
+              f"print(vocab.term_columns({tokens!r}).tolist())")
+    # at most one of the seeds is this process's
+    for seed in ("1", "2"):
+        done = subprocess.run([sys.executable, "-c", script, str(path)], capture_output=True,
+                              text=True, timeout=60,
+                              env=dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED=seed))
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == str(expected)
 
 
 def test_tsv_round_trip(tmp_path, tiny_vocab):
