@@ -35,7 +35,6 @@ used last; one that cannot be read or written is an empty one.
 
 from __future__ import annotations
 
-import hashlib
 import os
 import re
 import sys
@@ -52,6 +51,18 @@ from .corpus import Corpus, IngestReport
 from .errors import DataError
 from .mesh import LoadReport, Vocabulary
 from .packed import PackedStrings, pack_strings, unpack_strings
+
+# The keys' SHA-256 comes from CPython's builtin module, as ``random``
+# takes its SHA-512: ``hashlib`` loads OpenSSL, 3.6 MB resident on x86-64
+# Linux, in a command that hashes no input.  ``file_sha256`` still hashes
+# input files with it, about seven times faster on x86-64.
+try:
+    from _sha2 import sha256 as _sha256  # Python 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256 as _sha256
+    except ImportError:
+        from hashlib import sha256 as _sha256
 
 # entries kept; storing one more removes the one read or written longest ago
 CAPACITY = 8
@@ -95,6 +106,8 @@ _DIGEST_BUFFER_BYTES = 1 << 18
 
 
 def file_sha256(path) -> str:
+    import hashlib
+
     digest = hashlib.sha256()
     buffer = bytearray(_DIGEST_BUFFER_BYTES)
     view = memoryview(buffer)
@@ -183,7 +196,7 @@ def input_digests(paths, stats, checked_ns: int) -> tuple[list[str] | None, bool
 
 
 def _source_digest() -> str:
-    digest = hashlib.sha256()
+    digest = _sha256()
     for path in sorted(Path(__file__).parent.glob("*.py")):
         digest.update(path.name.encode() + b"\0" + path.read_bytes() + b"\0")
     return digest.hexdigest()
@@ -197,7 +210,7 @@ def entry_key(mesh_sha256: str, corpus_sha256: str, years) -> str | None:
     except OSError:
         return None
     parts = (mesh_sha256, corpus_sha256, repr(years), sys.version, np.__version__, source)
-    return hashlib.sha256("\0".join(parts).encode()).hexdigest()
+    return _sha256("\0".join(parts).encode()).hexdigest()
 
 
 def _packed(entry: dict, name: str, count: int | None) -> PackedStrings:

@@ -202,7 +202,7 @@ def _cmd_ingest(inputs: list, args, out_dir: Path, manifest: RunManifest) -> Non
 def _cmd_stats(inputs: list, args, out_dir: Path, manifest: RunManifest) -> None:
     import numpy as np
 
-    from .corpus import yearly_sizes
+    from .corpus import column_counts, yearly_sizes
     from .counts import (
         branch_matrix,
         branch_stats_from_triples,
@@ -228,10 +228,10 @@ def _cmd_stats(inputs: list, args, out_dir: Path, manifest: RunManifest) -> None
         wilcoxon_rows,
     )
 
+    # one year's counts at a time, not the years x descriptors matrix
     sizes = yearly_sizes(corpus)
     total_assignments = sum(r.total_descriptors for r in sizes)
-    year_counts = corpus.year_counts
-    distinct = int(np.count_nonzero(year_counts.any(axis=0)))
+    distinct = int(np.count_nonzero(column_counts(corpus)))
 
     header = ["query", "A_q", "V_q", "mean_mesh"]
     row: list = [corpus.query_label, len(corpus), distinct,
@@ -244,7 +244,8 @@ def _cmd_stats(inputs: list, args, out_dir: Path, manifest: RunManifest) -> None
     # usage diversity always counts by membership, whatever --counting says
     member = branch_matrix(corpus.vocabulary, "membership").astype(bool)
     yearly_rows = []
-    for r, counts in zip(sizes, year_counts):
+    for r in sizes:
+        counts = column_counts(corpus, corpus.by_year[r.year])
         eff = {}
         for i, alpha in enumerate(BRANCHES):
             usage = counts[member[:, i] & (counts > 0)]
@@ -294,8 +295,8 @@ def _shuffle_config(args):
 def _cmd_null(inputs: list, args, out_dir: Path, manifest: RunManifest) -> None:
     import hashlib
 
+    from .corpus import corpus_canonical_lines
     from .counts import triples_by_year
-    from .formats import corpus_canonical_lines
     from .nullmodel import null_band_from_triples
 
     config = _shuffle_config(args)

@@ -1,13 +1,15 @@
 """The publication corpus: one query's publications as arrays, by year.
 
 Rows hold packed ids (``PackedStrings``), years and the publications x
-descriptors incidence in CSR form, in (year, id) order.  The parsers and
-the canonical writer are in ``formats``; their names are still found
-here, and ``formats`` is imported when one is first asked for.
+descriptors incidence in CSR form, in (year, id) order.  The canonical
+lines are defined here, so that hashing a corpus reads no file format;
+the parsers and the writers are in ``formats``, their names are still
+found here, and ``formats`` is imported when one is first asked for.
 """
 
 from __future__ import annotations
 
+import json
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -252,6 +254,44 @@ def column_counts(corpus: Corpus, rows: range | None = None) -> np.ndarray:
     return counts
 
 
+# The canonical writer's chunks of rows hold fewer entries than those of
+# ``CHUNK_ENTRIES``: its temporaries are Python objects, a reference per
+# entry and a line per row.  A 62k-publication ``ingest`` held 5.3 MB
+# more than its load while writing with chunks of 2^17 entries, 0.8 MB
+# with chunks of 2^15 and 0.3 MB with chunks of 2^13, which write as
+# fast; with 2^15, the writes of a cold MEDLINE ``ingest`` peaked above
+# its parse.
+LINE_CHUNK_ENTRIES = 1 << 13
+
+# what ``json.JSONEncoder`` (``ensure_ascii`` by default) applies to a str
+_encode_str = json.encoder.encode_basestring_ascii
+
+
+def corpus_canonical_lines(corpus: Corpus) -> Iterator[bytes]:
+    """The canonical serialization one UTF-8 line at a time, LF included.
+
+    Each line holds the bytes ``json.JSONEncoder(sort_keys=True,
+    separators=(",", ":"))`` gives for ``{"id", "year", "mesh"}``; every
+    descriptor id is encoded once, not once per row that carries it, and
+    the encoded names and the ids are gathered a chunk of rows at a time.
+    """
+    indptr, indices = corpus.incidence
+    # decoded for this pass only, and dropped once encoded: the vocabulary
+    # keeps its ids packed
+    ids = unpack_strings(corpus.vocabulary.packed_ids)
+    names = np.array([_encode_str(uid) for uid in ids], dtype=object)
+    del ids
+    join = ",".join
+    for lo, hi in row_chunks(indptr, entries=LINE_CHUNK_ENTRIES):
+        start = indptr[lo]
+        mesh = names[indices[start:indptr[hi]]].tolist()
+        bounds = (indptr[lo:hi + 1] - start).tolist()
+        rows = zip(corpus.decode_ids(lo, hi), corpus.pub_years[lo:hi].tolist(), bounds, bounds[1:])
+        for pub_id, year, a, b in rows:
+            line = f'{{"id":{_encode_str(pub_id)},"mesh":[{join(mesh[a:b])}],"year":{year}}}\n'
+            yield line.encode("ascii")
+
+
 @dataclass(frozen=True)
 class YearlySizes:
     year: int
@@ -274,26 +314,19 @@ def year_volumes(corpus: Corpus) -> tuple[np.ndarray, np.ndarray]:
 
 
 def yearly_sizes(corpus: Corpus) -> list[YearlySizes]:
-    """Per-year publication and descriptor volume/vocabulary table."""
+    """Per-year publication and descriptor volume/vocabulary table, from
+    ``year_volumes``."""
+    total, distinct = year_volumes(corpus)
     rows = []
-    for year, counts in zip(corpus.years(), corpus.year_counts):
+    for year, m, v in zip(corpus.years(), total.tolist(), distinct.tolist()):
         pubs = len(corpus.by_year[year])
-        total = int(counts.sum())
-        rows.append(
-            YearlySizes(
-                year=year,
-                publications=pubs,
-                total_descriptors=total,
-                distinct_descriptors=int(np.count_nonzero(counts)),
-                mean_per_publication=total / pubs,
-            )
-        )
+        rows.append(YearlySizes(year=year, publications=pubs, total_descriptors=m,
+                                distinct_descriptors=v, mean_per_publication=m / pubs))
     return rows
 
 
 # the names of ``formats`` that this module defined before, still found here
-_FORMATS_NAMES = frozenset({"LINE_CHUNK_ENTRIES", "corpus_canonical_bytes",
-                            "corpus_canonical_lines", "ingest_jsonl", "ingest_medline_text",
+_FORMATS_NAMES = frozenset({"corpus_canonical_bytes", "ingest_jsonl", "ingest_medline_text",
                             "write_corpus_jsonl"})
 
 

@@ -198,12 +198,14 @@ def wilcoxon_signed_rank(x: Sequence[float], y: Sequence[float]) -> WilcoxonResu
     dynamic programming); beyond that a normal approximation with the
     tie-exact rank variance is used.
     """
-    xa = np.asarray(x, dtype=float)
-    ya = np.asarray(y, dtype=float)
+    xa = np.asarray(x)
+    ya = np.asarray(y)
     if xa.shape != ya.shape or xa.ndim != 1 or len(xa) == 0:
         raise ValueError("x and y must be equal-length non-empty 1-d samples")
+    # one float array: the samples are cast as they are subtracted, as
+    # ``np.asarray(x, dtype=float)`` would cast them
     with np.errstate(invalid="ignore", over="ignore"):
-        d = xa - ya
+        d = np.subtract(xa, ya, dtype=float, casting="unsafe")
     if not np.isfinite(d).all():
         raise ValueError("x - y must be finite: a NaN or infinite difference has no rank")
     d = d[d != 0]
@@ -226,17 +228,14 @@ def wilcoxon_signed_rank(x: Sequence[float], y: Sequence[float]) -> WilcoxonResu
 
 def _midranks(values: np.ndarray) -> np.ndarray:
     """1-based ranks of a 1-d array; tied values share the mean of their ranks."""
-    order = np.argsort(values, kind="stable")
-    ordered = values[order]
-    starts_group = np.empty(len(values), dtype=bool)
-    starts_group[:1] = True
-    np.not_equal(ordered[1:], ordered[:-1], out=starts_group[1:])
-    # the tie group at sorted positions start..end-1 holds ranks start+1..end
-    start = np.flatnonzero(starts_group)
-    end = np.append(start[1:], len(values))
-    ranks = np.empty(len(values))
-    ranks[order] = (0.5 * (start + end + 1))[np.cumsum(starts_group) - 1]
-    return ranks
+    ordered = np.sort(values)
+    # a value's tie group sits at sorted positions start..end-1, and holds
+    # ranks start+1..end
+    start = np.searchsorted(ordered, values, side="left")
+    end = np.searchsorted(ordered, values, side="right")
+    end += start
+    end += 1
+    return 0.5 * end
 
 
 def _exact_signed_rank_p(ranks: np.ndarray, w_plus: float) -> float:

@@ -3,8 +3,8 @@
 A corpus is MEDLINE/PubMed text or JSONL and a vocabulary the NLM ASCII
 descriptor file or a three-column TSV; ``load_corpus`` and
 ``load_vocabulary`` tell them apart by their first bytes.  The canonical
-writers are here too, as the JSONL parser's fast path reads exactly the
-lines ``corpus_canonical_lines`` gives.
+writers are here too; the lines they write, which the JSONL parser's
+fast path reads exactly, are ``corpus.corpus_canonical_lines``.
 
 Files are read in blocks (``_line_blocks``).  Both corpus parsers hand
 each block's records to one sink (``_RecordSink``), which applies the
@@ -26,11 +26,13 @@ from typing import Iterator
 
 import numpy as np
 
-from .corpus import Corpus, CorpusFormatError, IngestReport, _row_order, row_chunks
+# ``LINE_CHUNK_ENTRIES`` and ``_encode_str`` moved to ``corpus`` with the
+# canonical lines, and are still found here
+from .corpus import (LINE_CHUNK_ENTRIES, Corpus, CorpusFormatError, IngestReport, _encode_str,
+                     _row_order, corpus_canonical_lines)
 from .errors import DataError
 from .mesh import MeshFormatError, Vocabulary, _check_tree_numbers, _DescriptorColumns
-from .packed import (PackedStrings, _encoded, _firsts, _row_runs, _take_rows, string_ranks,
-                     unpack_strings)
+from .packed import PackedStrings, _encoded, _firsts, _row_runs, _take_rows, string_ranks
 
 # bytes per read of the block reader: MEDLINE text, whose blocks set the
 # peak of a cold MEDLINE ingest, and the line formats (JSONL, NLM ASCII);
@@ -1034,44 +1036,6 @@ def load_corpus(path: str, vocabulary: Vocabulary, year_range: tuple[int, int] |
             head = block.lstrip()
     ingest = ingest_jsonl if head.startswith(b"{") else ingest_medline_text
     return ingest(path, vocabulary, year_range, query_label)
-
-
-# The canonical writer's chunks of rows hold fewer entries than those of
-# ``corpus.CHUNK_ENTRIES``: its temporaries are Python objects, a
-# reference per entry and a line per row.  A 62k-publication ``ingest``
-# held 5.3 MB more than its load while writing with chunks of 2^17
-# entries, 0.8 MB with chunks of 2^15 and 0.3 MB with chunks of 2^13,
-# which write as fast; with 2^15, the writes of a cold MEDLINE ``ingest``
-# peaked above its parse.
-LINE_CHUNK_ENTRIES = 1 << 13
-
-# what ``json.JSONEncoder`` (``ensure_ascii`` by default) applies to a str
-_encode_str = json.encoder.encode_basestring_ascii
-
-
-def corpus_canonical_lines(corpus: Corpus) -> Iterator[bytes]:
-    """The canonical serialization one UTF-8 line at a time, LF included.
-
-    Each line holds the bytes ``json.JSONEncoder(sort_keys=True,
-    separators=(",", ":"))`` gives for ``{"id", "year", "mesh"}``; every
-    descriptor id is encoded once, not once per row that carries it, and
-    the encoded names and the ids are gathered a chunk of rows at a time.
-    """
-    indptr, indices = corpus.incidence
-    # decoded for this pass only, and dropped once encoded: the vocabulary
-    # keeps its ids packed
-    ids = unpack_strings(corpus.vocabulary.packed_ids)
-    names = np.array([_encode_str(uid) for uid in ids], dtype=object)
-    del ids
-    join = ",".join
-    for lo, hi in row_chunks(indptr, entries=LINE_CHUNK_ENTRIES):
-        start = indptr[lo]
-        mesh = names[indices[start:indptr[hi]]].tolist()
-        bounds = (indptr[lo:hi + 1] - start).tolist()
-        rows = zip(corpus.decode_ids(lo, hi), corpus.pub_years[lo:hi].tolist(), bounds, bounds[1:])
-        for pub_id, year, a, b in rows:
-            line = f'{{"id":{_encode_str(pub_id)},"mesh":[{join(mesh[a:b])}],"year":{year}}}\n'
-            yield line.encode("ascii")
 
 
 def corpus_canonical_bytes(corpus: Corpus) -> bytes:

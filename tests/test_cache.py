@@ -729,3 +729,48 @@ def test_concurrent_writers_never_leave_a_torn_index(tmp_path, cache_home):
             assert p.returncode == 0, err
     assert reads > 0
     assert not list((cache_home / "helixmi").glob("*.tmp"))
+
+
+# Keys are hashed with CPython's builtin SHA-256, which loads no OpenSSL,
+# and input files with hashlib's: both must give the same digests.
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.binary(max_size=1 << 12), cuts=st.lists(st.integers(0, 1 << 12), max_size=4))
+def test_the_key_hash_is_hashlibs_sha256(data, cuts):
+    chunked = cache._sha256()
+    bounds = [0, *sorted(min(cut, len(data)) for cut in cuts), len(data)]
+    for lo, hi in zip(bounds, bounds[1:]):
+        chunked.update(data[lo:hi])
+    expected = hashlib.sha256(data)
+    assert cache._sha256(data).digest() == chunked.digest() == expected.digest()
+    assert chunked.hexdigest() == expected.hexdigest()
+
+
+def test_entry_key_is_hashlibs_sha256_of_its_parts():
+    source = hashlib.sha256()
+    for path in sorted(Path(cache.__file__).parent.glob("*.py")):
+        source.update(path.name.encode() + b"\0" + path.read_bytes() + b"\0")
+    digests, years = ("a" * 64, "b" * 64), (1990, 2010)
+    parts = (*digests, repr(years), sys.version, np.__version__, source.hexdigest())
+    expected = hashlib.sha256("\0".join(parts).encode()).hexdigest()
+    assert cache.entry_key(*digests, years) == expected
+    assert cache.entry_key(*digests, None) != expected
+
+
+@pytest.mark.parametrize("hidden", [(), ("_sha2",), ("_sha2", "_sha256")],
+                         ids=["builtin", "without-sha2", "hashlib"])
+def test_every_import_of_the_key_hash_is_sha256(hidden):
+    # an interpreter built without a module is one whose import of it fails
+    code = ("import hashlib, sys\n"
+            "for name in sys.argv[1:]:\n"
+            "    sys.modules[name] = None\n"
+            "from helixmi import cache\n"
+            "data = bytes(range(256)) * 9\n"
+            "assert cache._sha256(data).hexdigest() == hashlib.sha256(data).hexdigest()\n"
+            "print(cache._sha256.__module__)\n")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cache.__file__)))
+    proc = subprocess.run([sys.executable, "-c", code, *hidden], capture_output=True,
+                          text=True, env=dict(os.environ, PYTHONPATH=src), timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    if len(hidden) == 2:
+        assert proc.stdout.strip() == hashlib.sha256.__module__

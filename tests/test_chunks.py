@@ -1,8 +1,8 @@
 """The corpus passes that read the descriptor entries in row chunks.
 
 ``Corpus.year_counts``, ``counts.corpus_triples``, ``dynamics.top_pairs``
-and ``formats.corpus_canonical_lines`` read the rows in chunks of at most
-``corpus.CHUNK_ENTRIES`` entries (``formats.LINE_CHUNK_ENTRIES`` for the
+and ``corpus.corpus_canonical_lines`` read the rows in chunks of at most
+``corpus.CHUNK_ENTRIES`` entries (``corpus.LINE_CHUNK_ENTRIES`` for the
 lines).
 Their results must not depend on that size: each is checked against a
 per-publication reference with the constant set to 1 (every row with
@@ -20,7 +20,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import helixmi.corpus as corpus_module
-import helixmi.formats as formats_module
 from helixmi.corpus import Corpus, PackedStrings, corpus_canonical_lines, pack_strings, row_chunks
 from helixmi.counts import COUNTINGS, branch_triple, corpus_triples
 from helixmi.dynamics import top_pairs
@@ -66,7 +65,8 @@ def _limits(ranked):
 def check_passes(corpus, chunk, branches, window):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(corpus_module, "CHUNK_ENTRIES", chunk)
-        patch.setattr(formats_module, "LINE_CHUNK_ENTRIES", chunk)
+        # the module that defines each constant, where its pass reads it
+        patch.setattr(corpus_module, "LINE_CHUNK_ENTRIES", chunk)
         indptr = corpus.incidence.indptr
         for first, stop in [(0, len(corpus)), (len(corpus) // 2, len(corpus))]:
             chunks = list(row_chunks(indptr, first, stop))

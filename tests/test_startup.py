@@ -1,6 +1,7 @@
 """What a command pays before its analysis starts: the package imports
-lazily, the CLI loads only the modules its command runs, and numpy starts
-with one OpenBLAS thread unless the user chose a count."""
+lazily, the CLI loads only the modules its command runs, a cache hit loads
+no OpenSSL, and numpy starts with one OpenBLAS thread unless the user
+chose a count."""
 
 import importlib
 import json
@@ -8,18 +9,20 @@ import os
 import platform
 import subprocess
 import sys
+import time
 
 import pytest
 
 import helixmi
-from helixmi import cli, infotheory, mesh, synth
+from helixmi import cache, cli, infotheory, mesh, synth
 
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
 BLAS_VARIABLES = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
 
 # prints, when the process exits, the BLAS thread variables, the helixmi
-# modules loaded, whether numpy was, the process's threads and, for each
-# fork, the threads of the process that forked
+# modules loaded, whether numpy and OpenSSL's hashes (``_hashlib``) were,
+# the process's threads and, for each fork, the threads of the process
+# that forked
 PROBE = """
 import atexit, json, os, sys
 FORKS = []
@@ -30,6 +33,7 @@ def _report():
         "env": {name: os.environ.get(name) for name in %r},
         "modules": sorted(m for m in sys.modules if m.startswith("helixmi.")),
         "numpy": "numpy" in sys.modules,
+        "hashlib": "_hashlib" in sys.modules,
         "threads": _threads(),
         "forks": FORKS,
     }))
@@ -82,6 +86,15 @@ def synth_dir(tmp_path_factory):
     assert cli.main(["synth", "--mode", "xor", "--pubs", "200", "--years", "4",
                      "--seed", "3", "--out", str(out)]) == 0
     return out
+
+
+@pytest.fixture(scope="module")
+def settled_dir(synth_dir):
+    """``synth_dir`` once its files are older than ``cache._RECENT_NS``, so
+    that the digest index keeps their rows, as after the CI's ``sleep``."""
+    newest = max(path.stat().st_ctime_ns for path in synth_dir.iterdir())
+    time.sleep(max(0, newest + cache._RECENT_NS - time.time_ns()) / 1e9 + 0.1)
+    return synth_dir
 
 
 def test_import_loads_no_numpy_and_sets_no_variable():
@@ -155,6 +168,26 @@ def test_mi_loads_only_the_modules_it_runs(synth_dir, tmp_path):
     assert "helixmi.formats" not in loaded["hit"]
     version = probe(AS_MODULE, ["--version"])
     assert not version["numpy"]
+
+
+def test_hits_load_no_openssl_and_no_file_format(settled_dir, tmp_path):
+    io = ["--corpus", settled_dir / "corpus.jsonl", "--mesh", settled_dir / "mesh.tsv"]
+    commands = {"stats": [], "mi": [], "scaling": [], "dynamics": [], "pairs": [],
+                "null": ["--replicates", "20"]}
+    # the first command hashes the inputs, which loads OpenSSL, and indexes
+    # their digests; every later one reads them from the index
+    report = probe(AS_MODULE, ["ingest", *io, "--out", tmp_path / "ingest"])
+    assert report["hashlib"]
+    for command, options in commands.items():
+        out = tmp_path / command
+        report = probe(AS_MODULE, [command, *io, *options, "--out", out])
+        stages = json.loads((out / "manifest.json").read_text())["stages"]
+        assert (stages["cache"], stages["digests"]) == ("hit", "index"), command
+        assert "helixmi.formats" not in report["modules"], command
+        # ``null`` hashes the corpus with ``hashlib``, and numpy.random loads
+        # OpenSSL anyway, through ``secrets``
+        if command != "null":
+            assert not report["hashlib"], command
 
 
 @pytest.mark.parametrize("code", [AS_MODULE, AS_SCRIPT], ids=["module", "script"])
