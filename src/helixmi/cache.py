@@ -5,7 +5,7 @@ rebuilds the parsed inputs from the entry of the input files' bytes, or
 parses them and stores an entry, one ``.npz`` file in
 ``${XDG_CACHE_HOME:-~/.cache}/helixmi`` that holds the corpus arrays,
 the vocabulary columns and the whole ingest report.
-The key is the sha256 of the two input digests, the year window, the
+The key is the digest of the two input digests, the year window, the
 Python and numpy versions and a digest of this package's own sources,
 so that changed input bytes, parser code or Unicode tables (name
 normalization uses ``str.casefold``) never read an old entry.  A
@@ -24,13 +24,19 @@ cannot be read, or whose arrays have the wrong shape, is a miss, and a
 directory that cannot be written just stores nothing: no output depends
 on the cache.
 
+Every digest, of an input file, the sources or a key, is BLAKE2b with a
+32-byte digest (``b2sum -l 256`` of a file) from CPython's builtin
+``_blake2``, which loads no OpenSSL: ``import hashlib`` does, 3.6 MB
+resident on x86-64 Linux.
+
 So that a command does not read its inputs whole to find their key, the
-directory also keeps a digest index, ``digests.txt``: one row per input
-file, ``device inode size mtime_ns ctime_ns sha256``.  A file whose stat
-matches its row takes the row's digest; any other is hashed, and its row
-is written once the file has gone ``_RECENT_NS`` unchanged, as any later
-write then changes its ctime.  The index keeps the ``INDEX_ROWS`` rows
-used last; one that cannot be read or written is an empty one.
+directory also keeps a digest index, ``digests-blake2b.txt``: one row per
+input file, ``device inode size mtime_ns ctime_ns blake2b``.  A file
+whose stat matches its row takes the row's digest; any other is hashed,
+and its row is written once the file has gone ``_RECENT_NS`` unchanged,
+as any later write then changes its ctime.  The index keeps the
+``INDEX_ROWS`` rows used last; one that cannot be read or written is an
+empty one.
 """
 
 from __future__ import annotations
@@ -52,17 +58,10 @@ from .errors import DataError
 from .mesh import LoadReport, Vocabulary
 from .packed import PackedStrings, pack_strings, unpack_strings
 
-# The keys' SHA-256 comes from CPython's builtin module, as ``random``
-# takes its SHA-512: ``hashlib`` loads OpenSSL, 3.6 MB resident on x86-64
-# Linux, in a command that hashes no input.  ``file_sha256`` still hashes
-# input files with it, about seven times faster on x86-64.
 try:
-    from _sha2 import sha256 as _sha256  # Python 3.12+
+    from _blake2 import blake2b as _blake2b
 except ImportError:
-    try:
-        from _sha256 import sha256 as _sha256
-    except ImportError:
-        from hashlib import sha256 as _sha256
+    from hashlib import blake2b as _blake2b
 
 # entries kept; storing one more removes the one read or written longest ago
 CAPACITY = 8
@@ -72,13 +71,16 @@ _STALE_TEMP_S = 3600.0
 
 # a file changed this shortly before its stat may change again within the
 # same timestamp tick, which leaves its stat as it was; such a file is
-# hashed again after the parse, and its digest is not indexed
+# hashed again after the parse, and its digest is indexed only if the file
+# had settled by then
 _RECENT_NS = 2_000_000_000
 
 # rows of the digest index kept; recording one more removes the one used
 # longest ago
 INDEX_ROWS = 2 * CAPACITY
-_INDEX_NAME = "digests.txt"
+# a name of its own: the ``digests.txt`` of earlier versions holds sha256
+# rows, which would read as digests
+_INDEX_NAME = "digests-blake2b.txt"
 _INDEX_ROW = re.compile(r"(\d+) (\d+) (\d+) (-?\d+) (-?\d+) ([0-9a-f]{64})")
 
 # the errors np.load raises for a file that is missing, truncated or not
@@ -101,14 +103,18 @@ def cache_dir() -> Path:
     return Path(base) / "helixmi"
 
 
-# bytes per read of ``file_sha256``, into one buffer reused for the file
+# bytes per read of ``file_blake2b``, into one buffer reused for the file
 _DIGEST_BUFFER_BYTES = 1 << 18
 
 
-def file_sha256(path) -> str:
-    import hashlib
+def _hash(data: bytes = b""):
+    """A BLAKE2b hash with a 32-byte digest, of ``data`` and what ``update``
+    adds."""
+    return _blake2b(data, digest_size=32)
 
-    digest = hashlib.sha256()
+
+def file_blake2b(path) -> str:
+    digest = _hash()
     buffer = bytearray(_DIGEST_BUFFER_BYTES)
     view = memoryview(buffer)
     with open(path, "rb", buffering=0) as fh:
@@ -136,19 +142,33 @@ def _settled(stat: tuple, checked_ns: int) -> bool:
 def unchanged(paths, stats, checked_ns: int, digests) -> bool:
     """Whether the files still hold the bytes that had ``digests`` when
     ``stats`` were taken, at ``checked_ns``: any write since changes a
-    file's ctime, unless it came in the tick of a write before the stat."""
+    file's ctime, unless it came in the tick of a write before the stat.
+
+    When one was changed shortly before ``checked_ns``, the files are
+    hashed again; if all of them had settled by the start of that hash and
+    kept their stats through it, their rows are written to the index."""
     if stats is None or input_stats(paths) != stats:
         return False
     if all(_settled(stat, checked_ns) for stat in stats):
         return True
+    start_ns = time.time_ns()
     try:
-        return [file_sha256(path) for path in paths] == list(digests)
+        if [file_blake2b(path) for path in paths] != list(digests):
+            return False
     except OSError:
         return False
+    if all(_settled(stat, start_ns) for stat in stats) and input_stats(paths) == stats:
+        index = _read_index()
+        before = list(index.items())
+        for stat, digest in zip(stats, digests):
+            index.pop(stat[:2], None)
+            index[stat[:2]] = (*stat[2:], digest)
+        _write_index(index, before)
+    return True
 
 
 def _read_index() -> dict:
-    """(device, inode) -> (size, mtime_ns, ctime_ns, sha256), in the order
+    """(device, inode) -> (size, mtime_ns, ctime_ns, blake2b), in the order
     used; empty when the index is missing or damaged."""
     try:
         text = (cache_dir() / _INDEX_NAME).read_text(encoding="ascii")
@@ -165,7 +185,7 @@ def _read_index() -> dict:
 
 
 def input_digests(paths, stats, checked_ns: int) -> tuple[list[str] | None, bool]:
-    """The sha256 of each file, and whether all of them came from the
+    """The digest of each file, and whether all of them came from the
     digest index; (None, False) when a file cannot be read.
 
     ``stats`` are the files' stats taken at ``checked_ns``.  A file whose
@@ -180,37 +200,43 @@ def input_digests(paths, stats, checked_ns: int) -> tuple[list[str] | None, bool
         row = index.pop(stat[:2], None)
         if row is None or row[:3] != stat[2:]:
             try:
-                row = (*stat[2:], file_sha256(path))
+                row = (*stat[2:], file_blake2b(path))
             except OSError:
                 return None, False
             hashed = True
         digests.append(row[3])
         if _settled(stat, checked_ns):
             index[stat[:2]] = row  # the row used last comes last
+    _write_index(index, before)
+    return digests, not hashed
+
+
+def _write_index(index: dict, before: list) -> None:
+    """Write the ``INDEX_ROWS`` rows of ``index`` used last, unless they
+    are the rows ``before`` it was changed."""
     rows = list(index.items())[-INDEX_ROWS:]
     if rows != before:
         text = "".join(f"{dev} {ino} {size} {mtime} {ctime} {digest}\n"
                        for (dev, ino), (size, mtime, ctime, digest) in rows)
         _write(_INDEX_NAME, lambda fh: fh.write(text.encode("ascii")))
-    return digests, not hashed
 
 
 def _source_digest() -> str:
-    digest = _sha256()
+    digest = _hash()
     for path in sorted(Path(__file__).parent.glob("*.py")):
         digest.update(path.name.encode() + b"\0" + path.read_bytes() + b"\0")
     return digest.hexdigest()
 
 
-def entry_key(mesh_sha256: str, corpus_sha256: str, years) -> str | None:
+def entry_key(mesh_digest: str, corpus_digest: str, years) -> str | None:
     """The key of the entry for these inputs and this code, or None when
     the package's sources cannot be read."""
     try:
         source = _source_digest()
     except OSError:
         return None
-    parts = (mesh_sha256, corpus_sha256, repr(years), sys.version, np.__version__, source)
-    return _sha256("\0".join(parts).encode()).hexdigest()
+    parts = (mesh_digest, corpus_digest, repr(years), sys.version, np.__version__, source)
+    return _hash("\0".join(parts).encode()).hexdigest()
 
 
 def _packed(entry: dict, name: str, count: int | None) -> PackedStrings:
@@ -376,7 +402,7 @@ def store(key: str, corpus: Corpus, report: IngestReport) -> bool:
 
 
 def load_or_parse(paths, years, query_label: str, parse, stages: dict):
-    """The corpus, ingest report and sha256 digests of the vocabulary and
+    """The corpus, ingest report and digests of the vocabulary and
     corpus files ``paths`` in the year window ``years``: from their entry,
     else from ``parse()``, stored if the files did not change meanwhile.
     ``stages`` records ``digests``, ``digest_s``, ``cache`` and, on a hit,
@@ -403,7 +429,7 @@ def load_or_parse(paths, years, query_label: str, parse, stages: dict):
     stored = (bool(key) and unchanged(paths, stats, checked_ns, digests)
               and store(key, corpus, report))
     stages["cache"] = "stored" if stored else "off"
-    return corpus, report, digests or [file_sha256(path) for path in paths]
+    return corpus, report, digests or [file_blake2b(path) for path in paths]
 
 
 def _evict(directory: Path) -> None:

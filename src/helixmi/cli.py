@@ -76,7 +76,7 @@ def _write_json(path: Path, obj) -> None:
 class RunManifest:
     command: str
     inputs: list[dict] = field(default_factory=list)
-    vocabulary_sha256: str | None = None
+    vocabulary_blake2b: str | None = None
     config: dict = field(default_factory=dict)
     diagnostics: dict = field(default_factory=dict)
     # wall seconds of the vocabulary load, the ingest and the whole command,
@@ -176,8 +176,8 @@ def _load_inputs(args, manifest: RunManifest) -> list[Corpus | IngestReport]:
     if report.template_lines + report.json_lines:
         stages["ingest_template_lines"] = report.template_lines
         stages["ingest_json_lines"] = report.json_lines
-    manifest.vocabulary_sha256 = digests[0]
-    manifest.inputs = [{"path": str(path), "sha256": digest}
+    manifest.vocabulary_blake2b = digests[0]
+    manifest.inputs = [{"path": str(path), "blake2b": digest}
                        for path, digest in zip(paths, digests)]
     manifest.diagnostics["ingest"] = report.summary()
     # so that a run shows whether the load or the analysis set its peak

@@ -15,12 +15,14 @@ import hashlib
 import io as io_module
 import json
 import os
+import shutil
 import subprocess
 import sys
 import threading
 import time
 from collections import Counter
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -586,13 +588,17 @@ def test_entry_arrays_keep_their_layout(cache_home):
                                                dtype=dtype).tobytes(), name
 
 
-# The digest index: a row (device, inode, size, mtime_ns, ctime_ns, sha256)
+# The digest index: a row (device, inode, size, mtime_ns, ctime_ns, blake2b)
 # per input, read instead of the file when its stat matches.  Most tests
 # trust the stat alone (a negative recent bound), so that files the test
 # has just written are indexed.
 
+def blake2b(data):
+    return hashlib.blake2b(data, digest_size=32).hexdigest()
+
+
 def index_rows(home):
-    path = home / "helixmi" / "digests.txt"
+    path = home / "helixmi" / cache._INDEX_NAME
     return path.read_text(encoding="ascii").splitlines() if path.exists() else []
 
 
@@ -609,8 +615,8 @@ def test_indexed_digests_are_the_hashed_ones(inputs, kind, tmp_path, trust_the_s
     indexed = run_one(args, tmp_path / "indexed")
     assert (hashed[2]["digests"], indexed[2]["digests"]) == ("hashed", "index")
     assert indexed[:2] == hashed[:2]
-    assert [i["sha256"] for i in indexed[1]["inputs"]] == [
-        hashlib.sha256(path.read_bytes()).hexdigest() for path in (mesh, corpus)]
+    assert [i["blake2b"] for i in indexed[1]["inputs"]] == [
+        blake2b(path.read_bytes()) for path in (mesh, corpus)]
 
 
 def test_rewrite_with_the_old_mtime_is_hashed_again(inputs, tmp_path, cache_home,
@@ -630,7 +636,7 @@ def test_rewrite_with_the_old_mtime_is_hashed_again(inputs, tmp_path, cache_home
     assert (after.st_size, after.st_mtime_ns) == (before.st_size, before.st_mtime_ns)
     files, manifest, stages = run_one(["ingest", *io], tmp_path / "c")
     assert (stages["digests"], stages["cache"]) == ("hashed", "stored")
-    assert manifest["inputs"][1]["sha256"] == hashlib.sha256(data).hexdigest()
+    assert manifest["inputs"][1]["blake2b"] == blake2b(data)
     assert files["corpus.jsonl"] != old["corpus.jsonl"]
 
 
@@ -644,12 +650,85 @@ def test_recent_file_is_never_served_from_the_index(inputs, tmp_path, cache_home
     assert index_rows(cache_home) == []
 
 
+@pytest.mark.parametrize("during", ["untouched", "touched"])
+def test_inputs_settled_by_the_second_hash_are_indexed(inputs, tmp_path, cache_home,
+                                                       monkeypatch, during):
+    # fresh inputs, recent at the first stat and settled by the hash after
+    # the parse: that hash writes their rows, unless a file's stat changed
+    # during it, and the next command then reads neither file
+    paths = []
+    for path in inputs["medline"][::-1]:
+        paths.append(tmp_path / path.name)
+        paths[-1].write_bytes(path.read_bytes())
+    # the parse takes longer than the recent bound on the cache's clock
+    skew = []
+    clock = SimpleNamespace(time_ns=lambda: time.time_ns() + sum(skew),
+                            perf_counter=time.perf_counter, time=time.time)
+    monkeypatch.setattr(cache, "time", clock)
+    hashed = []
+    file_blake2b = cache.file_blake2b
+
+    def hash_file(path):
+        hashed.append(path)
+        digest = file_blake2b(path)
+        if skew and during == "touched":
+            os.utime(path)
+        return digest
+
+    def parse():
+        skew.append(2 * cache._RECENT_NS)
+        vocabulary = formats_module.load_vocabulary(str(paths[0]))
+        return formats_module.load_corpus(str(paths[1]), vocabulary, None, "q")
+
+    monkeypatch.setattr(cache, "file_blake2b", hash_file)
+    stages = {}
+    parsed, report, digests = cache.load_or_parse(paths, None, "q", parse, stages)
+    assert (stages["digests"], stages["cache"]) == ("hashed", "stored")
+    assert hashed == [*paths, *paths]
+    assert digests == [blake2b(path.read_bytes()) for path in paths]
+    rows = [row.split() for row in index_rows(cache_home)]
+    if during == "touched":
+        assert rows == []
+    else:
+        assert [(int(row[1]), row[5]) for row in rows] == [
+            (path.stat().st_ino, digest) for path, digest in zip(paths, digests)]
+    hashed.clear()
+    stages = {}
+    again = cache.load_or_parse(paths, None, "q", parse, stages)
+    assert (stages["digests"], stages["cache"]) == (
+        "hashed" if during == "touched" else "index", "hit")
+    assert hashed == (paths if during == "touched" else [])
+    assert again[2] == digests
+    assert corpus_canonical_bytes(again[0]) == corpus_canonical_bytes(parsed)
+
+
+def test_an_older_versions_sha256_index_is_not_read(inputs, tmp_path, cache_home,
+                                                   trust_the_stat):
+    # the rows that earlier versions wrote for these files, with their
+    # sha256: read, they would be taken for blake2b digests
+    corpus, mesh = inputs["xor"]
+    rows = []
+    for path in (mesh, corpus):
+        st = path.stat()
+        rows.append(f"{st.st_dev} {st.st_ino} {st.st_size} {st.st_mtime_ns} {st.st_ctime_ns} "
+                    f"{hashlib.sha256(path.read_bytes()).hexdigest()}\n")
+    assert all(cache._INDEX_ROW.fullmatch(row[:-1]) for row in rows)
+    old = cache_home / "helixmi" / "digests.txt"
+    old.parent.mkdir(parents=True)
+    old.write_text("".join(rows), encoding="ascii")
+    _, manifest, stages = run_one(["mi", "--corpus", corpus, "--mesh", mesh], tmp_path / "out")
+    assert stages["digests"] == "hashed"
+    assert [i["blake2b"] for i in manifest["inputs"]] == [
+        blake2b(path.read_bytes()) for path in (mesh, corpus)]
+    assert old.read_text(encoding="ascii") == "".join(rows)
+
+
 @pytest.mark.parametrize("damage", ["not-ascii", "truncated-row", "directory"])
 def test_damaged_or_unwritable_index_is_an_empty_one(inputs, tmp_path, cache_home,
                                                      trust_the_stat, damage):
     io = ["--corpus", inputs["sizemix"][0], "--mesh", inputs["sizemix"][1]]
     expected = run_one(["stats", *io], tmp_path / "first")
-    index = cache_home / "helixmi" / "digests.txt"
+    index = cache_home / "helixmi" / cache._INDEX_NAME
     if damage == "not-ascii":
         index.write_bytes(b"\xff" + index.read_bytes())
     elif damage == "truncated-row":
@@ -675,9 +754,9 @@ def test_index_is_replaced_whole_and_keeps_the_rows_used_last(tmp_path, cache_ho
     def digests(path):
         return cache.input_digests([path], cache.input_stats([path]), time.time_ns())
 
-    index = cache_home / "helixmi" / "digests.txt"
+    index = cache_home / "helixmi" / cache._INDEX_NAME
     for path in files[:cache.INDEX_ROWS]:
-        assert digests(path) == ([hashlib.sha256(path.read_bytes()).hexdigest()], False)
+        assert digests(path) == ([blake2b(path.read_bytes())], False)
     with open(index, encoding="ascii") as reader:
         # the first input, used again, becomes the row used last
         assert digests(files[0])[1]
@@ -708,7 +787,7 @@ def test_concurrent_writers_never_leave_a_torn_index(tmp_path, cache_home):
     procs = [subprocess.Popen([sys.executable, "-c", code, *map(str, files[w::writers])],
                               env=dict(os.environ, PYTHONPATH=src), stderr=subprocess.PIPE)
              for w in range(writers)]
-    index = cache_home / "helixmi" / "digests.txt"
+    index = cache_home / "helixmi" / cache._INDEX_NAME
     reads = 0
     try:
         deadline = time.monotonic() + 120
@@ -731,46 +810,61 @@ def test_concurrent_writers_never_leave_a_torn_index(tmp_path, cache_home):
     assert not list((cache_home / "helixmi").glob("*.tmp"))
 
 
-# Keys are hashed with CPython's builtin SHA-256, which loads no OpenSSL,
-# and input files with hashlib's: both must give the same digests.
+# Every digest is BLAKE2b with a 32-byte digest from CPython's builtin
+# ``_blake2``, which loads no OpenSSL: it must be hashlib's, and b2sum's.
 
 @settings(max_examples=200, deadline=None)
 @given(data=st.binary(max_size=1 << 12), cuts=st.lists(st.integers(0, 1 << 12), max_size=4))
-def test_the_key_hash_is_hashlibs_sha256(data, cuts):
-    chunked = cache._sha256()
+def test_the_hash_is_hashlibs_blake2b(data, cuts):
+    chunked = cache._hash()
     bounds = [0, *sorted(min(cut, len(data)) for cut in cuts), len(data)]
     for lo, hi in zip(bounds, bounds[1:]):
         chunked.update(data[lo:hi])
-    expected = hashlib.sha256(data)
-    assert cache._sha256(data).digest() == chunked.digest() == expected.digest()
+    expected = hashlib.blake2b(data, digest_size=32)
+    assert cache._hash(data).digest() == chunked.digest() == expected.digest()
     assert chunked.hexdigest() == expected.hexdigest()
 
 
-def test_entry_key_is_hashlibs_sha256_of_its_parts():
-    source = hashlib.sha256()
+@pytest.mark.skipif(shutil.which("b2sum") is None, reason="no b2sum")
+def test_a_file_digest_is_b2sum_l_256(tmp_path):
+    # more than one buffer of the reads, and a partial last one
+    path = tmp_path / "input"
+    path.write_bytes(bytes(range(251)) * 2_500)
+    proc = subprocess.run(["b2sum", "-l", "256", str(path)], capture_output=True, text=True,
+                          timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert cache.file_blake2b(path) == proc.stdout.split()[0] == blake2b(path.read_bytes())
+
+
+def test_entry_key_is_hashlibs_blake2b_of_its_parts():
+    source = hashlib.blake2b(digest_size=32)
     for path in sorted(Path(cache.__file__).parent.glob("*.py")):
         source.update(path.name.encode() + b"\0" + path.read_bytes() + b"\0")
     digests, years = ("a" * 64, "b" * 64), (1990, 2010)
     parts = (*digests, repr(years), sys.version, np.__version__, source.hexdigest())
-    expected = hashlib.sha256("\0".join(parts).encode()).hexdigest()
+    expected = blake2b("\0".join(parts).encode())
     assert cache.entry_key(*digests, years) == expected
     assert cache.entry_key(*digests, None) != expected
 
 
-@pytest.mark.parametrize("hidden", [(), ("_sha2",), ("_sha2", "_sha256")],
-                         ids=["builtin", "without-sha2", "hashlib"])
-def test_every_import_of_the_key_hash_is_sha256(hidden):
-    # an interpreter built without a module is one whose import of it fails
+@pytest.mark.parametrize("hidden", [False, True], ids=["builtin", "hashlib"])
+def test_every_import_of_the_hash_is_blake2b(hidden):
+    # an interpreter built without ``_blake2`` is one whose import of it
+    # fails; the cache then takes hashlib's blake2b, here a wrapper
     code = ("import hashlib, sys\n"
-            "for name in sys.argv[1:]:\n"
-            "    sys.modules[name] = None\n"
+            "builtin = hashlib.blake2b\n"
+            "def blake2b(*args, **kwargs):\n"
+            "    return builtin(*args, **kwargs)\n"
+            "hashlib.blake2b = blake2b\n"
+            "if sys.argv[1:]:\n"
+            "    sys.modules['_blake2'] = None\n"
             "from helixmi import cache\n"
             "data = bytes(range(256)) * 9\n"
-            "assert cache._sha256(data).hexdigest() == hashlib.sha256(data).hexdigest()\n"
-            "print(cache._sha256.__module__)\n")
+            "assert cache._hash(data).hexdigest() == builtin(data, digest_size=32).hexdigest()\n"
+            "print(cache._blake2b is blake2b)\n")
     src = os.path.dirname(os.path.dirname(os.path.abspath(cache.__file__)))
-    proc = subprocess.run([sys.executable, "-c", code, *hidden], capture_output=True,
-                          text=True, env=dict(os.environ, PYTHONPATH=src), timeout=120)
+    proc = subprocess.run([sys.executable, "-c", code, *(["hide"] if hidden else [])],
+                          capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src),
+                          timeout=120)
     assert proc.returncode == 0, proc.stderr
-    if len(hidden) == 2:
-        assert proc.stdout.strip() == hashlib.sha256.__module__
+    assert proc.stdout.strip() == str(hidden)

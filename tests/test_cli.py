@@ -1,5 +1,6 @@
 import codecs
 import csv
+import hashlib
 import json
 import os
 import signal
@@ -213,7 +214,7 @@ def test_ingest_command(synth_dir, tmp_path):
     assert (out / "corpus.jsonl").read_bytes() == (synth_dir / "corpus.jsonl").read_bytes()
     manifest = json.loads((out / "manifest.json").read_text())
     assert len(manifest["inputs"]) == 2
-    assert all(len(i["sha256"]) == 64 for i in manifest["inputs"])
+    assert all(len(i["blake2b"]) == 64 for i in manifest["inputs"])
 
 
 def test_every_command_records_ingest_diagnostics(synth_dir, tmp_path):
@@ -243,7 +244,7 @@ def test_every_command_records_ingest_diagnostics(synth_dir, tmp_path):
             assert run([command, *common, "--out", tmp_path / command]) == 0
         manifest = json.loads((tmp_path / command / "manifest.json").read_text())
         assert manifest["diagnostics"]["ingest"] == expected
-        assert manifest["vocabulary_sha256"] == manifest["inputs"][0]["sha256"]
+        assert manifest["vocabulary_blake2b"] == manifest["inputs"][0]["blake2b"]
 
 
 def test_manifest_records_stage_times(synth_dir, tmp_path):
@@ -389,7 +390,8 @@ def test_null_command_and_thread_invariance(synth_dir, tmp_path, monkeypatch):
         assert null_manifest["replicates"] == 40
         assert null_manifest["ci_level"] == 0.9
         # the synth corpus file is already in canonical form
-        assert null_manifest["corpus_hash"] == cache.file_sha256(synth_dir / "corpus.jsonl")
+        canonical = (synth_dir / "corpus.jsonl").read_bytes()
+        assert null_manifest["corpus_hash"] == hashlib.sha256(canonical).hexdigest()
         stages = json.loads((out / "manifest.json").read_text())["stages"]
         parsed = ({"vocabulary_peak_rss_mb", "parse_peak_rss_mb"} if stages["cache"] != "hit"
                   else set())

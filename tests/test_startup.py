@@ -1,7 +1,7 @@
 """What a command pays before its analysis starts: the package imports
-lazily, the CLI loads only the modules its command runs, a cache hit loads
-no OpenSSL, and numpy starts with one OpenBLAS thread unless the user
-chose a count."""
+lazily, the CLI loads only the modules its command runs, no command that
+reads a corpus but ``null`` loads OpenSSL, and numpy starts with one
+OpenBLAS thread unless the user chose a count."""
 
 import importlib
 import json
@@ -174,10 +174,25 @@ def test_hits_load_no_openssl_and_no_file_format(settled_dir, tmp_path):
     io = ["--corpus", settled_dir / "corpus.jsonl", "--mesh", settled_dir / "mesh.tsv"]
     commands = {"stats": [], "mi": [], "scaling": [], "dynamics": [], "pairs": [],
                 "null": ["--replicates", "20"]}
-    # the first command hashes the inputs, which loads OpenSSL, and indexes
-    # their digests; every later one reads them from the index
+    # the first command parses and hashes the inputs, with the builtin
+    # BLAKE2b, and indexes their digests; every later one reads them from
+    # the index
     report = probe(AS_MODULE, ["ingest", *io, "--out", tmp_path / "ingest"])
-    assert report["hashlib"]
+    stages = json.loads((tmp_path / "ingest" / "manifest.json").read_text())["stages"]
+    assert (stages["cache"], stages["digests"]) == ("stored", "hashed")
+    assert not report["hashlib"]
+    # so does a command that parses inputs just written, which it hashes
+    # before and after the parse (another year window, another entry)
+    fresh = tmp_path / "fresh"
+    fresh.mkdir()
+    for name in ("corpus.jsonl", "mesh.tsv"):
+        (fresh / name).write_bytes((settled_dir / name).read_bytes())
+    report = probe(AS_MODULE, ["mi", "--corpus", fresh / "corpus.jsonl", "--mesh",
+                               fresh / "mesh.tsv", "--years", "1000:3000",
+                               "--out", tmp_path / "mi-fresh"])
+    stages = json.loads((tmp_path / "mi-fresh" / "manifest.json").read_text())["stages"]
+    assert (stages["cache"], stages["digests"]) == ("stored", "hashed")
+    assert not report["hashlib"]
     for command, options in commands.items():
         out = tmp_path / command
         report = probe(AS_MODULE, [command, *io, *options, "--out", out])
